@@ -301,7 +301,7 @@ def cmd_psi(args):
     K = args.trunc if args.trunc is not None else DEFAULT_TRUNC
     grid = args.grid or 512
     est = psi_sup_estimate(K, grid)
-    series = PsiSeries(min(K, 10**6))
+    series = PsiSeries(K)
     origin = psi_evaluate(PsiSeries(min(K, 10**5)), 0.0, 0.0)
     rows = [
         _estimate_row("sup_gridmax", est),

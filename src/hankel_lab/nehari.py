@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import DomainError
 from .hankel import NormEstimate, operator_norm
-from .quadrature import QuadratureSpec, default_spec, h1_norm_2hom, hp_norm, hq_norm_basic
+from .quadrature import QuadratureSpec, _grid_values, default_spec, h1_norm_2hom, hp_norm, hq_norm_basic
 from .symbols import Symbol
 
 
@@ -249,11 +249,7 @@ def psi_evaluate(ps: PsiSeries, theta1: float, theta2: float) -> complex:
 
 def psi_projection(ps: PsiSeries) -> Symbol:
     """Analytic part of the truncated series (both exponents >= 0)."""
-    terms = []
-    for k in range(-ps.truncation, ps.truncation + 1):
-        if 1 - k >= 0 and k >= 0:
-            terms.append(((1 - k, k), PsiSeries.coefficient(k)))
-    return Symbol(2, terms)
+    return Symbol(2, [((1 - k, k), PsiSeries.coefficient(k)) for k in (0, 1)])
 
 
 def psi_sup_estimate(K: int, grid_n: int = 512) -> NormEstimate:
@@ -278,11 +274,7 @@ def psi_sup_estimate(K: int, grid_n: int = 512) -> NormEstimate:
         raise DomainError("grid must have at least 16 points")
     ks = np.arange(-K, K + 1)
     coefs = ((-1.0) ** ks) / (1.0 - 2.0 * ks)
-    u = 2.0 * np.pi * np.arange(grid_n) / grid_n
-    values = np.zeros(grid_n, dtype=complex)
-    for start in range(0, len(ks), 4096):
-        chunk = slice(start, start + 4096)
-        values += np.exp(1j * np.outer(u, ks[chunk])) @ coefs[chunk]
+    (values,) = _grid_values(ks[:, None], coefs, grid_n)
     envelope = grid_n / (2.0 * math.pi * K)
     return NormEstimate(
         float(np.abs(values).max()),

@@ -5,7 +5,9 @@ rule. |phi|^p has kink singularities at the zeros of phi, so convergence
 is algebraic; the reported error bound always comes from comparing the
 requested grid with its refinement to twice the points per dimension (the
 returned value is the refined one). For p = 2 the rule is exact once the
-grid resolves twice the degree, which gives the Parseval cross-check.
+grid has more points per dimension than the exponent spread; finite p on
+coarser grids is rejected. All grid evaluation goes through _grid_values:
+frequencies folded mod N, then one inverse FFT.
 
 Monte Carlo sampling (counter-based Philox generator, explicit seed) is
 available for any dimension and is the required path above dimension 4.
@@ -61,42 +63,39 @@ def default_spec(dim: int) -> QuadratureSpec:
     return QuadratureSpec(points_per_dimension=256 if dim <= 2 else 64)
 
 
-def _coeff_grid(terms, shape):
-    grid = np.zeros(shape, dtype=complex)
-    n = shape[0]
-    for alpha, c in terms:
-        grid[tuple(e % n for e in alpha)] += c
-    return grid
+def _grid_values(freqs, coefs, n):
+    """Values of sum_k c_k e^{i<alpha_k, theta>} on the uniform n^d grid.
+
+    freqs is an (m, d) array of integer frequencies, possibly negative and
+    beyond int64; they are folded mod n, which is exact on the grid, and
+    the coefficients are scattered into one array for an inverse FFT.
+    Yields the whole grid once, or, when d > 1 and n^d exceeds
+    _FULL_GRID_LIMIT, one (d-1)-dimensional slice per first-axis index.
+    """
+    folded = np.asarray(freqs)
+    if folded.dtype.kind not in "iu":  # ints beyond int64: fold them exactly
+        folded = np.asarray(freqs, dtype=object)
+    idx = (folded % n).astype(np.intp)
+    d = idx.shape[1]
+    if d == 1 or n**d <= _FULL_GRID_LIMIT:
+        grid = np.zeros((n,) * d, dtype=complex)
+        np.add.at(grid, tuple(idx.T), coefs)
+        yield np.fft.ifftn(grid) * (n**d)
+        return
+    tail = tuple(idx[:, 1:].T)
+    for t in range(n):
+        grid = np.zeros((n,) * (d - 1), dtype=complex)
+        np.add.at(grid, tail, coefs * np.exp(2j * np.pi * (t * idx[:, 0] % n) / n))
+        yield np.fft.ifftn(grid) * (n ** (d - 1))
 
 
 def _tensor_stat(s: Symbol, n: int, p):
-    """Mean of |phi|^p over the n^d uniform grid, or the max for p=inf.
-
-    Exponents are folded mod n before the FFT; on the grid that is exact.
-    Grids too large to hold in memory are swept slice by slice along the
-    first axis.
-    """
-    d = s.dim
+    """Mean of |phi|^p over the n^d uniform grid, or the max for p=inf."""
     terms = s.terms()
-    if d == 1 or n**d <= _FULL_GRID_LIMIT:
-        values = np.fft.ifftn(_coeff_grid(terms, (n,) * d)) * (n**d)
-        mags = np.abs(values)
-        return float(mags.max()) if p == math.inf else float((mags**p).mean())
-    tail_shape = (n,) * (d - 1)
-    best = 0.0
-    total = 0.0
-    for t in range(n):
-        sliced = {}
-        for alpha, c in terms:
-            key = tuple(e % n for e in alpha[1:])
-            sliced[key] = sliced.get(key, 0j) + c * np.exp(2j * np.pi * t * alpha[0] / n)
-        values = np.fft.ifftn(_coeff_grid(sliced.items(), tail_shape)) * (n ** (d - 1))
-        mags = np.abs(values)
-        if p == math.inf:
-            best = max(best, float(mags.max()))
-        else:
-            total += float((mags**p).sum())
-    return best if p == math.inf else total / (n**d)
+    slices = _grid_values([a for a, _ in terms], np.array([c for _, c in terms]), n)
+    if p == math.inf:
+        return max(float(np.abs(v).max()) for v in slices)
+    return sum(float((np.abs(v) ** p).sum()) for v in slices) / (n**s.dim)
 
 
 def _sup_cushion(s: Symbol, n: int, grid_max: float):
@@ -180,6 +179,9 @@ def hp_norm(s: Symbol, p, spec: QuadratureSpec | None = None) -> NormEstimate:
     if s.dim > 4:
         raise DomainError("tensor-uniform is limited to dimension <= 4; use monte-carlo")
     n = spec.points_per_dimension
+    spread = max(max(axis) - min(axis) for axis in zip(*s.support))
+    if p != math.inf and n <= spread:  # frequencies of |phi|^2 would alias onto 0
+        raise DomainError(f"{n} points per dimension do not resolve the exponent spread {spread}")
     coarse = _tensor_stat(s, n, p)
     fine = _tensor_stat(s, 2 * n, p)
     if p == math.inf:
@@ -302,14 +304,14 @@ def h1_norm_2hom(s: Symbol, spec: QuadratureSpec | None = None) -> NormEstimate:
         )
     # exponent of the second active variable determines the reduced frequency
     j2 = active[1] if len(active) == 2 else None
-    freqs = np.array([a[j2] if j2 is not None else 0 for a in s.support])
+    freqs = [[a[j2] if j2 is not None else 0] for a in s.support]
     coefs = np.array([s.coeff(a) for a in s.support])
 
     base = max(1 << 16, spec.points_per_dimension if spec is not None else 0)
 
     def mean_abs(n):
-        u = 2.0 * np.pi * np.arange(n) / n
-        return float(np.abs(np.exp(1j * np.outer(u, freqs)) @ coefs).mean())
+        (values,) = _grid_values(freqs, coefs, n)
+        return float(np.abs(values).mean())
 
     coarse = mean_abs(base)
     fine = mean_abs(2 * base)

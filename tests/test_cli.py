@@ -157,6 +157,14 @@ class TestHpNorm:
         assert "monte-carlo" in out
 
 
+    def test_under_resolved_grid_is_domain_error(self, capsys, tmp_path):
+        path = tmp_path / "big.sym"
+        path.write_text("dim 1\n1.0 0.0 : 100000000000000000000000\n0.5 0.0 : 0\n")
+        code, _, err = run(capsys, "hp-norm", str(path), "1")
+        assert code == 1
+        assert "exponent spread" in err
+
+
 class TestNehariCommands:
     def test_closed_form_bounds(self, capsys):
         code, out, _ = run(capsys, "nehari-bound", "--d", "2")

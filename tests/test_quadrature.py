@@ -110,16 +110,42 @@ class TestHpNorm:
 
         rng = np.random.default_rng(109)
         s = random_symbol(rng, 4, max_degree=2, n_terms=3)
-        direct = _tensor_stat(s, 12, 1)
+        # the slices differ only through the first-axis exponents
+        mixed = make_symbol(
+            4, [((1, 0, 2, 0), 1.0), ((0, 1, 0, 1), 0.5j), ((3, 0, 0, 0), -0.7), ((0, 0, 0, 0), 0.3)]
+        )
         import hankel_lab.quadrature as quad
 
-        old = quad._FULL_GRID_LIMIT
-        try:
-            quad._FULL_GRID_LIMIT = 1
-            sliced = _tensor_stat(s, 12, 1)
-        finally:
-            quad._FULL_GRID_LIMIT = old
-        assert sliced == pytest.approx(direct, rel=1e-12)
+        for sym in (s, mixed):
+            for p in (1, 3.5, math.inf):
+                direct = _tensor_stat(sym, 12, p)
+                old = quad._FULL_GRID_LIMIT
+                try:
+                    quad._FULL_GRID_LIMIT = 1
+                    sliced = _tensor_stat(sym, 12, p)
+                finally:
+                    quad._FULL_GRID_LIMIT = old
+                assert sliced == pytest.approx(direct, rel=1e-12)
+
+    def test_under_resolved_grid_raises(self):
+        # z^10 + 1 needs more than 10 points per dimension; at 11 p=2 is exact
+        s = make_symbol(1, [((10,), 1.0), ((0,), 1.0)])
+        with pytest.raises(DomainError):
+            hp_norm(s, 2, QuadratureSpec(points_per_dimension=10))
+        est = hp_norm(s, 2, QuadratureSpec(points_per_dimension=11))
+        assert est.value == pytest.approx(math.sqrt(2), abs=1e-14)
+        # every grid point aliases z1^(10**23) to 1, so p = 1 and 2 would read 1.5
+        huge = make_symbol(1, [((10**23,), 1.0), ((0,), 0.5)])
+        for p in (1, 2):
+            with pytest.raises(DomainError):
+                hp_norm(huge, p, QuadratureSpec())
+
+    def test_huge_exponent_sup_has_infinite_cushion(self):
+        # the fold must not squeeze exponents through int64
+        huge = make_symbol(1, [((10**23,), 1.0), ((0,), 0.5)])
+        est = hp_norm(huge, math.inf, QuadratureSpec())
+        assert est.value == 1.5
+        assert est.error_bound == math.inf
 
 
 class TestHqBasic:
