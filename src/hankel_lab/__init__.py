@@ -8,7 +8,7 @@ norms on the torus, and evaluate lower bounds for the Nehari constants.
 
 from . import _threads  # noqa: F401  (HANKEL_LAB_THREADS cap, before numpy loads)
 
-from .errors import DomainError, ParseError
+from .errors import BudgetError, DomainError, ParseError
 from .symbols import (
     Symbol,
     degree,
@@ -20,10 +20,12 @@ from .symbols import (
     separate_variables,
 )
 from .hankel import (
+    MAX_BASIS,
     HankelMatrix,
     NormEstimate,
     active_bases,
     build_block,
+    build_blocks,
     build_matrix,
     operator_norm,
     spectral_norm,
@@ -69,8 +71,10 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundReport",
     "BoundWitness",
+    "BudgetError",
     "DomainError",
     "HankelMatrix",
+    "MAX_BASIS",
     "MinimalityVerdict",
     "NormEstimate",
     "ParseError",
@@ -81,6 +85,7 @@ __all__ = [
     "Symbol",
     "active_bases",
     "build_block",
+    "build_blocks",
     "build_matrix",
     "build_recipe",
     "cex_ratio",

@@ -15,8 +15,8 @@ import math
 import sys
 
 from . import _threads  # noqa: F401  (thread cap must precede numpy-heavy work)
-from .errors import DomainError, ParseError
-from .hankel import active_bases, build_block, operator_norm, spectral_norm
+from .errors import BudgetError, DomainError, ParseError
+from .hankel import active_bases, build_block, build_blocks, operator_norm, spectral_norm
 from .minimal import build_recipe, classify, classify_homogeneous, parse_recipe
 from .nehari import (
     PsiSeries,
@@ -132,29 +132,33 @@ def cmd_norm(args):
     return 0
 
 
+def _classify(s, tol):
+    """Verdict from the decisive blocks of a homogeneous symbol, else from the full matrix."""
+    if s.is_homogeneous() is not None:
+        return classify_homogeneous(s, tol), "homogeneous-blocks"
+    return classify(s, tol), "full-matrix"
+
+
 def cmd_check_minimal(args):
     tol = args.tol if args.tol is not None else DEFAULT_TOL
     note_extra = ""
     if args.recipe:
-        expr = parse_recipe(_load_text(args.symbol))
-        s = build_recipe(expr)
+        s = build_recipe(parse_recipe(_load_text(args.symbol)))
         note_extra = "construction-certified"
+        try:
+            if s.is_homogeneous() is not None:
+                active_bases(s)  # the cut is the full basis, though blocks allow more
+            verdict, path = _classify(s, tol)
+        except BudgetError:
+            rows = [
+                {"quantity": "status", "value": "minimal", "method": "certificate", "error_bound": 0.0},
+                {"quantity": "note", "value": "basis too large for a numeric gap; " + note_extra, "method": "", "error_bound": ""},
+            ]
+            _render("check-minimal", {"tol": tol}, rows, args.json)
+            return 0
     else:
         s = _load_symbol(args.symbol)
-    cols, _ = active_bases(s)
-    if args.recipe and len(cols) > 3000:
-        rows = [
-            {"quantity": "status", "value": "minimal", "method": "certificate", "error_bound": 0.0},
-            {"quantity": "note", "value": "basis too large for a numeric gap; " + note_extra, "method": "", "error_bound": ""},
-        ]
-        _render("check-minimal", {"tol": tol}, rows, args.json)
-        return 0
-    if s.is_homogeneous() is not None:
-        verdict = classify_homogeneous(s, tol)
-        path = "homogeneous-blocks"
-    else:
-        verdict = classify(s, tol)
-        path = "full-matrix"
+        verdict, path = _classify(s, tol)
     note = "; ".join(filter(None, [verdict.note, note_extra]))
     rows = [
         {"quantity": "status", "value": verdict.status, "method": path, "error_bound": ""},
@@ -175,15 +179,14 @@ def cmd_blocks(args):
     if m is None:
         raise DomainError("blocks requires a homogeneous symbol")
     rows = []
-    blocks = []
-    for k in range(m + 1):
-        block = build_block(s, k)
-        blocks.append((k, block))
-        est = spectral_norm(block)
+    blocks = list(enumerate(build_blocks(s, range(m + 1))))
+    estimates = [spectral_norm(block) for _, block in blocks]
+    for (k, block), est in zip(blocks, estimates):
         row = _estimate_row(f"block_k={k}", est)
         row["shape"] = f"{block.shape[0]}x{block.shape[1]}"
         rows.append(row)
-    full = _estimate_row("operator_norm", operator_norm(s))
+    # the blocks act on disjoint columns and rows, so the largest is the full norm
+    full = _estimate_row("operator_norm", max(estimates, key=lambda e: e.value))
     full["shape"] = ""
     rows.append(full)
     if args.json:
@@ -278,10 +281,11 @@ def cmd_cex(args):
                 "error_bound": abs(s_k.h2_norm() - reference),
             }
         )
-    final = cex_truncation(K)
-    cols, _ = active_bases(final)
-    if len(cols) <= 3000:
-        verdict = classify(final, DEFAULT_TOL)
+    try:
+        verdict = classify(cex_truncation(K), DEFAULT_TOL)
+    except BudgetError:  # no numeric gap above the basis budget
+        pass
+    else:
         rows.append({"quantity": "classification", "value": verdict.status, "method": "full-matrix", "error_bound": ""})
         rows.append({"quantity": "gap", "value": verdict.gap, "method": "full-matrix", "error_bound": ""})
     for k in (1, 10, 100, 200):
@@ -302,11 +306,12 @@ def cmd_psi(args):
     grid = args.grid or 512
     est = psi_sup_estimate(K, grid)
     series = PsiSeries(K)
-    origin = psi_evaluate(PsiSeries(min(K, 10**5)), 0.0, 0.0)
+    origin_trunc = min(K, 10**5)  # the value at the origin is summed to at most 1e5 terms
+    origin = psi_evaluate(PsiSeries(origin_trunc), 0.0, 0.0)
     rows = [
         _estimate_row("sup_gridmax", est),
         {"quantity": "projection", "value": str(psi_projection(series)), "method": "closed-form", "error_bound": 0.0},
-        {"quantity": "origin_value", "value": origin, "method": "closed-form", "error_bound": ""},
+        {"quantity": "origin_value", "value": origin, "method": f"partial-sum-K={origin_trunc}", "error_bound": ""},
         {"quantity": "half_pi", "value": math.pi / 2.0, "method": "closed-form", "error_bound": 0.0},
     ]
     _render("psi", {"trunc": K, "grid": grid}, rows, args.json)

@@ -1,12 +1,17 @@
 """Exception types shared across the package.
 
-DomainError marks violated preconditions or contract misuse (CLI exit 1),
-ParseError marks malformed text input (CLI exit 2).
+DomainError marks violated preconditions or contract misuse (CLI exit 1);
+its subclass BudgetError marks an input whose work exceeds a resource
+budget. ParseError marks malformed text input (CLI exit 2).
 """
 
 
 class DomainError(ValueError):
     """An operation was called outside its documented domain."""
+
+
+class BudgetError(DomainError):
+    """The work an input asks for exceeds a resource budget."""
 
 
 class ParseError(ValueError):

@@ -17,13 +17,20 @@ outside that finite block is identically zero.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import BudgetError, DomainError
 from .symbols import Symbol, degree, grlex_key
+
+# Largest active basis of a full matrix: n^2 complex entries (144 MB at
+# n = 3000) and an O(n^3) SVD.
+MAX_BASIS = 3000
+# elements per temporary array in _fill
+_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -69,31 +76,73 @@ class HankelMatrix:
         return "\n".join(lines) + "\n"
 
 
-def _downward_closure(support):
-    """All multi-indices componentwise dominated by some element of support."""
+def _downward_closure(support, budget):
+    """All multi-indices componentwise dominated by some element of support.
+
+    Sorted in graded lex order. Raises BudgetError as soon as there are
+    more than budget of them, before enumerating a box that large.
+    """
     closed = set()
     for alpha in support:
+        if math.prod(e + 1 for e in alpha) > budget:
+            break
         closed.update(product(*(range(e + 1) for e in alpha)))
-    return sorted(closed, key=grlex_key)
+        if len(closed) > budget:
+            break
+    else:
+        return sorted(closed, key=grlex_key)
+    raise BudgetError(f"active basis exceeds the budget of {budget} monomials")
 
 
 def active_bases(s: Symbol):
     """Column and row bases on which the operator of s can act nontrivially.
 
     Both sides equal the downward closure of the support, in graded lex
-    order. The zero symbol yields empty bases.
+    order. The zero symbol yields empty bases. Raises BudgetError when the
+    closure holds more than MAX_BASIS indices.
     """
-    closure = tuple(_downward_closure(s.support))
+    closure = tuple(_downward_closure(s.support, MAX_BASIS))
     return closure, closure
 
 
 def _fill(s: Symbol, rows, cols) -> HankelMatrix:
+    """Matrix conj(phihat(beta + gamma)) for gamma in rows and beta in cols.
+
+    Rows and columns lie in the downward closure of the support. Each
+    multi-index is encoded in mixed radix, with radix M_j + 1 on axis j
+    where M_j is the largest support exponent there, so beta + gamma is one
+    integer addition, looked up among the sorted support codes. A sum whose
+    digits carry can meet the code of another index, but every carry lowers
+    the digit sum, so a hit counts only when the degrees add up too. Codes
+    are int64 when twice the largest fits, Python ints otherwise.
+    """
     entries = np.zeros((len(rows), len(cols)), dtype=complex)
-    for i, gamma in enumerate(rows):
-        for j, beta in enumerate(cols):
-            c = s.coeff(tuple(x + y for x, y in zip(beta, gamma)))
-            if c != 0:
-                entries[i, j] = c.conjugate()
+    terms = s.terms()
+    if entries.size == 0 or not terms:
+        return HankelMatrix(tuple(cols), tuple(rows), entries)
+    weights = [1] * s.dim
+    for j in range(s.dim - 1, 0, -1):
+        weights[j - 1] = weights[j] * (max(a[j] for a, _ in terms) + 1)
+    largest = weights[0] * (max(a[0] for a, _ in terms) + 1) - 1
+    dtype = np.int64 if 2 * largest <= np.iinfo(np.int64).max else object
+
+    def encode(indices):
+        codes = [sum(e * w for e, w in zip(a, weights)) for a in indices]
+        return np.array(codes, dtype=dtype), np.array([degree(a) for a in indices], dtype=dtype)
+
+    keys, key_degrees = encode([a for a, _ in terms])
+    order = np.argsort(keys)
+    keys, key_degrees = keys[order], key_degrees[order]
+    values = np.conj(np.array([c for _, c in terms]))[order]
+    row_codes, row_degrees = encode(rows)
+    col_codes, col_degrees = encode(cols)
+    step = max(1, _CHUNK // len(cols))
+    for start in range(0, len(rows), step):
+        sums = np.add.outer(row_codes[start:start + step], col_codes)
+        found = np.minimum(np.searchsorted(keys, sums), len(keys) - 1)
+        hit = keys[found] == sums
+        hit &= key_degrees[found] == np.add.outer(row_degrees[start:start + step], col_degrees)
+        entries[start:start + step][hit] = values[found[hit]]
     return HankelMatrix(tuple(cols), tuple(rows), entries)
 
 
@@ -102,10 +151,36 @@ def build_matrix(s: Symbol) -> HankelMatrix:
 
     All omitted rows and columns are identically zero, so the spectral norm
     of this finite matrix is the operator norm. The zero symbol gives an
-    empty matrix.
+    empty matrix. Raises BudgetError above MAX_BASIS columns.
     """
     cols, rows = active_bases(s)
     return _fill(s, rows, cols)
+
+
+def build_blocks(s: Symbol, ks):
+    """Blocks k in ks of an m-homogeneous symbol, from one closure.
+
+    Block k has the degree-k indices of the closure as columns and the
+    degree-(m-k) ones as rows; for k > m it is the zero operator, an empty
+    matrix. The m+1 blocks partition the closure, so it may hold m+1 times
+    MAX_BASIS indices. Yields the blocks in the order of ks, one at a time.
+    """
+    m = s.is_homogeneous()
+    if m is None:
+        raise DomainError("build_block requires a homogeneous symbol")
+    ks = list(ks)
+    for k in ks:
+        if not isinstance(k, int) or isinstance(k, bool) or k < 0:
+            raise DomainError(f"block index must be an integer >= 0, got {k!r}")
+    levels = {}
+    if any(k <= m for k in ks):
+        for alpha in _downward_closure(s.support, (m + 1) * MAX_BASIS):
+            levels.setdefault(degree(alpha), []).append(alpha)
+    for k in ks:
+        if k > m:
+            yield HankelMatrix((), (), np.zeros((0, 0), dtype=complex))
+        else:
+            yield _fill(s, levels.get(m - k, []), levels.get(k, []))
 
 
 def build_block(s: Symbol, k: int) -> HankelMatrix:
@@ -114,17 +189,8 @@ def build_block(s: Symbol, k: int) -> HankelMatrix:
     Requires s to be m-homogeneous. For k > m the block is the zero
     operator and an empty matrix is returned.
     """
-    m = s.is_homogeneous()
-    if m is None:
-        raise DomainError("build_block requires a homogeneous symbol")
-    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-        raise DomainError(f"block index must be an integer >= 0, got {k!r}")
-    if k > m:
-        return HankelMatrix((), (), np.zeros((0, 0), dtype=complex))
-    closure = _downward_closure(s.support)
-    cols = [a for a in closure if degree(a) == k]
-    rows = [a for a in closure if degree(a) == m - k]
-    return _fill(s, rows, cols)
+    (block,) = build_blocks(s, [k])
+    return block
 
 
 def spectral_norm(matrix) -> NormEstimate:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import DomainError, ParseError
-from .hankel import build_block, operator_norm, spectral_norm
+from .hankel import build_blocks, operator_norm, spectral_norm
 from .symbols import Symbol, degree
 
 
@@ -72,7 +72,8 @@ def classify_homogeneous(s: Symbol, tol: float = 1e-9) -> MinimalityVerdict:
     m = s.is_homogeneous()
     if m is None:
         raise DomainError("classify_homogeneous requires a homogeneous symbol")
-    block_norms = [(k, spectral_norm(build_block(s, k)).value) for k in range(1, m // 2 + 1)]
+    ks = range(1, m // 2 + 1)
+    block_norms = [(k, spectral_norm(block).value) for k, block in zip(ks, build_blocks(s, ks))]
     if not block_norms:
         return _verdict(0.0, tol, [], note="no decisive blocks")
     gap = max(v for _, v in block_norms) - s.h2_norm()

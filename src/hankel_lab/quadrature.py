@@ -290,7 +290,8 @@ def h1_norm_2hom(s: Symbol, spec: QuadratureSpec | None = None) -> NormEstimate:
     Homogeneity makes |phi| a function of the difference of the two
     angles alone, so the torus integral reduces to one dimension, where a
     dense uniform grid (at least 2^16 points, or the spec's count if
-    larger) is compared against its refinement.
+    larger) is compared against its refinement. That grid must exceed the
+    spread of the reduced frequencies, as in hp_norm.
     """
     if s.is_zero:
         raise DomainError("h1_norm_2hom requires a nonzero symbol")
@@ -308,6 +309,9 @@ def h1_norm_2hom(s: Symbol, spec: QuadratureSpec | None = None) -> NormEstimate:
     coefs = np.array([s.coeff(a) for a in s.support])
 
     base = max(1 << 16, spec.points_per_dimension if spec is not None else 0)
+    spread = max(f for f, in freqs) - min(f for f, in freqs)
+    if base <= spread:  # reduced frequencies would alias onto each other
+        raise DomainError(f"{base} grid points do not resolve the reduced-frequency spread {spread}")
 
     def mean_abs(n):
         (values,) = _grid_values(freqs, coefs, n)

@@ -73,6 +73,14 @@ class TestNorm:
         assert code == 2
         assert "line 3" in err
 
+    def test_basis_over_budget_is_domain_error(self, capsys, tmp_path):
+        path = tmp_path / "high.sym"
+        path.write_text("dim 1\n1.0 0.0 : 20000\n")
+        code, out, err = run(capsys, "norm", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1 and "budget of 3000" in err
+
     def test_json_matches_text(self, capsys, pair_file):
         code, out, _ = run(capsys, "norm", pair_file)
         assert code == 0
@@ -110,6 +118,21 @@ class TestCheckMinimal:
         assert table_value(out, "status") == "minimal"
         assert "construction-certified" in out
 
+    @pytest.mark.parametrize(
+        "recipe",
+        [
+            "(prod (mono 1.0 0.0 : 3000 0) (mono 1.0 0.0 : 0 1))",  # homogeneous, basis 6002
+            "(sum (mono 1.0 0.0 : 3001 0) (mono 1.0 0.0 : 0 1))",  # full matrix, basis 3003
+        ],
+    )
+    def test_recipe_over_budget_is_certified(self, capsys, tmp_path, recipe):
+        path = tmp_path / "big.txt"
+        path.write_text(recipe + "\n")
+        code, out, _ = run(capsys, "check-minimal", str(path), "--recipe")
+        assert code == 0
+        assert table_value(out, "status") == "minimal"
+        assert "certificate" in out and "basis too large" in out
+
     def test_zero_symbol_is_domain_error(self, capsys, tmp_path):
         path = tmp_path / "zero.sym"
         path.write_text("dim 2\n")
@@ -130,6 +153,15 @@ class TestBlocks:
         payload = json.loads(out)
         k1 = next(r for r in payload["reports"] if r["quantity"] == "block_k=1")
         assert k1["matrix"] == [[[1.0, -0.0], [0.5, -0.0]], [[0.5, -0.0], [0.5, -0.0]], [[0.5, -0.0], [1.0, -0.0]]]
+
+    def test_full_norm_is_largest_block_beyond_budget(self, capsys, tmp_path):
+        # degree 76 in two variables: the closure has 3003 > MAX_BASIS indices
+        path = tmp_path / "deg76.sym"
+        path.write_text("dim 2\n" + "".join(f"1.0 0.5 : {k} {76 - k}\n" for k in range(77)))
+        code, out, _ = run(capsys, "blocks", str(path), "--json")
+        assert code == 0
+        values = {r["quantity"]: r["value"] for r in json.loads(out)["reports"]}
+        assert values["operator_norm"] == max(values[f"block_k={k}"] for k in range(77))
 
     def test_non_homogeneous_is_domain_error(self, capsys, tmp_path):
         path = tmp_path / "mixed.sym"
@@ -190,6 +222,26 @@ class TestNehariCommands:
             5 * math.pi / (math.pi + 6 * math.sqrt(3)), abs=1e-4
         )
 
+    def test_aliased_reduction_is_domain_error(self, capsys, monkeypatch):
+        # No command passes a user symbol to h1_norm_2hom, so stretch the
+        # search's test functions f to f(z1^S, z2^S): their reduced spread
+        # 2S = 2^17 exceeds the 2^16-point grid. phi keeps its degree 2.
+        import hankel_lab.nehari as nehari
+
+        quadratic_symbol = nehari._quadratic_symbol
+        S = 1 << 16
+
+        def stretched(t):
+            if t == 0.5:
+                return quadratic_symbol(t)
+            return nehari.Symbol(2, [((2 * S, 0), 1.0), ((S, S), t), ((0, 2 * S), 1.0)])
+
+        monkeypatch.setattr(nehari, "_quadratic_symbol", stretched)
+        code, out, err = run(capsys, "nehari-search", "--a", "0.5")
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1 and "reduced-frequency spread 131072" in err
+
     def test_search(self, capsys):
         code, out, _ = run(capsys, "nehari-search", "--a", "0.5")
         assert code == 0
@@ -204,11 +256,32 @@ class TestCexPsi:
         assert table_value(out, "classification") == "minimal"
         assert float(table_value(out, "dual_ratio_k=200_q=1")) > 1e3
 
+    def test_cex_skips_gap_beyond_budget(self, capsys):
+        # cex K=7 has a 3273-index basis: the h2 and dual-ratio rows stay
+        code, out, _ = run(capsys, "cex", "--trunc", "7")
+        assert code == 0
+        assert "classification" not in out and "gap" not in out
+        assert table_value(out, "h2_K=7")
+
     def test_psi(self, capsys):
         code, out, _ = run(capsys, "psi", "--trunc", "500", "--grid", "64")
         assert code == 0
         assert float(table_value(out, "sup_gridmax")) == pytest.approx(math.pi / 2, abs=0.05)
         assert "z1" in table_value(out, "projection")
+
+
+    def test_psi_origin_row_names_its_truncation(self, capsys):
+        code, out, _ = run(capsys, "psi", "--trunc", "200000", "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["config"]["trunc"] == 200000
+        origin = next(r for r in payload["reports"] if r["quantity"] == "origin_value")
+        # the origin value is summed to at most 1e5 terms, and says so
+        assert origin["method"] == "partial-sum-K=100000"
+        assert origin["value"]["re"] == pytest.approx(math.pi / 2, abs=1e-10)
+        code, out, _ = run(capsys, "psi", "--trunc", "200", "--grid", "64")
+        assert code == 0
+        assert "partial-sum-K=200" in out
 
 
 class TestReproduce:

@@ -1,15 +1,20 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
 
 from hankel_lab import (
+    MAX_BASIS,
+    BudgetError,
     DomainError,
     Symbol,
     active_bases,
     build_block,
+    build_blocks,
     build_matrix,
+    cex_truncation,
     make_symbol,
     operator_norm,
     spectral_norm,
@@ -25,6 +30,21 @@ def enumerate_dominated(support, dim):
         if any(all(b <= a for b, a in zip(beta, alpha)) for alpha in support):
             out.append(beta)
     return set(out)
+
+
+def entry_rule(s, rows, cols):
+    """The matrix entry by entry: conj(coeff(beta + gamma)), +0.0 where absent."""
+    out = np.zeros((len(rows), len(cols)), dtype=complex)
+    for i, gamma in enumerate(rows):
+        for j, beta in enumerate(cols):
+            c = s.coeff(tuple(x + y for x, y in zip(beta, gamma)))
+            if c != 0:
+                out[i, j] = c.conjugate()
+    return out
+
+
+def assert_entry_rule(mat, s):
+    assert mat.entries.tobytes() == entry_rule(s, mat.row_basis, mat.column_basis).tobytes()
 
 
 class TestActiveBases:
@@ -92,6 +112,80 @@ class TestBuildMatrix:
         lines = text.splitlines()
         assert lines[0] == "rows 2 cols 2"
         assert lines[1] == "1.0,-0.0 0.5,-0.0"
+
+
+class TestAssembly:
+    """The vectorised gather against the entry rule, bit for bit."""
+
+    def test_random_symbols(self):
+        rng = np.random.default_rng(53)
+        for dim in (1, 2, 3, 4):
+            for _ in range(8):
+                s = random_symbol(rng, dim, max_degree=4, n_terms=5)
+                assert_entry_rule(build_matrix(s), s)
+                h = random_symbol(rng, dim, homogeneous=int(rng.integers(1, 5)), n_terms=5)
+                assert_entry_rule(build_matrix(h), h)
+                m = h.is_homogeneous()
+                for k in range(m + 1):
+                    assert_entry_rule(build_block(h, k), h)
+
+    def test_cex_truncations(self):
+        for K in range(1, 6):
+            s = cex_truncation(K)
+            assert_entry_rule(build_matrix(s), s)
+
+    def test_codes_beyond_int64(self):
+        # radix 2 on each of 64 axes: codes reach 2^64 - 1, held as Python ints
+        s = sum((z(64, j) for j in range(1, 64)), z(64, 0)) * (0.5 - 2j)
+        mat = build_matrix(s)
+        assert mat.shape == (65, 65)
+        assert_entry_rule(mat, s)
+
+    def test_carry_collision_is_rejected(self):
+        # radices (2, 3): code(0, 1) + code(0, 2) = 3 = code(1, 0), but
+        # (0, 1) + (0, 2) = (0, 3) is not in the support
+        s = z(2, 0) + 2 * make_symbol(2, [((0, 2), 1.0)])
+        mat = build_matrix(s)
+        i, j = mat.row_basis.index((0, 2)), mat.column_basis.index((0, 1))
+        assert mat.entries[i, j] == 0
+        assert_entry_rule(mat, s)
+
+    def test_blocks_match_single_blocks(self):
+        rng = np.random.default_rng(59)
+        s = random_symbol(rng, 3, homogeneous=4, n_terms=6)
+        blocks = list(build_blocks(s, [0, 2, 4, 5, 1]))
+        for k, block in zip([0, 2, 4, 5, 1], blocks):
+            single = build_block(s, k)
+            assert block.column_basis == single.column_basis
+            assert block.row_basis == single.row_basis
+            assert block.entries.tobytes() == single.entries.tobytes()
+
+
+class TestBasisBudget:
+    def test_huge_monomial_stops_at_once(self):
+        s = make_symbol(1, [((10**9,), 1.0)])
+        start = time.perf_counter()
+        with pytest.raises(BudgetError, match=str(MAX_BASIS)):
+            active_bases(s)
+        assert time.perf_counter() - start < 1.0
+        assert issubclass(BudgetError, DomainError)
+
+    def test_union_of_small_boxes_exceeds(self):
+        # every box is below MAX_BASIS; the closure {x + y <= m} has
+        # (m + 1)(m + 2)/2 indices: 2926 at m = 75, 3003 at m = 76
+        def full_degree(m):
+            return make_symbol(2, [((k, m - k), 1.0) for k in range(m + 1)])
+
+        assert len(active_bases(full_degree(75))[0]) == 2926 <= MAX_BASIS
+        with pytest.raises(BudgetError):
+            build_matrix(full_degree(76))
+
+    def test_blocks_budget_scales_with_degree(self):
+        # closure 20001 > MAX_BASIS, within (m + 1) * MAX_BASIS for the blocks
+        s = make_symbol(1, [((20000,), 1.0)])
+        with pytest.raises(BudgetError):
+            build_matrix(s)
+        assert build_block(s, 7).entries.tolist() == [[1.0 - 0j]]
 
 
 class TestBlocks:

@@ -215,6 +215,18 @@ class TestH1Reduction:
         with pytest.raises(DomainError):
             h1_norm_2hom(Symbol.zero(2))
 
+    def test_under_resolved_reduction_raises(self):
+        # z1^(2^17) + z2^(2^17): the reduced frequencies 0 and 2^17 fold onto
+        # one point of the 2^16 and 2^17 grids, which read 2.0 for 4/pi
+        s = make_symbol(2, [((1 << 17, 0), 1.0), ((0, 1 << 17), 1.0)])
+        with pytest.raises(DomainError, match="spread 131072"):
+            h1_norm_2hom(s)
+        est = h1_norm_2hom(s, QuadratureSpec(points_per_dimension=(1 << 17) + 1))
+        assert est.value == pytest.approx(4 / math.pi, abs=1e-8)
+        # the largest spread the default grid resolves
+        edge = make_symbol(2, [(((1 << 16) - 1, 0), 1.0), ((0, (1 << 16) - 1), 1.0)])
+        assert h1_norm_2hom(edge).value == pytest.approx(4 / math.pi, abs=1e-8)
+
     def test_matches_full_grid(self):
         rng = np.random.default_rng(113)
         for _ in range(20):
