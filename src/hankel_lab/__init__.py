@@ -21,6 +21,7 @@ from .symbols import (
 )
 from .hankel import (
     MAX_BASIS,
+    MAX_CLOSURE,
     HankelMatrix,
     NormEstimate,
     active_bases,
@@ -75,6 +76,7 @@ __all__ = [
     "DomainError",
     "HankelMatrix",
     "MAX_BASIS",
+    "MAX_CLOSURE",
     "MinimalityVerdict",
     "NormEstimate",
     "ParseError",

@@ -30,7 +30,7 @@ from .nehari import (
     quadratic_witness_lower,
     search_c2,
 )
-from .quadrature import QuadratureSpec, h1_norm_2hom, hp_norm, hq_inverse_lower, hq_norm_basic
+from .quadrature import QuadratureSpec, default_spec, h1_norm_2hom, hp_norm, hq_inverse_lower, hq_norm_basic
 from .symbols import Symbol, parse_symbol
 
 DEFAULT_TOL = 1e-9
@@ -103,8 +103,7 @@ def _spec_from(args, dim):
             seed=args.seed or 0,
             samples=args.samples or 10**6,
         )
-    grid = args.grid or (DEFAULT_GRID if dim <= 2 else 64)
-    return QuadratureSpec(points_per_dimension=grid)
+    return QuadratureSpec(points_per_dimension=args.grid or default_spec(dim).points_per_dimension)
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -127,7 +126,7 @@ def cmd_norm(args):
         spec = _spec_from(args, s.dim)
         rows.append(_estimate_row("operator_norm", operator_norm(s)))
         rows.append(_estimate_row("sup_estimate", hp_norm(s, math.inf, spec)))
-    config = {"grid": args.grid or (DEFAULT_GRID if s.dim <= 2 else 64), "dim": s.dim}
+    config = {"grid": args.grid or default_spec(s.dim).points_per_dimension, "dim": s.dim}
     _render("norm", config, rows, args.json)
     return 0
 
@@ -217,7 +216,10 @@ def cmd_hp_norm(args):
         "seed": spec.seed,
         "samples": spec.samples,
     }
-    _render("hp-norm", config, [_estimate_row("hp_norm", est)], args.json)
+    rows = [_estimate_row("hp_norm", est)]
+    if "reduced to" in est.metadata:  # the grid ran on a lower-dimensional torus
+        rows.append({"quantity": "note", "value": est.metadata, "method": "", "error_bound": ""})
+    _render("hp-norm", config, rows, args.json)
     return 0
 
 

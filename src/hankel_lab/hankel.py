@@ -29,6 +29,10 @@ from .symbols import Symbol, degree, grlex_key
 # Largest active basis of a full matrix: n^2 complex entries (144 MB at
 # n = 3000) and an O(n^3) SVD.
 MAX_BASIS = 3000
+# Largest closure of a homogeneous symbol, split into its degree blocks:
+# each block is small, but the closure is enumerated as Python tuples and
+# z1^m alone has m + 1 one-by-one blocks.
+MAX_CLOSURE = 30_000
 # elements per temporary array in _fill
 _CHUNK = 1 << 16
 
@@ -162,8 +166,9 @@ def build_blocks(s: Symbol, ks):
 
     Block k has the degree-k indices of the closure as columns and the
     degree-(m-k) ones as rows; for k > m it is the zero operator, an empty
-    matrix. The m+1 blocks partition the closure, so it may hold m+1 times
-    MAX_BASIS indices. Yields the blocks in the order of ks, one at a time.
+    matrix. The blocks partition the closure, which may hold MAX_CLOSURE
+    indices, more than MAX_BASIS; a larger one raises BudgetError. Yields
+    the blocks in the order of ks, one at a time.
     """
     m = s.is_homogeneous()
     if m is None:
@@ -174,7 +179,7 @@ def build_blocks(s: Symbol, ks):
             raise DomainError(f"block index must be an integer >= 0, got {k!r}")
     levels = {}
     if any(k <= m for k in ks):
-        for alpha in _downward_closure(s.support, (m + 1) * MAX_BASIS):
+        for alpha in _downward_closure(s.support, MAX_CLOSURE):
             levels.setdefault(degree(alpha), []).append(alpha)
     for k in ks:
         if k > m:

@@ -9,14 +9,24 @@ grid has more points per dimension than the exponent spread; finite p on
 coarser grids is rejected. All grid evaluation goes through _grid_values:
 frequencies folded mod N, then one inverse FFT.
 
-Monte Carlo sampling (counter-based Philox generator, explicit seed) is
-available for any dimension and is the required path above dimension 4.
+Before gridding, hp_norm reduces the torus (_reduce): |phi| depends on
+theta only through the lattice spanned by the differences of its support
+exponents, so a symbol whose lattice has rank r < d is integrated as a
+trigonometric polynomial on T^r, with the same coefficients, exactly; the
+grid's points per dimension then apply per reduced axis. The pair product
+(z1+z2)(z3+z4) becomes (1+u)(1+v) on T^2, z1^3 + z2^3 becomes 1 + w, and a
+monomial a constant. Full-rank symbols are gridded as given.
 
-Homogeneous symbols in at most two variables reduce to one-dimensional
-integrals: on the diagonal torus |phi| depends only on the difference of
-the two angles. hq_norm_basic handles the normalized pair sum
-(z1+z2)/sqrt(2), whose absolute value is sqrt(2)|cos(u/2)|, by adaptive
-Simpson quadrature refined until successive estimates agree to 1e-12.
+Monte Carlo sampling (counter-based Philox generator, explicit seed) is
+available for any dimension, samples T^d unreduced, and is the required
+path above dimension 4.
+
+h1_norm_2hom keeps its own one-dimensional reduction for homogeneous
+symbols in at most two variables, whose |phi| depends only on the
+difference of the two angles, on a grid of at least 2^16 points.
+hq_norm_basic handles the normalized pair sum (z1+z2)/sqrt(2), whose
+absolute value is sqrt(2)|cos(u/2)|, by adaptive Simpson quadrature
+refined until successive estimates agree to 1e-12.
 """
 
 from __future__ import annotations
@@ -89,6 +99,56 @@ def _grid_values(freqs, coefs, n):
         yield np.fft.ifftn(grid) * (n ** (d - 1))
 
 
+def _reduce(s: Symbol) -> Symbol:
+    """The same coefficients on T^r, r the rank of the difference lattice.
+
+    |phi| depends on theta only through <alpha - alpha_0, theta> for the
+    support exponents alpha, i.e. through the lattice L they span. With an
+    integer basis B of L, each alpha - alpha_0 = sum_i c_i b_i and
+    |phi(theta)| = |psi(B theta)| for psi = sum_alpha phihat(alpha) w^c.
+    theta -> B theta maps T^d onto T^r and pushes Haar measure to Haar
+    measure, so every H^p norm and the sup of psi equal those of phi. B is
+    an echelon basis from Euclid's algorithm on columns, in exact Python
+    ints; each axis of c is shifted to non-negative exponents. Returns s
+    itself when r = d, and a dim-1 constant when r = 0 (a monomial).
+    """
+    support = s.support
+    base = support[0]
+    rows = [[a - b for a, b in zip(alpha, base)] for alpha in support[1:]]
+    basis = []  # (pivot column, row); each row is zero before its pivot
+    for j in range(s.dim):
+        active = [r for r in rows if r[j]]
+        if not active:
+            continue
+        rows = [r for r in rows if not r[j]]
+        while len(active) > 1:
+            pivot = min(active, key=lambda r: abs(r[j]))
+            for r in active:
+                if r is not pivot:
+                    q = r[j] // pivot[j]
+                    r[:] = [x - q * y for x, y in zip(r, pivot)]
+            rows += [r for r in active if not r[j] and any(r)]
+            active = [r for r in active if r[j]]
+        basis.append((j, active[0]))
+    if len(basis) == s.dim:
+        return s
+    if not basis:
+        return Symbol(1, [((0,), s.coeff(base))])
+    coords = []
+    for alpha in support:
+        v = [a - b for a, b in zip(alpha, base)]
+        c = []
+        for j, b in basis:
+            q = v[j] // b[j]  # exact: v lies in the lattice
+            v = [x - q * y for x, y in zip(v, b)]
+            c.append(q)
+        coords.append(c)
+    low = [min(axis) for axis in zip(*coords)]
+    return Symbol(len(basis), [
+        (tuple(x - m for x, m in zip(c, low)), s.coeff(alpha)) for c, alpha in zip(coords, support)
+    ])
+
+
 def _tensor_stat(s: Symbol, n: int, p):
     """Mean of |phi|^p over the n^d uniform grid, or the max for p=inf."""
     terms = s.terms()
@@ -144,10 +204,15 @@ def _mc_stat(s: Symbol, spec: QuadratureSpec, p):
 def hp_norm(s: Symbol, p, spec: QuadratureSpec | None = None) -> NormEstimate:
     """H^p norm estimate (mean of |phi|^p on the grid, to the 1/p).
 
-    p = inf returns the grid (or sample) maximum, which is only a lower
-    estimate of the sup; for tensor grids the error bound is a rigorous
-    Bernstein cushion. Tensor grids are limited to dimension 4; use a
-    monte-carlo spec beyond that.
+    Tensor grids are limited to dimension 4; use a monte-carlo spec beyond
+    that. Below it the symbol is first reduced to T^r, r the rank of its
+    exponent-difference lattice (see _reduce), and the spec's points per
+    dimension apply per reduced axis, as does the rule that they exceed
+    the exponent spread for finite p; the metadata then says "reduced to
+    r=<r>". Symbols of full rank are evaluated as given. p = inf returns
+    the grid (or sample) maximum, which is only a lower estimate of the
+    sup; for tensor grids the error bound is a rigorous Bernstein cushion
+    from the axis degrees of the reduced symbol.
     """
     if s.is_zero:
         raise DomainError("hp_norm requires a nonzero symbol")
@@ -178,6 +243,10 @@ def hp_norm(s: Symbol, p, spec: QuadratureSpec | None = None) -> NormEstimate:
 
     if s.dim > 4:
         raise DomainError("tensor-uniform is limited to dimension <= 4; use monte-carlo")
+    dim = s.dim
+    s = _reduce(s)
+    rank = s.dim if len(s.support) > 1 else 0
+    reduced = f" reduced to r={rank}" if rank < dim else ""
     n = spec.points_per_dimension
     spread = max(max(axis) - min(axis) for axis in zip(*s.support))
     if p != math.inf and n <= spread:  # frequencies of |phi|^2 would alias onto 0
@@ -190,7 +259,7 @@ def hp_norm(s: Symbol, p, spec: QuadratureSpec | None = None) -> NormEstimate:
             fine,
             "grid-quadrature",
             cushion,
-            f"grid max on {2 * n}^{s.dim} (lower estimate); {note}",
+            f"grid max on {2 * n}^{s.dim} (lower estimate){reduced}; {note}",
         )
     value = fine ** (1.0 / p)
     err = abs(value - coarse ** (1.0 / p)) + 32 * _EPS * (1.0 + value)
@@ -198,7 +267,7 @@ def hp_norm(s: Symbol, p, spec: QuadratureSpec | None = None) -> NormEstimate:
         value,
         "grid-quadrature",
         err,
-        f"tensor-uniform N={n} refined to {2 * n}, d={s.dim}, p={p}",
+        f"tensor-uniform N={n} refined to {2 * n}, d={dim}{reduced}, p={p}",
     )
 
 

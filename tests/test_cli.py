@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import pytest
 
@@ -133,6 +134,16 @@ class TestCheckMinimal:
         assert table_value(out, "status") == "minimal"
         assert "certificate" in out and "basis too large" in out
 
+    def test_blocks_over_budget_is_domain_error(self, capsys, tmp_path):
+        path = tmp_path / "huge.sym"
+        path.write_text("dim 1\n1.0 0.0 : 1000000\n")
+        start = time.perf_counter()
+        code, out, err = run(capsys, "check-minimal", str(path))
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1 and "budget of 30000" in err
+
     def test_zero_symbol_is_domain_error(self, capsys, tmp_path):
         path = tmp_path / "zero.sym"
         path.write_text("dim 2\n")
@@ -188,6 +199,21 @@ class TestHpNorm:
         assert float(table_value(out, "hp_norm")) == pytest.approx(math.sqrt(2), abs=0.05)
         assert "monte-carlo" in out
 
+
+    def test_pair_product_is_reduced(self, capsys, tmp_path):
+        # (z1+z2)(z3+z4) depends on two angle differences: the default 64^4
+        # grid becomes 64^2 on T^2
+        path = tmp_path / "pairs.sym"
+        path.write_text("dim 4\n" + "".join(f"1.0 0.0 : {a} {1 - a} {b} {1 - b}\n" for a in (0, 1) for b in (0, 1)))
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "hp-norm", str(path), "1", "--json")
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        rows = {r["quantity"]: r for r in json.loads(out)["reports"]}
+        assert json.loads(out)["config"]["grid"] == 64
+        value, bound = rows["hp_norm"]["value"], rows["hp_norm"]["error_bound"]
+        assert abs(value - (4 / math.pi) ** 2) <= bound
+        assert "d=4 reduced to r=2" in rows["note"]["value"]
 
     def test_under_resolved_grid_is_domain_error(self, capsys, tmp_path):
         path = tmp_path / "big.sym"

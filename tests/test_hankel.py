@@ -7,6 +7,7 @@ import pytest
 
 from hankel_lab import (
     MAX_BASIS,
+    MAX_CLOSURE,
     BudgetError,
     DomainError,
     Symbol,
@@ -181,11 +182,23 @@ class TestBasisBudget:
             build_matrix(full_degree(76))
 
     def test_blocks_budget_scales_with_degree(self):
-        # closure 20001 > MAX_BASIS, within (m + 1) * MAX_BASIS for the blocks
+        # closure 20001 > MAX_BASIS, within MAX_CLOSURE for the blocks
         s = make_symbol(1, [((20000,), 1.0)])
         with pytest.raises(BudgetError):
             build_matrix(s)
         assert build_block(s, 7).entries.tolist() == [[1.0 - 0j]]
+
+    def test_blocks_budget_is_fixed(self):
+        # a closure of 10**6 + 1 indices is refused before it is enumerated
+        s = make_symbol(1, [((10**6,), 1.0)])
+        start = time.perf_counter()
+        with pytest.raises(BudgetError, match=str(MAX_CLOSURE)):
+            build_block(s, 1)
+        assert time.perf_counter() - start < 1.0
+        edge = make_symbol(1, [((MAX_CLOSURE - 1,), 1.0)])
+        assert build_block(edge, 1).entries.tolist() == [[1.0 - 0j]]
+        with pytest.raises(BudgetError):
+            build_block(make_symbol(1, [((MAX_CLOSURE,), 1.0)]), 1)
 
 
 class TestBlocks:

@@ -14,8 +14,10 @@ from hankel_lab import (
     hq_inverse_lower,
     hq_norm_basic,
     make_symbol,
+    operator_norm,
 )
-from helpers import phi2, random_symbol, z
+from hankel_lab.quadrature import _EPS, _reduce, _sup_cushion, _tensor_stat
+from helpers import pair_product, phi2, random_symbol, z
 
 H1_QUADRATIC = 1 / 3 + 2 * math.sqrt(3) / math.pi  # (1/2pi) int |1 + 2 cos u| du
 
@@ -71,8 +73,6 @@ class TestHpNorm:
             assert values[-1].value <= sup.value + values[-1].error_bound + sup.error_bound
 
     def test_sup_cushion_dominates_operator_norm(self):
-        from hankel_lab import operator_norm
-
         rng = np.random.default_rng(107)
         for _ in range(5):
             s = random_symbol(rng, 2, max_degree=3)
@@ -106,8 +106,6 @@ class TestHpNorm:
 
     def test_big_grid_slicing_consistent(self):
         # force the sliced evaluation path and compare with the direct path
-        from hankel_lab.quadrature import _tensor_stat
-
         rng = np.random.default_rng(109)
         s = random_symbol(rng, 4, max_degree=2, n_terms=3)
         # the slices differ only through the first-axis exponents
@@ -146,6 +144,75 @@ class TestHpNorm:
         est = hp_norm(huge, math.inf, QuadratureSpec())
         assert est.value == 1.5
         assert est.error_bound == math.inf
+
+
+def rank_deficient(rng, dim):
+    """Random symbol whose exponent differences span a lattice of rank < dim."""
+    rank = int(rng.integers(0, dim))
+    generators = rng.integers(-2, 3, size=(rank, dim))
+    base = rng.integers(0, 3, size=dim)
+    exponents = [base + rng.integers(-2, 3, size=rank) @ generators for _ in range(int(rng.integers(1, 6)))]
+    low = np.min(exponents, axis=0)
+    return make_symbol(dim, [
+        (tuple(int(e) for e in a - low), complex(rng.uniform(-2, 2), rng.uniform(-2, 2))) for a in exponents
+    ])
+
+
+class TestLatticeReduction:
+    def test_pair_product_and_common_factor(self):
+        reduced = _reduce(pair_product(2))
+        assert reduced.dim == 2
+        assert reduced.support == ((0, 0), (1, 0), (0, 1), (1, 1))
+        cubes = make_symbol(2, [((3, 0), 1.0), ((0, 3), 2.0)])
+        assert _reduce(cubes).terms() == [((0,), 1.0), ((1,), 2.0)]  # 1 + 2w
+        monomial = make_symbol(3, [((2, 5, 1), -0.5j)])
+        assert _reduce(monomial).terms() == [((0,), -0.5j)]
+
+    def test_full_rank_is_untouched(self):
+        rng = np.random.default_rng(131)
+        for dim in (1, 2, 3):
+            for _ in range(10):
+                s = random_symbol(rng, dim, max_degree=4, n_terms=6)
+                diffs = np.array(s.support[1:]) - np.array(s.support[0])
+                if len(diffs) and np.linalg.matrix_rank(diffs) == dim:
+                    assert _reduce(s) is s
+                    assert "reduced" not in hp_norm(s, 1, QuadratureSpec(points_per_dimension=16)).metadata
+
+    def test_matches_unreduced_grid_within_bounds(self):
+        rng = np.random.default_rng(137)
+        n = 16
+        for dim in (1, 2, 3):
+            for _ in range(12):
+                s = rank_deficient(rng, dim)
+                reduced = _reduce(s)
+                assert reduced is not s and len(reduced.support) == len(s.support)
+                for p in (1, 2, 3.5, math.inf):
+                    est = hp_norm(s, p, QuadratureSpec(points_per_dimension=n))
+                    assert "reduced to r=" in est.metadata
+                    coarse, fine = _tensor_stat(s, n, p), _tensor_stat(s, 2 * n, p)
+                    if p == math.inf:
+                        cushion, _ = _sup_cushion(s, 2 * n, fine)
+                        assert fine <= est.value + est.error_bound + 1e-12
+                        assert est.value <= fine + cushion + 1e-12
+                        continue
+                    value = fine ** (1 / p)
+                    bound = abs(value - coarse ** (1 / p)) + 32 * _EPS * (1 + value)
+                    assert abs(est.value - value) <= est.error_bound + bound
+
+    def test_exponents_beyond_int64(self):
+        # the difference lattice is spanned by (10**23, -10**23): 1 + w on T^1
+        s = make_symbol(2, [((10**23, 0), 1.0), ((0, 10**23), 1.0)])
+        est = hp_norm(s, 1)
+        assert abs(est.value - 4 / math.pi) <= est.error_bound
+        assert "d=2 reduced to r=1" in est.metadata
+
+    def test_sup_cushion_dominates_operator_norm(self):
+        rng = np.random.default_rng(139)
+        for dim in (2, 3):
+            for _ in range(8):
+                s = rank_deficient(rng, dim)
+                est = hp_norm(s, math.inf, QuadratureSpec(points_per_dimension=64))
+                assert operator_norm(s).value <= est.value + est.error_bound + 1e-10
 
 
 class TestHqBasic:
