@@ -31,6 +31,7 @@ refined until successive estimates agree to 1e-12.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -109,8 +110,9 @@ def _reduce(s: Symbol) -> Symbol:
     theta -> B theta maps T^d onto T^r and pushes Haar measure to Haar
     measure, so every H^p norm and the sup of psi equal those of phi. B is
     an echelon basis from Euclid's algorithm on columns, in exact Python
-    ints; each axis of c is shifted to non-negative exponents. Returns s
-    itself when r = d, and a dim-1 constant when r = 0 (a monomial).
+    ints, then changed so that the axes of c are short; each axis of c is
+    shifted to non-negative exponents. Returns s itself when r = d, and a
+    dim-1 constant when r = 0 (a monomial).
     """
     support = s.support
     base = support[0]
@@ -143,10 +145,22 @@ def _reduce(s: Symbol) -> Symbol:
             v = [x - q * y for x, y in zip(v, b)]
             c.append(q)
         coords.append(c)
-    low = [min(axis) for axis in zip(*coords)]
-    return Symbol(len(basis), [
-        (tuple(x - m for x, m in zip(c, low)), s.coeff(alpha)) for c, alpha in zip(coords, support)
-    ])
+    # Any basis of the lattice the coordinate columns span is exact, and the
+    # echelon one can be skewed; pairwise (Gauss) reduction shortens the
+    # columns, hence the exponent spread and the grid it needs.
+    axes = [list(axis) for axis in zip(*coords)]
+    changed = True
+    while changed:
+        changed = False
+        for i, k in itertools.permutations(range(len(axes)), 2):
+            dot = sum(x * y for x, y in zip(axes[i], axes[k]))
+            norm = sum(y * y for y in axes[k])
+            if 2 * abs(dot) > norm:  # subtracting the nearest multiple shortens axes[i]
+                q = (2 * dot + norm) // (2 * norm)
+                axes[i] = [x - q * y for x, y in zip(axes[i], axes[k])]
+                changed = True
+    shifted = [[x - min(axis) for x in axis] for axis in axes]
+    return Symbol(len(axes), [(c, s.coeff(alpha)) for c, alpha in zip(zip(*shifted), support)])
 
 
 def _tensor_stat(s: Symbol, n: int, p):

@@ -146,10 +146,10 @@ class TestHpNorm:
         assert est.error_bound == math.inf
 
 
-def rank_deficient(rng, dim):
+def rank_deficient(rng, dim, scale=2):
     """Random symbol whose exponent differences span a lattice of rank < dim."""
     rank = int(rng.integers(0, dim))
-    generators = rng.integers(-2, 3, size=(rank, dim))
+    generators = rng.integers(-scale, scale + 1, size=(rank, dim))
     base = rng.integers(0, 3, size=dim)
     exponents = [base + rng.integers(-2, 3, size=rank) @ generators for _ in range(int(rng.integers(1, 6)))]
     low = np.min(exponents, axis=0)
@@ -198,6 +198,19 @@ class TestLatticeReduction:
                     value = fine ** (1 / p)
                     bound = abs(value - coarse ** (1 / p)) + 32 * _EPS * (1 + value)
                     assert abs(est.value - value) <= est.error_bound + bound
+
+    def test_spread_never_grows(self):
+        def spread(s):
+            return max(max(axis) - min(axis) for axis in zip(*s.support))
+
+        # the echelon basis alone gives this lattice the spread 117, not 16
+        s = make_symbol(3, [((0, 5, 0), 1.0), ((8, 4, 7), 2.0), ((13, 1, 9), 3.0), ((16, 0, 11), 4.0)])
+        assert spread(_reduce(s)) <= 16
+        assert "reduced to r=2" in hp_norm(s, 1, QuadratureSpec(points_per_dimension=32)).metadata
+        rng = np.random.default_rng(149)
+        for _ in range(300):
+            s = rank_deficient(rng, int(rng.integers(2, 5)), scale=6)
+            assert spread(_reduce(s)) <= spread(s)
 
     def test_exponents_beyond_int64(self):
         # the difference lattice is spanned by (10**23, -10**23): 1 + w on T^1
