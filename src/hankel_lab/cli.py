@@ -188,16 +188,11 @@ def cmd_blocks(args):
     full = _estimate_row("operator_norm", max(estimates, key=lambda e: e.value))
     full["shape"] = ""
     rows.append(full)
-    if args.json:
-        if args.dump:
-            for row, (_, block) in zip(rows, blocks):
-                row["matrix"] = [
-                    [[z.real, z.imag] for z in line] for line in block.entries
-                ]
-        _render("blocks", {"homogeneity": m}, rows, True)
-        return 0
-    _render("blocks", {"homogeneity": m}, rows, False)
-    if args.dump:
+    if args.json and args.dump:
+        for row, (_, block) in zip(rows, blocks):
+            row["matrix"] = [[[z.real, z.imag] for z in line] for line in block.entries]
+    _render("blocks", {"homogeneity": m}, rows, args.json)
+    if args.dump and not args.json:
         for k, block in blocks:
             print(f"# block k={k}")
             print(block.dump_text(), end="")

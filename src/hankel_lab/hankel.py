@@ -80,11 +80,12 @@ class HankelMatrix:
         return "\n".join(lines) + "\n"
 
 
-def _downward_closure(support, budget):
+def _downward_closure(support, budget, what):
     """All multi-indices componentwise dominated by some element of support.
 
     Sorted in graded lex order. Raises BudgetError as soon as there are
-    more than budget of them, before enumerating a box that large.
+    more than budget of them, before enumerating a box that large; its
+    message names the budget, what.
     """
     closed = set()
     for alpha in support:
@@ -95,7 +96,7 @@ def _downward_closure(support, budget):
             break
     else:
         return sorted(closed, key=grlex_key)
-    raise BudgetError(f"active basis exceeds the budget of {budget} monomials")
+    raise BudgetError(f"{what} exceeds the budget of {budget} monomials")
 
 
 def active_bases(s: Symbol):
@@ -105,7 +106,7 @@ def active_bases(s: Symbol):
     order. The zero symbol yields empty bases. Raises BudgetError when the
     closure holds more than MAX_BASIS indices.
     """
-    closure = tuple(_downward_closure(s.support, MAX_BASIS))
+    closure = tuple(_downward_closure(s.support, MAX_BASIS, "full active basis (MAX_BASIS)"))
     return closure, closure
 
 
@@ -179,7 +180,7 @@ def build_blocks(s: Symbol, ks):
             raise DomainError(f"block index must be an integer >= 0, got {k!r}")
     levels = {}
     if any(k <= m for k in ks):
-        for alpha in _downward_closure(s.support, MAX_CLOSURE):
+        for alpha in _downward_closure(s.support, MAX_CLOSURE, "block closure (MAX_CLOSURE)"):
             levels.setdefault(degree(alpha), []).append(alpha)
     for k in ks:
         if k > m:

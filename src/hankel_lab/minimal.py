@@ -15,6 +15,7 @@ disjointness structurally so the resulting symbol is certified minimal.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 
 from .errors import DomainError, ParseError
@@ -239,6 +240,8 @@ def _parse_expr(tokens, pos):
             c = complex(float(values[0]), float(values[1]))
         except ValueError:
             raise ParseError(f"bad mono coefficient {values[:2]}", line=line) from None
+        if not cmath.isfinite(c):
+            raise ParseError(f"mono coefficient {values[:2]} is not finite", line=line)
         try:
             exps = tuple(int(v) for v in values[sep + 1:])
         except ValueError:

@@ -19,14 +19,13 @@ monomial a constant. Full-rank symbols are gridded as given.
 
 Monte Carlo sampling (counter-based Philox generator, explicit seed) is
 available for any dimension, samples T^d unreduced, and is the required
-path above dimension 4.
+path when the reduced rank exceeds 4.
 
-h1_norm_2hom keeps its own one-dimensional reduction for homogeneous
-symbols in at most two variables, whose |phi| depends only on the
-difference of the two angles, on a grid of at least 2^16 points.
-hq_norm_basic handles the normalized pair sum (z1+z2)/sqrt(2), whose
-absolute value is sqrt(2)|cos(u/2)|, by adaptive Simpson quadrature
-refined until successive estimates agree to 1e-12.
+Every grid number comes from that one path: h1_norm_2hom (homogeneous
+symbols in at most two variables, which reduce to rank r <= 1) is
+hp_norm at p=1 on a grid of at least 2^16 points. The one number not
+gridded is hq_norm_basic, the H^q norm of (z1+z2)/sqrt(2), which has a
+closed form (Wallis) evaluated with log-gamma.
 """
 
 from __future__ import annotations
@@ -218,15 +217,16 @@ def _mc_stat(s: Symbol, spec: QuadratureSpec, p):
 def hp_norm(s: Symbol, p, spec: QuadratureSpec | None = None) -> NormEstimate:
     """H^p norm estimate (mean of |phi|^p on the grid, to the 1/p).
 
-    Tensor grids are limited to dimension 4; use a monte-carlo spec beyond
-    that. Below it the symbol is first reduced to T^r, r the rank of its
-    exponent-difference lattice (see _reduce), and the spec's points per
-    dimension apply per reduced axis, as does the rule that they exceed
-    the exponent spread for finite p; the metadata then says "reduced to
-    r=<r>". Symbols of full rank are evaluated as given. p = inf returns
-    the grid (or sample) maximum, which is only a lower estimate of the
-    sup; for tensor grids the error bound is a rigorous Bernstein cushion
-    from the axis degrees of the reduced symbol.
+    On the tensor grid the symbol is first reduced to T^r, r the rank of
+    its exponent-difference lattice (see _reduce), in any dimension d.
+    Tensor grids are limited to r <= 4; use a monte-carlo spec beyond
+    that. The spec's points per dimension apply per reduced axis, as does
+    the rule that they exceed the exponent spread for finite p; the
+    metadata then says "d=<d> reduced to r=<r>". Symbols of full rank are
+    evaluated as given. p = inf returns the grid (or sample) maximum,
+    which is only a lower estimate of the sup; for tensor grids the error
+    bound is a rigorous Bernstein cushion from the axis degrees of the
+    reduced symbol.
     """
     if s.is_zero:
         raise DomainError("hp_norm requires a nonzero symbol")
@@ -255,11 +255,11 @@ def hp_norm(s: Symbol, p, spec: QuadratureSpec | None = None) -> NormEstimate:
             "3 standard errors, first-order in the 1/p power",
         )
 
-    if s.dim > 4:
-        raise DomainError("tensor-uniform is limited to dimension <= 4; use monte-carlo")
     dim = s.dim
     s = _reduce(s)
     rank = s.dim if len(s.support) > 1 else 0
+    if rank > 4:
+        raise DomainError(f"tensor-uniform is limited to rank <= 4, got rank {rank}; use monte-carlo")
     reduced = f" reduced to r={rank}" if rank < dim else ""
     n = spec.points_per_dimension
     spread = max(max(axis) - min(axis) for axis in zip(*s.support))
@@ -285,63 +285,40 @@ def hp_norm(s: Symbol, p, spec: QuadratureSpec | None = None) -> NormEstimate:
     )
 
 
-# -- one-dimensional reductions ---------------------------------------------
-
-
-def _adaptive_simpson(f, a, b, tol):
-    """Adaptive Simpson with the usual 15x acceptance test.
-
-    Returns (integral, error_estimate); subdivides until successive
-    refinements of each panel differ by less than the local tolerance.
-    """
-
-    def recurse(a, b, fa, fm, fb, whole, tol, depth):
-        mid = 0.5 * (a + b)
-        lm = 0.5 * (a + mid)
-        rm = 0.5 * (mid + b)
-        flm = f(lm)
-        frm = f(rm)
-        left = (mid - a) / 6.0 * (fa + 4.0 * flm + fm)
-        right = (b - mid) / 6.0 * (fm + 4.0 * frm + fb)
-        change = left + right - whole
-        if depth >= 60 or abs(change) < 15.0 * tol:
-            return left + right + change / 15.0, abs(change) / 15.0
-        lv, le = recurse(a, mid, fa, flm, fm, left, 0.5 * tol, depth + 1)
-        rv, re = recurse(mid, b, fm, frm, fb, right, 0.5 * tol, depth + 1)
-        return lv + rv, le + re
-
-    fa, fb = f(a), f(b)
-    mid = 0.5 * (a + b)
-    fm = f(mid)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return recurse(a, b, fa, fm, fb, whole, tol, 0)
+# -- closed forms and thin wrappers ------------------------------------------
 
 
 @lru_cache(maxsize=None)
 def _hq_basic_cached(q: float):
-    integrand = lambda v: (math.sqrt(2.0) * math.cos(v)) ** q
-    integral, err = _adaptive_simpson(integrand, 0.0, math.pi / 2.0, 1e-13)
-    mean = integral * 2.0 / math.pi
-    value = mean ** (1.0 / q)
-    err_value = (err * 2.0 / math.pi) * value / (q * mean) + 8 * _EPS
-    return value, err_value
+    # Wallis: the mean of |(z1+z2)/sqrt(2)|^q over T^2 is
+    # 2^(q/2) Gamma((q+1)/2) / (sqrt(pi) Gamma(q/2+1)). Its logarithm is a sum
+    # of O(1) terms, each correct to a few ulps, so the value is too.
+    log_mean = (
+        0.5 * q * math.log(2.0)
+        + math.lgamma(0.5 * (q + 1.0))
+        - 0.5 * math.log(math.pi)
+        - math.lgamma(0.5 * q + 1.0)
+    )
+    value = math.exp(log_mean / q)
+    return value, 16 * _EPS * value
 
 
 def hq_norm_basic(q: float) -> NormEstimate:
     """H^q norm of the normalized pair sum (z1+z2)/sqrt(2), 1 <= q <= 2.
 
     On the torus |(e^{it1}+e^{it2})/sqrt(2)| = sqrt(2)|cos((t2-t1)/2)|,
-    which depends only on the angle difference, so the double integral
-    collapses to one dimension and is computed adaptively to ~1e-12.
+    whose q-th moment has the closed form (Wallis)
+    2^(q/2) Gamma((q+1)/2) / (sqrt(pi) Gamma(q/2+1)); it is evaluated with
+    log-gamma, and the error bound covers its rounding.
     """
     if not 1.0 <= q <= 2.0:
         raise DomainError(f"q must lie in [1, 2], got {q}")
     value, err = _hq_basic_cached(float(q))
     return NormEstimate(
         value,
-        "grid-quadrature",
+        "closed-form",
         err,
-        f"adaptive Simpson on the reduced integrand, q={q}",
+        f"Wallis moment via log-gamma, q={q}",
     )
 
 
@@ -371,41 +348,18 @@ def h1_norm_2hom(s: Symbol, spec: QuadratureSpec | None = None) -> NormEstimate:
     """H^1 norm of a homogeneous symbol in at most two active variables.
 
     Homogeneity makes |phi| a function of the difference of the two
-    angles alone, so the torus integral reduces to one dimension, where a
-    dense uniform grid (at least 2^16 points, or the spec's count if
-    larger) is compared against its refinement. That grid must exceed the
-    spread of the reduced frequencies, as in hp_norm.
+    angles alone, so the symbol reduces to rank r <= 1 in any dimension;
+    this is hp_norm at p=1 on a grid of at least 2^16 points (or the
+    spec's count if larger), with its spread check and refinement bound.
     """
     if s.is_zero:
         raise DomainError("h1_norm_2hom requires a nonzero symbol")
-    m = s.is_homogeneous()
-    if m is None:
+    if s.is_homogeneous() is None:
         raise DomainError("h1_norm_2hom requires a homogeneous symbol")
     active = sorted(s.variable_support())
     if len(active) > 2:
         raise DomainError(
             f"h1_norm_2hom needs at most 2 active variables, got {len(active)}"
         )
-    # exponent of the second active variable determines the reduced frequency
-    j2 = active[1] if len(active) == 2 else None
-    freqs = [[a[j2] if j2 is not None else 0] for a in s.support]
-    coefs = np.array([s.coeff(a) for a in s.support])
-
-    base = max(1 << 16, spec.points_per_dimension if spec is not None else 0)
-    spread = max(f for f, in freqs) - min(f for f, in freqs)
-    if base <= spread:  # reduced frequencies would alias onto each other
-        raise DomainError(f"{base} grid points do not resolve the reduced-frequency spread {spread}")
-
-    def mean_abs(n):
-        (values,) = _grid_values(freqs, coefs, n)
-        return float(np.abs(values).mean())
-
-    coarse = mean_abs(base)
-    fine = mean_abs(2 * base)
-    err = abs(fine - coarse) + 32 * _EPS * (1.0 + fine)
-    return NormEstimate(
-        fine,
-        "grid-quadrature",
-        err,
-        f"1-d reduction of a {m}-homogeneous symbol, N={base} refined to {2 * base}",
-    )
+    n = max(1 << 16, spec.points_per_dimension if spec is not None else 0)
+    return hp_norm(s, 1, QuadratureSpec(points_per_dimension=n))

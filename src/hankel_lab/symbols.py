@@ -59,6 +59,9 @@ class Symbol:
         for alpha, c in terms:
             alpha = _validated_index(alpha, dim)
             coeffs[alpha] = coeffs.get(alpha, 0j) + complex(c)
+        for alpha, c in coeffs.items():  # also catches sums and products that overflow
+            if not cmath.isfinite(c):
+                raise DomainError(f"coefficient {c} of multi-index {alpha} is not finite")
         self.dim = dim
         self._coeffs = {a: c for a, c in coeffs.items() if c != 0}
 
@@ -287,6 +290,8 @@ def parse_symbol(text: str) -> Symbol:
             c = complex(float(coeff_parts[0]), float(coeff_parts[1]))
         except ValueError:
             raise ParseError(f"bad coefficient {left.strip()!r}", line=lineno) from None
+        if not cmath.isfinite(c):
+            raise ParseError(f"coefficient {left.strip()!r} is not finite", line=lineno)
         exp_parts = right.split()
         if len(exp_parts) != dim:
             raise ParseError(

@@ -81,6 +81,24 @@ class TestNorm:
         assert code == 1
         assert out == ""
         assert err.count("\n") == 1 and "budget of 3000" in err
+        assert "full active basis (MAX_BASIS)" in err
+
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            (["norm"], "dim 2\nnan 0.0 : 1 0\n1.0 0.0 : 0 1\n"),
+            (["hp-norm", "1"], "dim 2\ninf 0.0 : 1 0\n1.0 0.0 : 0 1\n"),
+            (["check-minimal"], "dim 2\ninf 0.0 : 1 0\n1.0 0.0 : 0 1\n"),
+            (["check-minimal", "--recipe"], "(sum (mono 1.0 0.0 : 1 0)\n     (mono nan 0 : 0 1))\n"),
+        ],
+    )
+    def test_non_finite_coefficient_is_parse_error(self, capsys, tmp_path, command, text):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        code, out, err = run(capsys, command[0], str(path), *command[1:])
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "line 2" in err and "not finite" in err
 
     def test_json_matches_text(self, capsys, pair_file):
         code, out, _ = run(capsys, "norm", pair_file)
@@ -143,6 +161,7 @@ class TestCheckMinimal:
         assert code == 1
         assert out == ""
         assert err.count("\n") == 1 and "budget of 30000" in err
+        assert "block closure (MAX_CLOSURE)" in err
 
     def test_zero_symbol_is_domain_error(self, capsys, tmp_path):
         path = tmp_path / "zero.sym"
@@ -250,23 +269,33 @@ class TestNehariCommands:
 
     def test_aliased_reduction_is_domain_error(self, capsys, monkeypatch):
         # No command passes a user symbol to h1_norm_2hom, so stretch the
-        # search's test functions f to f(z1^S, z2^S): their reduced spread
-        # 2S = 2^17 exceeds the 2^16-point grid. phi keeps its degree 2.
+        # search's test functions f by monkeypatch. phi keeps its degree 2.
         import hankel_lab.nehari as nehari
 
         quadratic_symbol = nehari._quadratic_symbol
         S = 1 << 16
 
-        def stretched(t):
-            if t == 0.5:
-                return quadratic_symbol(t)
-            return nehari.Symbol(2, [((2 * S, 0), 1.0), ((S, S), t), ((0, 2 * S), 1.0)])
+        def search_with(stretch):
+            monkeypatch.setattr(nehari, "_quadratic_symbol", lambda t: quadratic_symbol(t) if t == 0.5 else stretch(t))
+            return run(capsys, "nehari-search", "--a", "0.5", "--json")
 
-        monkeypatch.setattr(nehari, "_quadratic_symbol", stretched)
-        code, out, err = run(capsys, "nehari-search", "--a", "0.5")
+        code, out, _ = run(capsys, "nehari-search", "--a", "0.5", "--json")
+        assert code == 0
+        plain = {r["quantity"]: r for r in json.loads(out)["reports"]}["h1_norm"]
+        # f(z1^S, z2^S) reduces to f itself: the search succeeds with the same
+        # H^1 norm (bound_value reads 0, as this f no longer pairs with phi)
+        code, out, _ = search_with(lambda t: nehari.Symbol(2, [((2 * S, 0), 1.0), ((S, S), t), ((0, 2 * S), 1.0)]))
+        assert code == 0
+        h1 = {r["quantity"]: r for r in json.loads(out)["reports"]}["h1_norm"]
+        assert abs(h1["value"] - plain["value"]) <= h1["error_bound"]
+        # z1^(2S) + t z1^(2S-1) z2 + z2^(2S) has reduced spread 2S = 2^17,
+        # beyond the 2^16-point grid
+        code, out, err = search_with(
+            lambda t: nehari.Symbol(2, [((2 * S, 0), 1.0), ((2 * S - 1, 1), t), ((0, 2 * S), 1.0)])
+        )
         assert code == 1
         assert out == ""
-        assert err.count("\n") == 1 and "reduced-frequency spread 131072" in err
+        assert err.count("\n") == 1 and "spread 131072" in err
 
     def test_search(self, capsys):
         code, out, _ = run(capsys, "nehari-search", "--a", "0.5")

@@ -80,9 +80,15 @@ class TestHpNorm:
             assert operator_norm(s).value <= est.value + est.error_bound + 1e-10
 
     def test_tensor_dimension_limit(self):
+        # the limit is on the reduced rank: 1 + z1 + ... + z5 has rank 5
+        full = make_symbol(5, [((0,) * 5, 1.0)] + [(tuple(int(i == j) for i in range(5)), 1.0) for j in range(5)])
+        with pytest.raises(DomainError, match="rank <= 4"):
+            hp_norm(full, 2, QuadratureSpec())
+        # z1 + z5 in d=5 has rank 1 and is gridded, exactly at p=2
         s = make_symbol(5, [((1, 0, 0, 0, 0), 1.0), ((0, 0, 0, 0, 1), 1.0)])
-        with pytest.raises(DomainError):
-            hp_norm(s, 2, QuadratureSpec())
+        grid = hp_norm(s, 2, QuadratureSpec())
+        assert abs(grid.value - s.h2_norm()) <= grid.error_bound
+        assert "d=5 reduced to r=1" in grid.metadata
         est = hp_norm(s, 2, QuadratureSpec(method="monte-carlo", seed=7, samples=200_000))
         assert est.value == pytest.approx(s.h2_norm(), abs=3 * est.error_bound + 1e-2)
 
@@ -244,6 +250,15 @@ class TestHqBasic:
         assert est.value == pytest.approx(hq_gamma_oracle(q), abs=1e-11)
         assert est.error_bound <= 1e-10
 
+    @pytest.mark.parametrize("q", [1.0, 1.3, 1.7, 2.0])
+    def test_matches_pair_sum_grid(self, q):
+        # an independent check of the closed form: the grid path on T^2
+        pair = (z(2, 0) + z(2, 1)) * (1 / math.sqrt(2))
+        grid = hp_norm(pair, q, QuadratureSpec(points_per_dimension=1 << 14))
+        est = hq_norm_basic(q)
+        assert est.method == "closed-form"
+        assert abs(est.value - grid.value) <= est.error_bound + grid.error_bound
+
     def test_domain(self):
         with pytest.raises(DomainError):
             hq_norm_basic(0.9)
@@ -296,16 +311,33 @@ class TestH1Reduction:
             h1_norm_2hom(Symbol.zero(2))
 
     def test_under_resolved_reduction_raises(self):
-        # z1^(2^17) + z2^(2^17): the reduced frequencies 0 and 2^17 fold onto
-        # one point of the 2^16 and 2^17 grids, which read 2.0 for 4/pi
+        # z1^(2^17) + z2^(2^17) reduces to 1 + w, which the default grid
+        # resolves (the 2^16 and 2^17 grids of the unreduced frequencies 0
+        # and 2^17 fold them onto one point and read 2.0 for 4/pi)
         s = make_symbol(2, [((1 << 17, 0), 1.0), ((0, 1 << 17), 1.0)])
+        est = h1_norm_2hom(s)
+        assert abs(est.value - 4 / math.pi) <= est.error_bound
+        # a gcd of 1 keeps the spread 2^17, which the default grid cannot resolve
+        tight = make_symbol(2, [((1 << 17, 0), 1.0), (((1 << 17) - 1, 1), 1.0), ((0, 1 << 17), 1.0)])
         with pytest.raises(DomainError, match="spread 131072"):
-            h1_norm_2hom(s)
+            h1_norm_2hom(tight)
         est = h1_norm_2hom(s, QuadratureSpec(points_per_dimension=(1 << 17) + 1))
         assert est.value == pytest.approx(4 / math.pi, abs=1e-8)
-        # the largest spread the default grid resolves
         edge = make_symbol(2, [(((1 << 16) - 1, 0), 1.0), ((0, (1 << 16) - 1), 1.0)])
         assert h1_norm_2hom(edge).value == pytest.approx(4 / math.pi, abs=1e-8)
+        # the largest reduced spread the default grid resolves, checked against a finer grid
+        S = (1 << 16) - 1
+        edge = make_symbol(2, [((S, 0), 1.0), ((S - 1, 1), 1.0), ((0, S), 1.0)])
+        est, fine = h1_norm_2hom(edge), h1_norm_2hom(edge, QuadratureSpec(points_per_dimension=1 << 18))
+        assert abs(est.value - fine.value) <= est.error_bound + fine.error_bound
+
+    def test_any_dimension(self):
+        # two active variables of a d=6 symbol reduce to rank 1
+        s = make_symbol(6, [((0, 2, 0, 0, 0, 0), 1.0), ((0, 1, 0, 0, 1, 0), 1.0), ((0, 0, 0, 0, 2, 0), 1.0)])
+        est = h1_norm_2hom(s)
+        assert abs(est.value - H1_QUADRATIC) <= est.error_bound + 1e-9
+        assert "d=6 reduced to r=1" in est.metadata
+        assert "d=6 reduced to r=1" in hp_norm(s, 1, QuadratureSpec(points_per_dimension=1024)).metadata
 
     def test_matches_full_grid(self):
         rng = np.random.default_rng(113)

@@ -49,6 +49,14 @@ class TestConstruction:
         with pytest.raises(DomainError):
             make_symbol(2, [((1, -1), 1)])
 
+    def test_non_finite_coefficient_rejected(self):
+        with pytest.raises(DomainError, match="not finite"):
+            Symbol(2, [((1, 0), float("nan"))])
+        with pytest.raises(DomainError, match="not finite"):
+            Symbol(1, [((0,), complex(0, float("inf")))])
+        with pytest.raises(DomainError, match="not finite"):  # a sum that overflows
+            Symbol(1, [((1,), 1e308), ((1,), 1e308)])
+
     def test_bad_dimension(self):
         with pytest.raises(DomainError):
             Symbol(0)
@@ -227,6 +235,7 @@ class TestTextFormat:
             ("dim 2\n1.0 0.0 : 1 -1\n", 2),
             ("dim 2\nbork 0.0 : 1 0\n", 2),
             ("dim 2\n# fine\n1.0 0.0 1 0\n", 3),
+            ("dim 2\n1.0 0.0 : 1 0\n0.0 inf : 0 1\n", 3),
         ],
     )
     def test_errors_carry_line_numbers(self, text, lineno):
