@@ -32,6 +32,7 @@ from .hankel import (
     spectral_norm,
 )
 from .minimal import (
+    MAX_RECIPE_DEPTH,
     MinimalityVerdict,
     RecipeLeaf,
     RecipeNode,
@@ -77,6 +78,7 @@ __all__ = [
     "HankelMatrix",
     "MAX_BASIS",
     "MAX_CLOSURE",
+    "MAX_RECIPE_DEPTH",
     "MinimalityVerdict",
     "NormEstimate",
     "ParseError",

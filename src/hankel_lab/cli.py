@@ -4,7 +4,8 @@ Subcommands: norm, check-minimal, blocks, hp-norm, nehari-bound,
 nehari-search, cex, psi, reproduce. Every run prints its effective
 numeric settings in a header so the output is self-describing, and
 --json emits the same values as flat objects. Exit codes: 0 success,
-1 domain/contract error, 2 parse error (including unreadable files).
+1 domain/contract error (also a refused allocation or a failed linear
+algebra routine), 2 parse error (including unreadable files).
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ import argparse
 import json
 import math
 import sys
+
+from numpy.linalg import LinAlgError
 
 from . import _threads  # noqa: F401  (thread cap must precede numpy-heavy work)
 from .errors import BudgetError, DomainError, ParseError
@@ -41,10 +44,6 @@ DEFAULT_TRUNC = 10**4
 def _load_text(path):
     with open(path, "r", encoding="utf-8") as handle:
         return handle.read()
-
-
-def _load_symbol(path):
-    return parse_symbol(_load_text(path))
 
 
 def _fmt(value):
@@ -86,13 +85,22 @@ def _render(command, config, rows, as_json):
         print("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(line)))
 
 
+def _row(quantity, value, method="", error_bound=""):
+    return {"quantity": quantity, "value": value, "method": method, "error_bound": error_bound}
+
+
 def _estimate_row(quantity, est):
-    return {
-        "quantity": quantity,
-        "value": est.value,
-        "method": est.method,
-        "error_bound": est.error_bound,
-    }
+    return _row(quantity, est.value, est.method, est.error_bound)
+
+
+def _witness_rows(report):
+    witness = report.witness
+    return [
+        _row("bound_value", report.bound_value, report.method),
+        _row("pairing", witness.pairing, "closed-form", 0.0),
+        _estimate_row("hankel_norm", witness.hankel_norm),
+        _estimate_row("h1_norm", witness.h1),
+    ]
 
 
 def _spec_from(args, dim):
@@ -110,18 +118,10 @@ def _spec_from(args, dim):
 
 
 def cmd_norm(args):
-    s = _load_symbol(args.symbol)
-    rows = [
-        {
-            "quantity": "h2_norm",
-            "value": s.h2_norm(),
-            "method": "closed-form",
-            "error_bound": 0.0,
-        }
-    ]
+    s = parse_symbol(_load_text(args.symbol))
+    rows = [_row("h2_norm", s.h2_norm(), "closed-form", 0.0)]
     if s.is_zero:
-        rows.append({"quantity": "operator_norm", "value": 0.0, "method": "closed-form", "error_bound": 0.0})
-        rows.append({"quantity": "sup_estimate", "value": 0.0, "method": "closed-form", "error_bound": 0.0})
+        rows += [_row(quantity, 0.0, "closed-form", 0.0) for quantity in ("operator_norm", "sup_estimate")]
     else:
         spec = _spec_from(args, s.dim)
         rows.append(_estimate_row("operator_norm", operator_norm(s)))
@@ -138,56 +138,53 @@ def _classify(s, tol):
     return classify(s, tol), "full-matrix"
 
 
-def cmd_check_minimal(args):
-    tol = args.tol if args.tol is not None else DEFAULT_TOL
-    note_extra = ""
+def _check_minimal_rows(args, tol):
+    certified = "construction-certified" if args.recipe else ""
     if args.recipe:
         s = build_recipe(parse_recipe(_load_text(args.symbol)))
-        note_extra = "construction-certified"
         try:
             if s.is_homogeneous() is not None:
                 active_bases(s)  # the cut is the full basis, though blocks allow more
             verdict, path = _classify(s, tol)
         except BudgetError:
-            rows = [
-                {"quantity": "status", "value": "minimal", "method": "certificate", "error_bound": 0.0},
-                {"quantity": "note", "value": "basis too large for a numeric gap; " + note_extra, "method": "", "error_bound": ""},
+            return [
+                _row("status", "minimal", "certificate", 0.0),
+                _row("note", "basis too large for a numeric gap; " + certified),
             ]
-            _render("check-minimal", {"tol": tol}, rows, args.json)
-            return 0
     else:
-        s = _load_symbol(args.symbol)
+        s = parse_symbol(_load_text(args.symbol))
         verdict, path = _classify(s, tol)
-    note = "; ".join(filter(None, [verdict.note, note_extra]))
+    note = "; ".join(filter(None, [verdict.note, certified]))
     rows = [
-        {"quantity": "status", "value": verdict.status, "method": path, "error_bound": ""},
-        {"quantity": "gap", "value": verdict.gap, "method": path, "error_bound": ""},
-        {"quantity": "h2_norm", "value": s.h2_norm(), "method": "closed-form", "error_bound": 0.0},
+        _row("status", verdict.status, path),
+        _row("gap", verdict.gap, path),
+        _row("h2_norm", s.h2_norm(), "closed-form", 0.0),
     ]
-    for k, norm in verdict.block_norms or []:
-        rows.append({"quantity": f"block_norm_k={k}", "value": norm, "method": "spectral-exact", "error_bound": 1e-12 * norm})
+    rows += [_row(f"block_norm_k={k}", norm, "spectral-exact", 1e-12 * norm) for k, norm in verdict.block_norms or []]
     if note:
-        rows.append({"quantity": "note", "value": note, "method": "", "error_bound": ""})
-    _render("check-minimal", {"tol": tol}, rows, args.json)
+        rows.append(_row("note", note))
+    return rows
+
+
+def cmd_check_minimal(args):
+    tol = args.tol if args.tol is not None else DEFAULT_TOL
+    _render("check-minimal", {"tol": tol}, _check_minimal_rows(args, tol), args.json)
     return 0
 
 
 def cmd_blocks(args):
-    s = _load_symbol(args.symbol)
+    s = parse_symbol(_load_text(args.symbol))
     m = s.is_homogeneous()
     if m is None:
         raise DomainError("blocks requires a homogeneous symbol")
-    rows = []
     blocks = list(enumerate(build_blocks(s, range(m + 1))))
     estimates = [spectral_norm(block) for _, block in blocks]
-    for (k, block), est in zip(blocks, estimates):
-        row = _estimate_row(f"block_k={k}", est)
-        row["shape"] = f"{block.shape[0]}x{block.shape[1]}"
-        rows.append(row)
+    rows = [
+        {**_estimate_row(f"block_k={k}", est), "shape": f"{block.shape[0]}x{block.shape[1]}"}
+        for (k, block), est in zip(blocks, estimates)
+    ]
     # the blocks act on disjoint columns and rows, so the largest is the full norm
-    full = _estimate_row("operator_norm", max(estimates, key=lambda e: e.value))
-    full["shape"] = ""
-    rows.append(full)
+    rows.append({**_estimate_row("operator_norm", max(estimates, key=lambda e: e.value)), "shape": ""})
     if args.json and args.dump:
         for row, (_, block) in zip(rows, blocks):
             row["matrix"] = [[[z.real, z.imag] for z in line] for line in block.entries]
@@ -200,7 +197,7 @@ def cmd_blocks(args):
 
 
 def cmd_hp_norm(args):
-    s = _load_symbol(args.symbol)
+    s = parse_symbol(_load_text(args.symbol))
     p = math.inf if args.p.lower() in ("inf", "infinity") else float(args.p)
     spec = _spec_from(args, s.dim)
     est = hp_norm(s, p, spec)
@@ -213,7 +210,7 @@ def cmd_hp_norm(args):
     }
     rows = [_estimate_row("hp_norm", est)]
     if "reduced to" in est.metadata:  # the grid ran on a lower-dimensional torus
-        rows.append({"quantity": "note", "value": est.metadata, "method": "", "error_bound": ""})
+        rows.append(_row("note", est.metadata))
     _render("hp-norm", config, rows, args.json)
     return 0
 
@@ -225,38 +222,23 @@ def cmd_nehari_bound(args):
         quadratic = quadratic_witness_lower(args.d)
         pairsum = pairsum_witness_lower(args.d)
         rows = [
-            {"quantity": "quadratic_witness_lower", "value": quadratic.bound_value, "method": quadratic.method, "error_bound": 0.0},
-            {"quantity": "pairsum_witness_lower", "value": pairsum.bound_value, "method": pairsum.method, "error_bound": 0.0},
+            _row("quadratic_witness_lower", quadratic.bound_value, quadratic.method, 0.0),
+            _row("pairsum_witness_lower", pairsum.bound_value, pairsum.method, 0.0),
         ]
         _render("nehari-bound", {"d": args.d}, rows, args.json)
         return 0
     if len(args.files) != 2:
         raise DomainError("nehari-bound needs two symbol files (f, phi) or --d")
-    f = _load_symbol(args.files[0])
-    phi = _load_symbol(args.files[1])
+    f, phi = (parse_symbol(_load_text(path)) for path in args.files)
     spec = _spec_from(args, f.dim)
-    report = dual_bound(f, phi, spec)
-    witness = report.witness
-    rows = [
-        {"quantity": "bound_value", "value": report.bound_value, "method": report.method, "error_bound": ""},
-        {"quantity": "pairing", "value": witness.pairing, "method": "closed-form", "error_bound": 0.0},
-        _estimate_row("hankel_norm", witness.hankel_norm),
-        _estimate_row("h1_norm", witness.h1),
-    ]
+    rows = _witness_rows(dual_bound(f, phi, spec))
     _render("nehari-bound", {"grid": spec.points_per_dimension, "d": f.dim}, rows, args.json)
     return 0
 
 
 def cmd_nehari_search(args):
     best_c, report = search_c2(args.a, (args.cmin, args.cmax))
-    witness = report.witness
-    rows = [
-        {"quantity": "best_c", "value": best_c, "method": "search", "error_bound": 1e-6},
-        {"quantity": "bound_value", "value": report.bound_value, "method": report.method, "error_bound": ""},
-        {"quantity": "pairing", "value": witness.pairing, "method": "closed-form", "error_bound": 0.0},
-        _estimate_row("hankel_norm", witness.hankel_norm),
-        _estimate_row("h1_norm", witness.h1),
-    ]
+    rows = [_row("best_c", best_c, "search", 1e-6), *_witness_rows(report)]
     _render("nehari-search", {"a": args.a, "cmin": args.cmin, "cmax": args.cmax}, rows, args.json)
     return 0
 
@@ -270,30 +252,14 @@ def cmd_cex(args):
     for k in range(1, K + 1):
         s_k = cex_truncation(k)
         reference = sqrt6_over_pi * math.sqrt(sum(1.0 / j**2 for j in range(1, k + 1)))
-        rows.append(
-            {
-                "quantity": f"h2_K={k}",
-                "value": s_k.h2_norm(),
-                "method": "closed-form",
-                "error_bound": abs(s_k.h2_norm() - reference),
-            }
-        )
+        rows.append(_row(f"h2_K={k}", s_k.h2_norm(), "closed-form", abs(s_k.h2_norm() - reference)))
     try:
         verdict = classify(cex_truncation(K), DEFAULT_TOL)
     except BudgetError:  # no numeric gap above the basis budget
         pass
     else:
-        rows.append({"quantity": "classification", "value": verdict.status, "method": "full-matrix", "error_bound": ""})
-        rows.append({"quantity": "gap", "value": verdict.gap, "method": "full-matrix", "error_bound": ""})
-    for k in (1, 10, 100, 200):
-        rows.append(
-            {
-                "quantity": f"dual_ratio_k={k}_q=1",
-                "value": cex_ratio(k, 1.0),
-                "method": "closed-form",
-                "error_bound": 0.0,
-            }
-        )
+        rows += [_row("classification", verdict.status, "full-matrix"), _row("gap", verdict.gap, "full-matrix")]
+    rows += [_row(f"dual_ratio_k={k}_q=1", cex_ratio(k, 1.0), "closed-form", 0.0) for k in (1, 10, 100, 200)]
     _render("cex", {"trunc": K, "dim": K * (K + 1)}, rows, args.json)
     return 0
 
@@ -302,14 +268,13 @@ def cmd_psi(args):
     K = args.trunc if args.trunc is not None else DEFAULT_TRUNC
     grid = args.grid or 512
     est = psi_sup_estimate(K, grid)
-    series = PsiSeries(K)
     origin_trunc = min(K, 10**5)  # the value at the origin is summed to at most 1e5 terms
     origin = psi_evaluate(PsiSeries(origin_trunc), 0.0, 0.0)
     rows = [
         _estimate_row("sup_gridmax", est),
-        {"quantity": "projection", "value": str(psi_projection(series)), "method": "closed-form", "error_bound": 0.0},
-        {"quantity": "origin_value", "value": origin, "method": f"partial-sum-K={origin_trunc}", "error_bound": ""},
-        {"quantity": "half_pi", "value": math.pi / 2.0, "method": "closed-form", "error_bound": 0.0},
+        _row("projection", str(psi_projection(PsiSeries(K))), "closed-form", 0.0),
+        _row("origin_value", origin, f"partial-sum-K={origin_trunc}"),
+        _row("half_pi", math.pi / 2.0, "closed-form", 0.0),
     ]
     _render("psi", {"trunc": K, "grid": grid}, rows, args.json)
     return 0
@@ -482,14 +447,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
+    except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (DomainError, MemoryError, LinAlgError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

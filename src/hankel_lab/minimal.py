@@ -18,7 +18,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass, field
 
-from .errors import DomainError, ParseError
+from .errors import BudgetError, DomainError, ParseError
 from .hankel import build_blocks, operator_norm, spectral_norm
 from .symbols import Symbol, degree
 
@@ -189,6 +189,10 @@ def build_recipe(expr) -> Symbol:
 # -- recipe text format ------------------------------------------------------
 #
 # S-expressions: (sum ...), (prod ...), leaf (mono <re> <im> : <e1> ... <ed>).
+# The parser refuses nesting deeper than MAX_RECIPE_DEPTH, which bounds the
+# recursion of every walk over a parsed tree.
+
+MAX_RECIPE_DEPTH = 200
 
 
 def format_recipe(expr) -> str:
@@ -211,10 +215,14 @@ def _tokenize(text):
     return tokens
 
 
-def _parse_expr(tokens, pos):
+def _parse_expr(tokens, pos, depth=0):
     if pos >= len(tokens):
         raise ParseError("unexpected end of recipe")
     tok, line = tokens[pos]
+    if depth > MAX_RECIPE_DEPTH:
+        raise BudgetError(
+            f"line {line}: recipe nesting (MAX_RECIPE_DEPTH) exceeds the budget of {MAX_RECIPE_DEPTH} levels"
+        )
     if tok != "(":
         raise ParseError(f"expected '(', got {tok!r}", line=line)
     pos += 1
@@ -252,7 +260,7 @@ def _parse_expr(tokens, pos):
     if head in ("sum", "prod"):
         children = []
         while pos < len(tokens) and tokens[pos][0] != ")":
-            child, pos = _parse_expr(tokens, pos)
+            child, pos = _parse_expr(tokens, pos, depth + 1)
             children.append(child)
         if pos >= len(tokens):
             raise ParseError(f"unterminated ({head} ...)", line=line)

@@ -26,7 +26,7 @@ grids.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -120,16 +120,19 @@ def search_c2(a: float, c_range=(0.0, 2.0)):
     """Maximize the dual bound for phi = z1^2 + a z1 z2 + z2^2 over test
     functions f = z1^2 + c z1 z2 + z2^2.
 
-    Requires 0 <= a <= 1/2 so the Hankel norm equals the H^2 norm. A
-    101-point scan locates the maximum (and insists it is interior to
-    c_range), then golden-section search refines c to 1e-6. Returns
-    (best c, BoundReport).
+    Requires 0 <= a <= 1/2 so the Hankel norm equals the H^2 norm, and a
+    finite c_range. A 101-point scan locates the maximum (and insists it
+    is interior to c_range), then golden-section search refines c to
+    1e-6. Returns (best c, the dual_bound report at best c, with method
+    "search").
     """
     if not 0.0 <= a <= 0.5:
         raise DomainError(
             f"search requires 0 <= a <= 1/2 (minimal-norm regime), got {a}"
         )
     lo, hi = float(c_range[0]), float(c_range[1])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise DomainError(f"search interval {c_range} must have finite ends")
     if not lo < hi:
         raise DomainError(f"empty search interval {c_range}")
     phi = _quadratic_symbol(a)
@@ -160,16 +163,9 @@ def search_c2(a: float, c_range=(0.0, 2.0)):
             x1 = right - _GOLDEN * (right - left)
             f1 = bound(x1)
     best_c = float(0.5 * (left + right))
-    f_best = _quadratic_symbol(best_c)
-    h1 = h1_norm_2hom(f_best)
-    pair = pairing(f_best, phi)
-    report = BoundReport(
-        2,
-        abs(pair) / (hankel.value * h1.value),
-        "search",
-        BoundWitness(f_best, phi, pair, h1, hankel),
-    )
-    return best_c, report
+    # the H^1 spec of h1_norm_2hom, so the report matches the search's own evaluations
+    report = dual_bound(_quadratic_symbol(best_c), phi, QuadratureSpec(points_per_dimension=1 << 16))
+    return best_c, replace(report, method="search")
 
 
 # -- divergent dual family ----------------------------------------------------

@@ -1,9 +1,12 @@
 import json
 import math
 import time
+import warnings
 
+import numpy as np
 import pytest
 
+import hankel_lab.cli as cli
 from hankel_lab.cli import main
 
 PAIR = "dim 2\n1.0 0.0 : 1 0\n1.0 0.0 : 0 1\n"
@@ -170,6 +173,23 @@ class TestCheckMinimal:
         assert code == 1
         assert "zero" in err
 
+    @staticmethod
+    def nested_recipe(tmp_path, depth):
+        path = tmp_path / "deep.txt"
+        path.write_text("(sum " * depth + "(mono 1.0 0.0 : 1 0)" + ")" * depth + "\n")
+        return str(path)
+
+    def test_recipe_at_nesting_budget_is_minimal(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "check-minimal", self.nested_recipe(tmp_path, 200), "--recipe")
+        assert code == 0
+        assert table_value(out, "status") == "minimal"
+
+    def test_recipe_beyond_nesting_budget_is_domain_error(self, capsys, tmp_path):
+        code, out, err = run(capsys, "check-minimal", self.nested_recipe(tmp_path, 3000), "--recipe")
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1 and "recipe nesting (MAX_RECIPE_DEPTH)" in err
+
 
 class TestBlocks:
     def test_table_and_dump(self, capsys, tmp_path):
@@ -303,6 +323,15 @@ class TestNehariCommands:
         best = float(table_value(out, "best_c"))
         assert 0.8 < best < 0.9
 
+    def test_search_infinite_interval_is_domain_error(self, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, "nehari-search", "--a", "0.5", "--cmax", "inf")
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert code == 1
+        assert out == ""
+        assert err == "error: search interval (0.0, inf) must have finite ends\n"
+
 
 class TestCexPsi:
     def test_cex(self, capsys):
@@ -360,3 +389,148 @@ class TestReproduce:
         rows = {r["quantity"]: r for r in payload["reports"]}
         assert rows["c2_lower_closed"]["status"] == "pass"
         assert rows["witness_pairing"]["computed"] == 2.5
+
+
+class TestResourceErrors:
+    """Refused allocations and failed linear algebra exit 1 with one line.
+
+    The callee is replaced by one that raises: a real refusal depends on
+    the host's memory overcommit policy.
+    """
+
+    @pytest.mark.parametrize(
+        "error, message",
+        [
+            (MemoryError("Unable to allocate 149. GiB for an array"), "Unable to allocate 149. GiB for an array"),
+            (MemoryError(), "MemoryError"),
+            (np.linalg.LinAlgError("SVD did not converge"), "SVD did not converge"),
+        ],
+    )
+    @pytest.mark.parametrize("callee, argv", [("hp_norm", ("hp-norm", "{pair}", "1")), ("psi_sup_estimate", ("psi",))])
+    def test_one_line_exit_1(self, capsys, monkeypatch, pair_file, error, message, callee, argv):
+        def refuse(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli, callee, refuse)
+        code, out, err = run(capsys, *(a.format(pair=pair_file) for a in argv))
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+
+# Exact text and --json output of commands whose values are all closed
+# form, so they are the same on any BLAS. Data rows are padded to the
+# column widths, trailing spaces included; empty cells are "".
+NEHARI_BOUND_D4_TEXT = (
+    "# hankel-lab nehari-bound d=4\n"
+    "quantity                 value               method             error_bound\n"
+    "quadratic_witness_lower  1.3470818607017128  quadratic-witness  0.0        \n"
+    "pairsum_witness_lower    1.2337005501361697  pairsum-witness    0.0        \n"
+)
+NEHARI_BOUND_D4_JSON = """{
+  "command": "nehari-bound",
+  "config": {
+    "d": 4
+  },
+  "reports": [
+    {
+      "quantity": "quadratic_witness_lower",
+      "value": 1.3470818607017128,
+      "method": "quadratic-witness",
+      "error_bound": 0.0
+    },
+    {
+      "quantity": "pairsum_witness_lower",
+      "value": 1.2337005501361697,
+      "method": "pairsum-witness",
+      "error_bound": 0.0
+    }
+  ]
+}
+"""
+NORM_ZERO_TEXT = (
+    "# hankel-lab norm grid=256 dim=2\n"
+    "quantity       value  method       error_bound\n"
+    "h2_norm        0.0    closed-form  0.0        \n"
+    "operator_norm  0.0    closed-form  0.0        \n"
+    "sup_estimate   0.0    closed-form  0.0        \n"
+)
+NORM_ZERO_JSON = """{
+  "command": "norm",
+  "config": {
+    "grid": 256,
+    "dim": 2
+  },
+  "reports": [
+    {
+      "quantity": "h2_norm",
+      "value": 0.0,
+      "method": "closed-form",
+      "error_bound": 0.0
+    },
+    {
+      "quantity": "operator_norm",
+      "value": 0.0,
+      "method": "closed-form",
+      "error_bound": 0.0
+    },
+    {
+      "quantity": "sup_estimate",
+      "value": 0.0,
+      "method": "closed-form",
+      "error_bound": 0.0
+    }
+  ]
+}
+"""
+CERTIFICATE_TEXT = (
+    "# hankel-lab check-minimal tol=1e-09\n"
+    "quantity  value                                                      method       error_bound\n"
+    "status    minimal                                                    certificate  0.0        \n"
+    "note      basis too large for a numeric gap; construction-certified                          \n"
+)
+CERTIFICATE_JSON = """{
+  "command": "check-minimal",
+  "config": {
+    "tol": 1e-09
+  },
+  "reports": [
+    {
+      "quantity": "status",
+      "value": "minimal",
+      "method": "certificate",
+      "error_bound": 0.0
+    },
+    {
+      "quantity": "note",
+      "value": "basis too large for a numeric gap; construction-certified",
+      "method": "",
+      "error_bound": ""
+    }
+  ]
+}
+"""
+
+
+class TestExactLayout:
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_nehari_bound_d4(self, capsys, as_json):
+        code, out, err = run(capsys, "nehari-bound", "--d", "4", *(["--json"] if as_json else []))
+        assert (code, err) == (0, "")
+        assert out == (NEHARI_BOUND_D4_JSON if as_json else NEHARI_BOUND_D4_TEXT)
+
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_norm_of_zero_symbol(self, capsys, tmp_path, as_json):
+        path = tmp_path / "zero.sym"
+        path.write_text("dim 2\n")
+        code, out, err = run(capsys, "norm", str(path), *(["--json"] if as_json else []))
+        assert (code, err) == (0, "")
+        assert out == (NORM_ZERO_JSON if as_json else NORM_ZERO_TEXT)
+
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_recipe_certificate_branch(self, capsys, tmp_path, as_json):
+        path = tmp_path / "big.txt"
+        path.write_text("(sum (mono 1.0 0.0 : 3001 0) (mono 1.0 0.0 : 0 1))\n")
+        code, out, err = run(capsys, "check-minimal", str(path), "--recipe", *(["--json"] if as_json else []))
+        assert (code, err) == (0, "")
+        assert out == (CERTIFICATE_JSON if as_json else CERTIFICATE_TEXT)

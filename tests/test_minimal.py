@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from hankel_lab import (
+    MAX_RECIPE_DEPTH,
+    BudgetError,
     DomainError,
     ParseError,
     RecipeLeaf,
@@ -219,6 +221,17 @@ class TestRecipe:
     def test_parse_errors(self, bad):
         with pytest.raises(ParseError):
             parse_recipe(bad)
+
+    def test_nesting_at_budget_parses(self):
+        text = "(sum " * MAX_RECIPE_DEPTH + "(mono 1.0 0.0 : 1 0)" + ")" * MAX_RECIPE_DEPTH
+        assert build_recipe(parse_recipe(text)) == make_symbol(2, [((1, 0), 1.0)])
+
+    def test_nesting_beyond_budget_is_budget_error(self):
+        # one node per line: the first node past the budget opens on line depth + 1
+        depth = MAX_RECIPE_DEPTH + 1
+        text = "(sum\n" * depth + "(mono 1.0 0.0 : 1 0)" + ")" * depth
+        with pytest.raises(BudgetError, match=rf"line {depth + 1}: recipe nesting \(MAX_RECIPE_DEPTH\)"):
+            parse_recipe(text)
 
     def test_recipe_symbols_are_minimal(self):
         rng = np.random.default_rng(73)

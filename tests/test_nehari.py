@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,8 +13,10 @@ from hankel_lab import (
     cex_truncation,
     classify,
     dual_bound,
+    h1_norm_2hom,
     hq_norm_basic,
     make_symbol,
+    operator_norm,
     pairing,
     pairsum_witness_lower,
     psi_evaluate,
@@ -104,6 +107,12 @@ class TestSearch:
         best_c, report = search_c2(0.5)
         assert 0.8 < best_c < 0.9
         assert report.method == "search"
+        # the report is the dual bound at best_c with the search's own H^1 norm
+        f, phi = phi2(best_c), phi2(0.5)
+        h1 = h1_norm_2hom(f)
+        assert report.witness.h1 == h1
+        assert report.witness.pairing == pairing(f, phi)
+        assert report.bound_value == abs(pairing(f, phi)) / (operator_norm(phi).value * h1.value)
 
     def test_search_dominates_fixed_point(self):
         _, report = search_c2(0.5)
@@ -117,6 +126,13 @@ class TestSearch:
     def test_boundary_argmax_rejected(self):
         with pytest.raises(DomainError):
             search_c2(0.5, c_range=(0.0, 0.2))
+
+    @pytest.mark.parametrize("c_range", [(0.0, math.inf), (-math.inf, 2.0), (math.nan, 2.0), (0.0, math.nan)])
+    def test_non_finite_interval_rejected(self, c_range):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # refused before numpy sees the interval
+            with pytest.raises(DomainError, match="must have finite ends"):
+                search_c2(0.5, c_range=c_range)
 
 
 class TestCexFamily:
