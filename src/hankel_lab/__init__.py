@@ -44,6 +44,7 @@ from .minimal import (
     parse_recipe,
 )
 from .quadrature import (
+    MAX_GRID_POINTS,
     QuadratureSpec,
     default_spec,
     h1_norm_2hom,
@@ -78,6 +79,7 @@ __all__ = [
     "HankelMatrix",
     "MAX_BASIS",
     "MAX_CLOSURE",
+    "MAX_GRID_POINTS",
     "MAX_RECIPE_DEPTH",
     "MinimalityVerdict",
     "NormEstimate",

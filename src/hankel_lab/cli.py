@@ -198,7 +198,10 @@ def cmd_blocks(args):
 
 def cmd_hp_norm(args):
     s = parse_symbol(_load_text(args.symbol))
-    p = math.inf if args.p.lower() in ("inf", "infinity") else float(args.p)
+    try:
+        p = float(args.p)  # also reads 'inf' and 'infinity', in any case
+    except ValueError:
+        raise ParseError(f"p must be a real >= 1 or 'inf', got {args.p!r}") from None
     spec = _spec_from(args, s.dim)
     est = hp_norm(s, p, spec)
     config = {

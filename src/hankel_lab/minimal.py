@@ -15,12 +15,11 @@ disjointness structurally so the resulting symbol is certified minimal.
 
 from __future__ import annotations
 
-import cmath
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import BudgetError, DomainError, ParseError
 from .hankel import build_blocks, operator_norm, spectral_norm
-from .symbols import Symbol, degree
+from .symbols import Symbol, degree, format_term, parse_term
 
 
 @dataclass
@@ -51,7 +50,7 @@ def _verdict(gap, tol, block_norms=None, note=""):
 def _check_classify_args(s, tol):
     if s.is_zero:
         raise DomainError("cannot classify the zero symbol")
-    if tol < 1e-12:
+    if not tol >= 1e-12:  # also refuses NaN
         raise DomainError(f"tolerance must be >= 1e-12, got {tol}")
 
 
@@ -123,8 +122,8 @@ def _leaf_dims(expr, out):
             _leaf_dims(child, out)
 
 
-def _validate(expr, path):
-    """Returns the variable support of expr; raises on any violation."""
+def _build(expr, dim, path):
+    """The symbol of expr and its variable support; raises on any violation."""
     if isinstance(expr, RecipeLeaf):
         if complex(expr.coefficient) == 0:
             raise DomainError(f"recipe violation at {path}: zero coefficient leaf")
@@ -135,38 +134,28 @@ def _validate(expr, path):
                 f"recipe violation at {path}: leaf must vanish at the origin "
                 "(monomial degree >= 1)"
             )
-        return {j for j, e in enumerate(expr.exponents) if e > 0}
+        support = {j for j, e in enumerate(expr.exponents) if e > 0}
+        return Symbol.monomial(dim, expr.exponents, expr.coefficient), support
     if expr.op not in ("sum", "prod"):
         raise DomainError(f"recipe violation at {path}: unknown op {expr.op!r}")
     if not expr.children:
         raise DomainError(f"recipe violation at {path}: empty {expr.op} node")
     seen = {}
-    combined = set()
+    out = None
     for i, child in enumerate(expr.children):
         child_path = f"{path}.{expr.op}[{i}]"
-        support = _validate(child, child_path)
-        overlap = support & combined
+        part, support = _build(child, dim, child_path)
+        overlap = support & seen.keys()
         if overlap:
             shared = ", ".join(f"z{j + 1}" for j in sorted(overlap))
-            first = next(seen[j] for j in sorted(overlap))
+            first = seen[min(overlap)]
             raise DomainError(
                 f"recipe violation at {path}: variables {shared} shared "
                 f"between {first} and {child_path}"
             )
-        for j in support:
-            seen[j] = child_path
-        combined |= support
-    return combined
-
-
-def _evaluate(expr, dim):
-    if isinstance(expr, RecipeLeaf):
-        return Symbol.monomial(dim, expr.exponents, expr.coefficient)
-    parts = [_evaluate(child, dim) for child in expr.children]
-    out = parts[0]
-    for part in parts[1:]:
-        out = out + part if expr.op == "sum" else out * part
-    return out
+        seen.update((j, child_path) for j in support)
+        out = part if out is None else (out + part if expr.op == "sum" else out * part)
+    return out, set(seen)
 
 
 def recipe_dimension(expr) -> int:
@@ -180,10 +169,8 @@ def recipe_dimension(expr) -> int:
 
 
 def build_recipe(expr) -> Symbol:
-    """Evaluate a validated recipe tree into its (certified minimal) symbol."""
-    dim = recipe_dimension(expr)
-    _validate(expr, "root")
-    return _evaluate(expr, dim)
+    """Validate a recipe tree and evaluate it into its (certified minimal) symbol."""
+    return _build(expr, recipe_dimension(expr), "root")[0]
 
 
 # -- recipe text format ------------------------------------------------------
@@ -197,9 +184,7 @@ MAX_RECIPE_DEPTH = 200
 
 def format_recipe(expr) -> str:
     if isinstance(expr, RecipeLeaf):
-        exps = " ".join(str(e) for e in expr.exponents)
-        c = complex(expr.coefficient)
-        return f"(mono {c.real!r} {c.imag!r} : {exps})"
+        return f"(mono {format_term(expr.exponents, expr.coefficient)})"
     inner = " ".join(format_recipe(child) for child in expr.children)
     return f"({expr.op} {inner})"
 
@@ -216,8 +201,6 @@ def _tokenize(text):
 
 
 def _parse_expr(tokens, pos, depth=0):
-    if pos >= len(tokens):
-        raise ParseError("unexpected end of recipe")
     tok, line = tokens[pos]
     if depth > MAX_RECIPE_DEPTH:
         raise BudgetError(
@@ -231,32 +214,13 @@ def _parse_expr(tokens, pos, depth=0):
     head, line = tokens[pos]
     pos += 1
     if head == "mono":
-        fields = []
+        start = pos
         while pos < len(tokens) and tokens[pos][0] not in ("(", ")"):
-            fields.append(tokens[pos])
             pos += 1
         if pos >= len(tokens) or tokens[pos][0] != ")":
             raise ParseError("unterminated (mono ...)", line=line)
-        pos += 1
-        values = [f for f, _ in fields]
-        if values.count(":") != 1:
-            raise ParseError("mono needs exactly one ':'", line=line)
-        sep = values.index(":")
-        if sep != 2:
-            raise ParseError("mono needs '<re> <im>' before ':'", line=line)
-        try:
-            c = complex(float(values[0]), float(values[1]))
-        except ValueError:
-            raise ParseError(f"bad mono coefficient {values[:2]}", line=line) from None
-        if not cmath.isfinite(c):
-            raise ParseError(f"mono coefficient {values[:2]} is not finite", line=line)
-        try:
-            exps = tuple(int(v) for v in values[sep + 1:])
-        except ValueError:
-            raise ParseError(f"bad mono exponents {values[sep + 1:]}", line=line) from None
-        if not exps:
-            raise ParseError("mono needs at least one exponent", line=line)
-        return RecipeLeaf(c, exps), pos
+        alpha, c = parse_term(" ".join(tok for tok, _ in tokens[start:pos]), line)
+        return RecipeLeaf(c, alpha), pos + 1
     if head in ("sum", "prod"):
         children = []
         while pos < len(tokens) and tokens[pos][0] != ")":

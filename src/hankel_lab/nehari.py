@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import DomainError
 from .hankel import NormEstimate, operator_norm
-from .quadrature import QuadratureSpec, _grid_values, default_spec, h1_norm_2hom, hp_norm, hq_norm_basic
+from .quadrature import QuadratureSpec, _check_grid_budget, _grid_values, default_spec, h1_norm_2hom, hp_norm, hq_norm_basic
 from .symbols import Symbol
 
 
@@ -268,6 +268,7 @@ def psi_sup_estimate(K: int, grid_n: int = 512) -> NormEstimate:
         raise DomainError("truncation must be >= 1")
     if grid_n < 16:
         raise DomainError("grid must have at least 16 points")
+    _check_grid_budget(grid_n)
     ks = np.arange(-K, K + 1)
     coefs = ((-1.0) ** ks) / (1.0 - 2.0 * ks)
     (values,) = _grid_values(ks[:, None], coefs, grid_n)

@@ -37,13 +37,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import BudgetError, DomainError
 from .hankel import NormEstimate
 from .symbols import Symbol
 
 _EPS = np.finfo(float).eps
 # full coefficient grids above this many points are evaluated slice by slice
 _FULL_GRID_LIMIT = 1 << 22
+# largest tensor grid evaluated: the default d=4 grid refined, 128^4 points
+MAX_GRID_POINTS = 1 << 28
 
 
 @dataclass(frozen=True)
@@ -64,6 +66,8 @@ class QuadratureSpec:
             raise DomainError(f"unknown quadrature method {self.method!r}")
         if self.points_per_dimension < 4:
             raise DomainError("points_per_dimension must be >= 4")
+        if self.seed < 0:
+            raise DomainError(f"seed must be >= 0, got {self.seed}")
         if self.method == "monte-carlo" and self.samples < 1000:
             raise DomainError("monte-carlo needs at least 1000 samples")
 
@@ -71,6 +75,12 @@ class QuadratureSpec:
 def default_spec(dim: int) -> QuadratureSpec:
     """Default grid: 256 points per dimension up to d=2, 64 beyond."""
     return QuadratureSpec(points_per_dimension=256 if dim <= 2 else 64)
+
+
+def _check_grid_budget(points):
+    """Refuse a tensor grid of more than MAX_GRID_POINTS points before allocating it."""
+    if points > MAX_GRID_POINTS:
+        raise BudgetError(f"tensor grid (MAX_GRID_POINTS) exceeds the budget of {MAX_GRID_POINTS} points")
 
 
 def _grid_values(freqs, coefs, n):
@@ -262,10 +272,11 @@ def hp_norm(s: Symbol, p, spec: QuadratureSpec | None = None) -> NormEstimate:
         raise DomainError(f"tensor-uniform is limited to rank <= 4, got rank {rank}; use monte-carlo")
     reduced = f" reduced to r={rank}" if rank < dim else ""
     n = spec.points_per_dimension
+    _check_grid_budget((2 * n) ** s.dim)
     spread = max(max(axis) - min(axis) for axis in zip(*s.support))
     if p != math.inf and n <= spread:  # frequencies of |phi|^2 would alias onto 0
         raise DomainError(f"{n} points per dimension do not resolve the exponent spread {spread}")
-    coarse = _tensor_stat(s, n, p)
+    coarse = _tensor_stat(s, n, p) if p != math.inf else None  # the sup needs only the fine grid
     fine = _tensor_stat(s, 2 * n, p)
     if p == math.inf:
         cushion, note = _sup_cushion(s, 2 * n, fine)

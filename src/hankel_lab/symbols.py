@@ -250,14 +250,46 @@ def separate_variables(a: Symbol, b: Symbol) -> bool:
 #   dim <d>
 #   <re> <im> : <e1> <e2> ... <ed>
 # '#' starts a comment line; blank lines are ignored. Floats are written
-# with repr() so the writer/parser round-trip is bit-identical.
+# with repr() so the writer/parser round-trip is bit-identical. A term line
+# is also the body of a recipe leaf (mono <re> <im> : <e1> ... <ed>), so
+# parse_term and format_term serve both formats.
+
+
+def format_term(alpha, c) -> str:
+    c = complex(c)
+    return f"{c.real!r} {c.imag!r} : " + " ".join(str(e) for e in alpha)
+
+
+def parse_term(text, line=None, dim=None):
+    """(alpha, c) from '<re> <im> : <e1> ... <ed>'; dim, when given, fixes d."""
+    if ":" not in text:
+        raise ParseError("expected '<re> <im> : <exponents>'", line=line)
+    left, _, right = text.partition(":")
+    coeff_parts = left.split()
+    if len(coeff_parts) != 2:
+        raise ParseError(f"expected two reals before ':', got {len(coeff_parts)}", line=line)
+    try:
+        c = complex(float(coeff_parts[0]), float(coeff_parts[1]))
+    except ValueError:
+        raise ParseError(f"bad coefficient {left.strip()!r}", line=line) from None
+    if not cmath.isfinite(c):
+        raise ParseError(f"coefficient {left.strip()!r} is not finite", line=line)
+    exp_parts = right.split()
+    if dim is not None and len(exp_parts) != dim:
+        raise ParseError(f"expected {dim} exponents, got {len(exp_parts)}", line=line)
+    if not exp_parts:
+        raise ParseError("expected at least one exponent after ':'", line=line)
+    try:
+        alpha = tuple(int(p) for p in exp_parts)
+    except ValueError:
+        raise ParseError(f"bad exponent list {right.strip()!r}", line=line) from None
+    if any(e < 0 for e in alpha):
+        raise ParseError(f"negative exponent in {alpha}", line=line)
+    return alpha, c
 
 
 def format_symbol(s: Symbol) -> str:
-    lines = [f"dim {s.dim}"]
-    for a, c in s.terms():
-        lines.append(f"{c.real!r} {c.imag!r} : " + " ".join(str(e) for e in a))
-    return "\n".join(lines) + "\n"
+    return "\n".join([f"dim {s.dim}"] + [format_term(a, c) for a, c in s.terms()]) + "\n"
 
 
 def parse_symbol(text: str) -> Symbol:
@@ -278,32 +310,7 @@ def parse_symbol(text: str) -> Symbol:
             if dim < 1:
                 raise ParseError(f"dimension must be >= 1, got {dim}", line=lineno)
             continue
-        if ":" not in line:
-            raise ParseError("expected '<re> <im> : <exponents>'", line=lineno)
-        left, _, right = line.partition(":")
-        coeff_parts = left.split()
-        if len(coeff_parts) != 2:
-            raise ParseError(
-                f"expected two reals before ':', got {len(coeff_parts)}", line=lineno
-            )
-        try:
-            c = complex(float(coeff_parts[0]), float(coeff_parts[1]))
-        except ValueError:
-            raise ParseError(f"bad coefficient {left.strip()!r}", line=lineno) from None
-        if not cmath.isfinite(c):
-            raise ParseError(f"coefficient {left.strip()!r} is not finite", line=lineno)
-        exp_parts = right.split()
-        if len(exp_parts) != dim:
-            raise ParseError(
-                f"expected {dim} exponents, got {len(exp_parts)}", line=lineno
-            )
-        try:
-            alpha = tuple(int(p) for p in exp_parts)
-        except ValueError:
-            raise ParseError(f"bad exponent list {right.strip()!r}", line=lineno) from None
-        if any(e < 0 for e in alpha):
-            raise ParseError(f"negative exponent in {alpha}", line=lineno)
-        terms.append((alpha, c))
+        terms.append(parse_term(line, lineno, dim))
     if dim is None:
         raise ParseError("missing 'dim <d>' header")
     return Symbol(dim, terms)

@@ -132,6 +132,26 @@ class TestCheckMinimal:
         assert table_value(out, "status") == "not-minimal"
         assert float(table_value(out, "gap")) > 0
 
+    def test_nan_tolerance_is_domain_error(self, capsys, tmp_path):
+        path = tmp_path / "q.sym"
+        path.write_text(quadratic(0.2))  # minimal-norm: NaN must not flip it to not-minimal
+        code, out, err = run(capsys, "check-minimal", str(path), "--tol", "nan")
+        assert code == 1
+        assert out == ""
+        assert err == "error: tolerance must be >= 1e-12, got nan\n"
+
+    @pytest.mark.parametrize(
+        "leaf",
+        ["(mono 1.0 0.0 : 0 -1)", "(mono 1.0 oops : 0 1)", "(mono inf 0.0 : 0 1)", "(mono 1.0 0.0 : )"],
+    )
+    def test_malformed_recipe_leaf_is_parse_error(self, capsys, tmp_path, leaf):
+        path = tmp_path / "bad.recipe"
+        path.write_text(f"# leaf on line 3\n(sum (mono 1.0 0.0 : 1 0)\n     {leaf})\n")
+        code, out, err = run(capsys, "check-minimal", str(path), "--recipe")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: line 3: ") and err.count("\n") == 1
+
     def test_recipe_certificate(self, capsys, tmp_path):
         path = tmp_path / "rec.txt"
         path.write_text(RECIPE)
@@ -253,6 +273,29 @@ class TestHpNorm:
         value, bound = rows["hp_norm"]["value"], rows["hp_norm"]["error_bound"]
         assert abs(value - (4 / math.pi) ** 2) <= bound
         assert "d=4 reduced to r=2" in rows["note"]["value"]
+
+    def test_bad_p_is_parse_error(self, capsys, pair_file):
+        code, out, err = run(capsys, "hp-norm", pair_file, "abc")
+        assert code == 2
+        assert out == ""
+        assert err == "error: p must be a real >= 1 or 'inf', got 'abc'\n"
+
+    def test_negative_seed_is_domain_error(self, capsys, pair_file):
+        code, out, err = run(capsys, "hp-norm", pair_file, "1", "--samples", "1000", "--seed", "-1")
+        assert code == 1
+        assert out == ""
+        assert err == "error: seed must be >= 0, got -1\n"
+
+    @pytest.mark.parametrize("argv", [("hp-norm", "{d1}", "1"), ("hp-norm", "{d1}", "inf"), ("psi",)])
+    def test_oversized_grid_is_refused_before_allocation(self, capsys, tmp_path, argv):
+        path = tmp_path / "d1.sym"
+        path.write_text("dim 1\n1.0 0.0 : 0\n0.5 0.0 : 1\n")
+        start = time.perf_counter()
+        code, out, err = run(capsys, *(a.format(d1=path) for a in argv), "--grid", "10000000000")
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert out == ""
+        assert err == "error: tensor grid (MAX_GRID_POINTS) exceeds the budget of 268435456 points\n"
 
     def test_under_resolved_grid_is_domain_error(self, capsys, tmp_path):
         path = tmp_path / "big.sym"

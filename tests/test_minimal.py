@@ -49,6 +49,12 @@ class TestClassify:
         with pytest.raises(DomainError):
             classify(z(1, 0), tol=1e-13)
 
+    def test_nan_tolerance_rejected(self):
+        # NaN fails every comparison, so a floor written as tol < 1e-12 lets it in
+        for check in (classify, classify_homogeneous):
+            with pytest.raises(DomainError, match="tolerance must be >= 1e-12, got nan"):
+                check(phi2(0.2), tol=math.nan)
+
     def test_gap_never_below_minus_tol(self):
         rng = np.random.default_rng(53)
         for _ in range(30):
@@ -183,6 +189,12 @@ class TestRecipe:
             build_recipe(expr)
         assert "origin" in str(err.value)
 
+    def test_negative_exponent_leaf_rejected(self):
+        # a programmatic leaf never passes the parser, so the walk checks it
+        expr = RecipeNode("sum", (RecipeLeaf(1.0, (2, -1)), RecipeLeaf(1.0, (0, 0))))
+        with pytest.raises(DomainError, match=r"root\.sum\[0\]: negative exponent"):
+            build_recipe(expr)
+
     def test_zero_coefficient_rejected(self):
         with pytest.raises(DomainError):
             build_recipe(RecipeNode("sum", (RecipeLeaf(0.0, (1, 0)),)))
@@ -221,6 +233,23 @@ class TestRecipe:
     def test_parse_errors(self, bad):
         with pytest.raises(ParseError):
             parse_recipe(bad)
+
+    @pytest.mark.parametrize(
+        "leaf, message",
+        [
+            ("(mono 1.0 0.0 : 1 -1)", "negative exponent in (1, -1)"),
+            ("(mono 1.0 zero : 0 1)", "bad coefficient '1.0 zero'"),
+            ("(mono nan 0.0 : 0 1)", "coefficient 'nan 0.0' is not finite"),
+            ("(mono 1.0 0.0 : )", "expected at least one exponent after ':'"),
+            ("(mono 1.0 0.0 0 1)", "expected '<re> <im> : <exponents>'"),
+            ("(mono 1.0 0.0 : 1 x)", "bad exponent list '1 x'"),
+        ],
+    )
+    def test_leaf_errors_are_the_symbol_line_errors(self, leaf, message):
+        # the leaf on line 2 fails with a symbol-file term message, naming its line
+        with pytest.raises(ParseError) as err:
+            parse_recipe(f"(sum (mono 1.0 0.0 : 1 0)\n     {leaf})")
+        assert str(err.value) == f"line 2: {message}"
 
     def test_nesting_at_budget_parses(self):
         text = "(sum " * MAX_RECIPE_DEPTH + "(mono 1.0 0.0 : 1 0)" + ")" * MAX_RECIPE_DEPTH
