@@ -9,6 +9,7 @@ norms on the torus, and evaluate lower bounds for the Nehari constants.
 from . import _threads  # noqa: F401  (HANKEL_LAB_THREADS cap, before numpy loads)
 
 from .errors import BudgetError, DomainError, ParseError
+from .errors import MAX_BASIS, MAX_CEX_TRUNC, MAX_CLOSURE, MAX_GRID_POINTS, MAX_PSI_TRUNC, MAX_RECIPE_DEPTH, MAX_SAMPLES
 from .symbols import (
     Symbol,
     degree,
@@ -20,8 +21,6 @@ from .symbols import (
     separate_variables,
 )
 from .hankel import (
-    MAX_BASIS,
-    MAX_CLOSURE,
     HankelMatrix,
     NormEstimate,
     active_bases,
@@ -32,7 +31,6 @@ from .hankel import (
     spectral_norm,
 )
 from .minimal import (
-    MAX_RECIPE_DEPTH,
     MinimalityVerdict,
     RecipeLeaf,
     RecipeNode,
@@ -44,7 +42,6 @@ from .minimal import (
     parse_recipe,
 )
 from .quadrature import (
-    MAX_GRID_POINTS,
     QuadratureSpec,
     default_spec,
     h1_norm_2hom,
@@ -78,9 +75,12 @@ __all__ = [
     "DomainError",
     "HankelMatrix",
     "MAX_BASIS",
+    "MAX_CEX_TRUNC",
     "MAX_CLOSURE",
     "MAX_GRID_POINTS",
+    "MAX_PSI_TRUNC",
     "MAX_RECIPE_DEPTH",
+    "MAX_SAMPLES",
     "MinimalityVerdict",
     "NormEstimate",
     "ParseError",

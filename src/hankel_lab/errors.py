@@ -1,9 +1,30 @@
-"""Exception types shared across the package.
+"""Exception types and resource budgets shared across the package.
 
 DomainError marks violated preconditions or contract misuse (CLI exit 1);
 its subclass BudgetError marks an input whose work exceeds a resource
-budget. ParseError marks malformed text input (CLI exit 2).
+budget. ParseError marks malformed text input (CLI exit 2). Every budget
+is a MAX_* constant below, and every refusal goes through check_budget
+before the work it bounds starts.
 """
+
+# Largest active basis of a full matrix: n^2 complex entries (144 MB at
+# n = 3000) and an O(n^3) SVD.
+MAX_BASIS = 3000
+# Largest closure of a homogeneous symbol, split into its degree blocks:
+# each block is small, but the closure is enumerated as Python tuples and
+# z1^m alone has m + 1 one-by-one blocks.
+MAX_CLOSURE = 30_000
+# largest tensor grid evaluated: the default d=4 grid refined, 128^4 points
+MAX_GRID_POINTS = 1 << 28
+# Deepest recipe nesting the parser accepts, which bounds the recursion of
+# every walk over a parsed tree.
+MAX_RECIPE_DEPTH = 200
+# Monte Carlo samples: ten times the CLI default, 60 s on 12 terms in T^8
+MAX_SAMPLES = 10**7
+# completion series terms per side: about 4 s and 640 MB at 10^7
+MAX_PSI_TRUNC = 10**7
+# cex_truncation blocks: 2^(K+1) - 2 terms, 2.3x the build time per block
+MAX_CEX_TRUNC = 14
 
 
 class DomainError(ValueError):
@@ -22,3 +43,9 @@ class ParseError(ValueError):
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+
+
+def check_budget(amount, limit, what, unit):
+    """Raise BudgetError naming the budget, what, when amount exceeds limit."""
+    if amount > limit:
+        raise BudgetError(f"{what} exceeds the budget of {limit} {unit}")

@@ -23,16 +23,9 @@ from itertools import product
 
 import numpy as np
 
-from .errors import BudgetError, DomainError
+from .errors import MAX_BASIS, MAX_CLOSURE, DomainError, check_budget
 from .symbols import Symbol, degree, grlex_key
 
-# Largest active basis of a full matrix: n^2 complex entries (144 MB at
-# n = 3000) and an O(n^3) SVD.
-MAX_BASIS = 3000
-# Largest closure of a homogeneous symbol, split into its degree blocks:
-# each block is small, but the closure is enumerated as Python tuples and
-# z1^m alone has m + 1 one-by-one blocks.
-MAX_CLOSURE = 30_000
 # elements per temporary array in _fill
 _CHUNK = 1 << 16
 
@@ -89,14 +82,10 @@ def _downward_closure(support, budget, what):
     """
     closed = set()
     for alpha in support:
-        if math.prod(e + 1 for e in alpha) > budget:
-            break
+        check_budget(math.prod(e + 1 for e in alpha), budget, what, "monomials")
         closed.update(product(*(range(e + 1) for e in alpha)))
-        if len(closed) > budget:
-            break
-    else:
-        return sorted(closed, key=grlex_key)
-    raise BudgetError(f"{what} exceeds the budget of {budget} monomials")
+        check_budget(len(closed), budget, what, "monomials")
+    return sorted(closed, key=grlex_key)
 
 
 def active_bases(s: Symbol):

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BudgetError, DomainError, ParseError
+from .errors import MAX_RECIPE_DEPTH, DomainError, ParseError, check_budget
 from .hankel import build_blocks, operator_norm, spectral_norm
 from .symbols import Symbol, degree, format_term, parse_term
 
@@ -176,10 +176,7 @@ def build_recipe(expr) -> Symbol:
 # -- recipe text format ------------------------------------------------------
 #
 # S-expressions: (sum ...), (prod ...), leaf (mono <re> <im> : <e1> ... <ed>).
-# The parser refuses nesting deeper than MAX_RECIPE_DEPTH, which bounds the
-# recursion of every walk over a parsed tree.
-
-MAX_RECIPE_DEPTH = 200
+# The parser refuses nesting deeper than MAX_RECIPE_DEPTH (errors.py).
 
 
 def format_recipe(expr) -> str:
@@ -202,10 +199,7 @@ def _tokenize(text):
 
 def _parse_expr(tokens, pos, depth=0):
     tok, line = tokens[pos]
-    if depth > MAX_RECIPE_DEPTH:
-        raise BudgetError(
-            f"line {line}: recipe nesting (MAX_RECIPE_DEPTH) exceeds the budget of {MAX_RECIPE_DEPTH} levels"
-        )
+    check_budget(depth, MAX_RECIPE_DEPTH, f"line {line}: recipe nesting (MAX_RECIPE_DEPTH)", "levels")
     if tok != "(":
         raise ParseError(f"expected '(', got {tok!r}", line=line)
     pos += 1

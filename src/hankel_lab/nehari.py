@@ -30,9 +30,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import MAX_CEX_TRUNC, MAX_GRID_POINTS, MAX_PSI_TRUNC, DomainError, check_budget
 from .hankel import NormEstimate, operator_norm
-from .quadrature import QuadratureSpec, _check_grid_budget, _grid_values, default_spec, h1_norm_2hom, hp_norm, hq_norm_basic
+from .quadrature import QuadratureSpec, _grid_values, default_spec, h1_norm_2hom, hp_norm, hq_norm_basic
 from .symbols import Symbol
 
 
@@ -180,10 +180,11 @@ def cex_truncation(K: int) -> Symbol:
     (z_{2j-1} + z_{2j})/sqrt(2) in fresh variables, and the whole sum is
     scaled by sqrt(6)/pi so the full series has H^2 norm 1. The
     truncation lives in dimension K(K+1) and has H^2 norm
-    sqrt(6)/pi * sqrt(sum_{k<=K} k^-2).
+    sqrt(6)/pi * sqrt(sum_{k<=K} k^-2). K above MAX_CEX_TRUNC is refused.
     """
     if not isinstance(K, int) or isinstance(K, bool) or K < 1:
         raise DomainError(f"truncation order must be an integer >= 1, got {K!r}")
+    check_budget(K, MAX_CEX_TRUNC, "cex truncation (MAX_CEX_TRUNC)", "blocks")
     dim = K * (K + 1)
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
     total = Symbol.zero(dim)
@@ -232,15 +233,15 @@ class PsiSeries:
             raise DomainError("truncation must be >= 1")
 
     @staticmethod
-    def coefficient(k: int) -> float:
+    def coefficient(k):
+        """(-1)^k / (1 - 2k), elementwise for an integer array k."""
         return (-1.0) ** k / (1.0 - 2.0 * k)
 
 
 def psi_evaluate(ps: PsiSeries, theta1: float, theta2: float) -> complex:
     """Value of the truncated series at (e^{i theta1}, e^{i theta2})."""
     ks = np.arange(-ps.truncation, ps.truncation + 1)
-    coefs = ((-1.0) ** ks) / (1.0 - 2.0 * ks)
-    return complex(np.sum(coefs * np.exp(1j * ((1 - ks) * theta1 + ks * theta2))))
+    return complex(np.sum(PsiSeries.coefficient(ks) * np.exp(1j * ((1 - ks) * theta1 + ks * theta2))))
 
 
 def psi_projection(ps: PsiSeries) -> Symbol:
@@ -268,10 +269,10 @@ def psi_sup_estimate(K: int, grid_n: int = 512) -> NormEstimate:
         raise DomainError("truncation must be >= 1")
     if grid_n < 16:
         raise DomainError("grid must have at least 16 points")
-    _check_grid_budget(grid_n)
+    check_budget(grid_n, MAX_GRID_POINTS, "tensor grid (MAX_GRID_POINTS)", "points")
+    check_budget(K, MAX_PSI_TRUNC, "completion series truncation (MAX_PSI_TRUNC)", "terms per side")
     ks = np.arange(-K, K + 1)
-    coefs = ((-1.0) ** ks) / (1.0 - 2.0 * ks)
-    (values,) = _grid_values(ks[:, None], coefs, grid_n)
+    (values,) = _grid_values(ks[:, None], PsiSeries.coefficient(ks), grid_n)
     envelope = grid_n / (2.0 * math.pi * K)
     return NormEstimate(
         float(np.abs(values).max()),

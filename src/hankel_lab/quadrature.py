@@ -9,7 +9,7 @@ grid has more points per dimension than the exponent spread; finite p on
 coarser grids is rejected. All grid evaluation goes through _grid_values:
 frequencies folded mod N, then one inverse FFT.
 
-Before gridding, hp_norm reduces the torus (_reduce): |phi| depends on
+Before integrating, hp_norm reduces the torus (_reduce): |phi| depends on
 theta only through the lattice spanned by the differences of its support
 exponents, so a symbol whose lattice has rank r < d is integrated as a
 trigonometric polynomial on T^r, with the same coefficients, exactly; the
@@ -18,8 +18,8 @@ grid's points per dimension then apply per reduced axis. The pair product
 monomial a constant. Full-rank symbols are gridded as given.
 
 Monte Carlo sampling (counter-based Philox generator, explicit seed) is
-available for any dimension, samples T^d unreduced, and is the required
-path when the reduced rank exceeds 4.
+available for any dimension, samples the same reduced torus T^r, and is
+the required path when the reduced rank exceeds 4.
 
 Every grid number comes from that one path: h1_norm_2hom (homogeneous
 symbols in at most two variables, which reduce to rank r <= 1) is
@@ -37,15 +37,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BudgetError, DomainError
+from .errors import MAX_GRID_POINTS, MAX_SAMPLES, DomainError, check_budget
 from .hankel import NormEstimate
 from .symbols import Symbol
 
 _EPS = np.finfo(float).eps
 # full coefficient grids above this many points are evaluated slice by slice
 _FULL_GRID_LIMIT = 1 << 22
-# largest tensor grid evaluated: the default d=4 grid refined, 128^4 points
-MAX_GRID_POINTS = 1 << 28
 
 
 @dataclass(frozen=True)
@@ -68,19 +66,15 @@ class QuadratureSpec:
             raise DomainError("points_per_dimension must be >= 4")
         if self.seed < 0:
             raise DomainError(f"seed must be >= 0, got {self.seed}")
-        if self.method == "monte-carlo" and self.samples < 1000:
-            raise DomainError("monte-carlo needs at least 1000 samples")
+        if self.method == "monte-carlo":
+            if self.samples < 1000:
+                raise DomainError("monte-carlo needs at least 1000 samples")
+            check_budget(self.samples, MAX_SAMPLES, "monte-carlo samples (MAX_SAMPLES)", "samples")
 
 
 def default_spec(dim: int) -> QuadratureSpec:
     """Default grid: 256 points per dimension up to d=2, 64 beyond."""
     return QuadratureSpec(points_per_dimension=256 if dim <= 2 else 64)
-
-
-def _check_grid_budget(points):
-    """Refuse a tensor grid of more than MAX_GRID_POINTS points before allocating it."""
-    if points > MAX_GRID_POINTS:
-        raise BudgetError(f"tensor grid (MAX_GRID_POINTS) exceeds the budget of {MAX_GRID_POINTS} points")
 
 
 def _grid_values(freqs, coefs, n):
@@ -227,16 +221,16 @@ def _mc_stat(s: Symbol, spec: QuadratureSpec, p):
 def hp_norm(s: Symbol, p, spec: QuadratureSpec | None = None) -> NormEstimate:
     """H^p norm estimate (mean of |phi|^p on the grid, to the 1/p).
 
-    On the tensor grid the symbol is first reduced to T^r, r the rank of
-    its exponent-difference lattice (see _reduce), in any dimension d.
-    Tensor grids are limited to r <= 4; use a monte-carlo spec beyond
-    that. The spec's points per dimension apply per reduced axis, as does
-    the rule that they exceed the exponent spread for finite p; the
-    metadata then says "d=<d> reduced to r=<r>". Symbols of full rank are
-    evaluated as given. p = inf returns the grid (or sample) maximum,
-    which is only a lower estimate of the sup; for tensor grids the error
-    bound is a rigorous Bernstein cushion from the axis degrees of the
-    reduced symbol.
+    The symbol is first reduced to T^r, r the rank of its
+    exponent-difference lattice (see _reduce), in any dimension d, and
+    both methods integrate on T^r. Tensor grids are limited to r <= 4; use
+    a monte-carlo spec beyond that. The spec's points per dimension apply
+    per reduced axis, as does the rule that they exceed the exponent
+    spread for finite p; the metadata then says "d=<d> reduced to r=<r>".
+    Symbols of full rank are evaluated as given. p = inf returns the grid
+    (or sample) maximum, which is only a lower estimate of the sup; for
+    tensor grids the error bound is a rigorous Bernstein cushion from the
+    axis degrees of the reduced symbol.
     """
     if s.is_zero:
         raise DomainError("hp_norm requires a nonzero symbol")
@@ -244,16 +238,21 @@ def hp_norm(s: Symbol, p, spec: QuadratureSpec | None = None) -> NormEstimate:
         raise DomainError(f"p must be >= 1 or inf, got {p}")
     if spec is None:
         spec = default_spec(s.dim)
+    dim = s.dim
+    s = _reduce(s)
+    rank = s.dim if len(s.support) > 1 else 0
+    reduced = f" reduced to r={rank}" if rank < dim else ""
 
     if spec.method == "monte-carlo":
         stat, err3 = _mc_stat(s, spec, p)
+        sampled = f"; d={dim}{reduced}" if reduced else ""
         if p == math.inf:
             return NormEstimate(
                 stat,
                 "monte-carlo",
                 0.0,
                 f"sample max (lower estimate); philox seed={spec.seed} "
-                f"samples={spec.samples}",
+                f"samples={spec.samples}{sampled}",
             )
         value = stat ** (1.0 / p)
         err = err3 * value / (p * stat) if stat > 0 else 0.0
@@ -262,17 +261,13 @@ def hp_norm(s: Symbol, p, spec: QuadratureSpec | None = None) -> NormEstimate:
             "monte-carlo",
             err,
             f"philox seed={spec.seed} samples={spec.samples}; "
-            "3 standard errors, first-order in the 1/p power",
+            f"3 standard errors, first-order in the 1/p power{sampled}",
         )
 
-    dim = s.dim
-    s = _reduce(s)
-    rank = s.dim if len(s.support) > 1 else 0
     if rank > 4:
         raise DomainError(f"tensor-uniform is limited to rank <= 4, got rank {rank}; use monte-carlo")
-    reduced = f" reduced to r={rank}" if rank < dim else ""
     n = spec.points_per_dimension
-    _check_grid_budget((2 * n) ** s.dim)
+    check_budget((2 * n) ** s.dim, MAX_GRID_POINTS, "tensor grid (MAX_GRID_POINTS)", "points")
     spread = max(max(axis) - min(axis) for axis in zip(*s.support))
     if p != math.inf and n <= spread:  # frequencies of |phi|^2 would alias onto 0
         raise DomainError(f"{n} points per dimension do not resolve the exponent spread {spread}")

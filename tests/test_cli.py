@@ -8,6 +8,7 @@ import pytest
 
 import hankel_lab.cli as cli
 from hankel_lab.cli import main
+from hankel_lab.nehari import cex_truncation
 
 PAIR = "dim 2\n1.0 0.0 : 1 0\n1.0 0.0 : 0 1\n"
 
@@ -286,16 +287,35 @@ class TestHpNorm:
         assert out == ""
         assert err == "error: seed must be >= 0, got -1\n"
 
-    @pytest.mark.parametrize("argv", [("hp-norm", "{d1}", "1"), ("hp-norm", "{d1}", "inf"), ("psi",)])
-    def test_oversized_grid_is_refused_before_allocation(self, capsys, tmp_path, argv):
+    GRID_REFUSED = "error: tensor grid (MAX_GRID_POINTS) exceeds the budget of 268435456 points\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("hp-norm", "{d1}", "1", "--grid", "10000000000"), GRID_REFUSED),
+            (("hp-norm", "{d1}", "inf", "--grid", "10000000000"), GRID_REFUSED),
+            (("psi", "--grid", "10000000000"), GRID_REFUSED),
+            (
+                ("hp-norm", "{d1}", "1", "--samples", "1000000000000", "--seed", "1"),
+                "error: monte-carlo samples (MAX_SAMPLES) exceeds the budget of 10000000 samples\n",
+            ),
+            (
+                ("psi", "--trunc", "100000000"),
+                "error: completion series truncation (MAX_PSI_TRUNC) exceeds the budget of 10000000 terms per side\n",
+            ),
+            (("cex", "--trunc", "15"), "error: cex truncation (MAX_CEX_TRUNC) exceeds the budget of 14 blocks\n"),
+        ],
+        ids=[f"argv{i}" for i in range(6)],
+    )
+    def test_oversized_grid_is_refused_before_allocation(self, capsys, tmp_path, argv, message):
         path = tmp_path / "d1.sym"
         path.write_text("dim 1\n1.0 0.0 : 0\n0.5 0.0 : 1\n")
         start = time.perf_counter()
-        code, out, err = run(capsys, *(a.format(d1=path) for a in argv), "--grid", "10000000000")
+        code, out, err = run(capsys, *(a.format(d1=path) for a in argv))
         assert time.perf_counter() - start < 1.0
         assert code == 1
         assert out == ""
-        assert err == "error: tensor grid (MAX_GRID_POINTS) exceeds the budget of 268435456 points\n"
+        assert err == message
 
     def test_under_resolved_grid_is_domain_error(self, capsys, tmp_path):
         path = tmp_path / "big.sym"
@@ -382,6 +402,22 @@ class TestCexPsi:
         assert code == 0
         assert table_value(out, "classification") == "minimal"
         assert float(table_value(out, "dual_ratio_k=200_q=1")) > 1e3
+
+    def test_cex_builds_its_truncation_once(self, capsys, monkeypatch):
+        calls = []
+
+        def counted(K):
+            calls.append(K)
+            return cex_truncation(K)
+
+        monkeypatch.setattr(cli, "cex_truncation", counted)
+        code, out, _ = run(capsys, "cex", "--trunc", "6", "--json")
+        assert code == 0
+        assert calls == [6]
+        # each h2_K=k row is bit-identical to the norm of truncation k itself
+        rows = {r["quantity"]: r for r in json.loads(out)["reports"]}
+        for k in range(1, 7):
+            assert rows[f"h2_K={k}"]["value"] == cex_truncation(k).h2_norm()
 
     def test_cex_skips_gap_beyond_budget(self, capsys):
         # cex K=7 has a 3273-index basis: the h2 and dual-ratio rows stay

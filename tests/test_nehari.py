@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from hankel_lab import (
+    MAX_CEX_TRUNC,
+    BudgetError,
     DomainError,
     PsiSeries,
     QuadratureSpec,
@@ -164,6 +166,8 @@ class TestCexFamily:
     def test_bad_order(self):
         with pytest.raises(DomainError):
             cex_truncation(0)
+        with pytest.raises(BudgetError, match="MAX_CEX_TRUNC"):
+            cex_truncation(MAX_CEX_TRUNC + 1)
 
 
 class TestCexRatio:

@@ -5,6 +5,8 @@ import pytest
 from scipy.special import gamma
 
 from hankel_lab import (
+    MAX_SAMPLES,
+    BudgetError,
     DomainError,
     QuadratureSpec,
     default_spec,
@@ -40,6 +42,9 @@ class TestSpec:
             QuadratureSpec(method="simpson")
         with pytest.raises(DomainError):
             QuadratureSpec(method="monte-carlo", samples=10)
+        assert QuadratureSpec(method="monte-carlo", samples=MAX_SAMPLES).samples == MAX_SAMPLES
+        with pytest.raises(BudgetError, match="MAX_SAMPLES"):
+            QuadratureSpec(method="monte-carlo", samples=MAX_SAMPLES + 1)
 
 
 class TestHpNorm:
@@ -91,6 +96,7 @@ class TestHpNorm:
         assert "d=5 reduced to r=1" in grid.metadata
         est = hp_norm(s, 2, QuadratureSpec(method="monte-carlo", seed=7, samples=200_000))
         assert est.value == pytest.approx(s.h2_norm(), abs=3 * est.error_bound + 1e-2)
+        assert "d=5 reduced to r=1" in est.metadata
 
     def test_monte_carlo_deterministic(self):
         s = z(2, 0) + z(2, 1)
