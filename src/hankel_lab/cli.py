@@ -212,7 +212,7 @@ def cmd_hp_norm(args):
         "samples": spec.samples,
     }
     rows = [_estimate_row("hp_norm", est)]
-    if "reduced to" in est.metadata:  # the grid ran on a lower-dimensional torus
+    if "reduced to" in est.metadata:  # the norm was taken on a lower-dimensional torus
         rows.append(_row("note", est.metadata))
     _render("hp-norm", config, rows, args.json)
     return 0

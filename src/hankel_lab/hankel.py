@@ -34,9 +34,10 @@ _CHUNK = 1 << 16
 class NormEstimate:
     """A computed norm together with how it was obtained.
 
-    method is one of "spectral-exact", "grid-quadrature", "monte-carlo" or
-    "closed-form"; metadata is a free-form description (grid sizes, seeds,
-    refinement data) making the estimate self-describing.
+    method is one of "spectral-exact", "grid-quadrature", "arc-quadrature",
+    "monte-carlo" or "closed-form"; metadata is a free-form description
+    (grid sizes, seeds, refinement data) making the estimate
+    self-describing.
     """
 
     value: float

@@ -163,8 +163,7 @@ def search_c2(a: float, c_range=(0.0, 2.0)):
             x1 = right - _GOLDEN * (right - left)
             f1 = bound(x1)
     best_c = float(0.5 * (left + right))
-    # the H^1 spec of h1_norm_2hom, so the report matches the search's own evaluations
-    report = dual_bound(_quadratic_symbol(best_c), phi, QuadratureSpec(points_per_dimension=1 << 16))
+    report = dual_bound(_quadratic_symbol(best_c), phi)
     return best_c, replace(report, method="search")
 
 

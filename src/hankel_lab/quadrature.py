@@ -17,14 +17,24 @@ grid's points per dimension then apply per reduced axis. The pair product
 (z1+z2)(z3+z4) becomes (1+u)(1+v) on T^2, z1^3 + z2^3 becomes 1 + w, and a
 monomial a constant. Full-rank symbols are gridded as given.
 
+A reduced symbol of rank r <= 1 and degree at most _ARC_MAX_DEGREE is,
+at finite p, a polynomial P on the circle, and the grid's algebraic
+convergence at zeros of P on the circle is avoidable: _arc_stat cuts the
+circle at the angles of the roots of P, grades panels geometrically
+toward each cut, and integrates |P|^p by Gauss-Legendre with 16 and 32
+nodes per panel, exact to rounding. Its bound is the grid's
+refinement-difference formula. The spec's grid is still validated there
+(budget, spread) but sets no node count; p = inf, rank r >= 2 and higher
+degrees stay on the grid.
+
 Monte Carlo sampling (counter-based Philox generator, explicit seed) is
 available for any dimension, samples the same reduced torus T^r, and is
 the required path when the reduced rank exceeds 4.
 
-Every grid number comes from that one path: h1_norm_2hom (homogeneous
+Every quadrature number comes from hp_norm: h1_norm_2hom (homogeneous
 symbols in at most two variables, which reduce to rank r <= 1) is
-hp_norm at p=1 on a grid of at least 2^16 points. The one number not
-gridded is hq_norm_basic, the H^q norm of (z1+z2)/sqrt(2), which has a
+hp_norm at p=1 with a spec of at least 2^16 points. The one number not
+integrated is hq_norm_basic, the H^q norm of (z1+z2)/sqrt(2), which has a
 closed form (Wallis) evaluated with log-gamma.
 """
 
@@ -44,6 +54,10 @@ from .symbols import Symbol
 _EPS = np.finfo(float).eps
 # full coefficient grids above this many points are evaluated slice by slice
 _FULL_GRID_LIMIT = 1 << 22
+# rank <= 1 symbols up to this degree are integrated on arcs (_arc_stat) at finite p
+_ARC_MAX_DEGREE = 64
+# Gauss-Legendre nodes per arc of the coarse rule; the refined rule has twice as many
+_ARC_NODES = 16
 
 
 @dataclass(frozen=True)
@@ -191,6 +205,55 @@ def _sup_cushion(s: Symbol, n: int, grid_max: float):
     return cushion, f"Bernstein cushion with sum of axis degrees {sum(axis_deg)}"
 
 
+@lru_cache(maxsize=None)
+def _gauss_legendre(n: int):
+    return np.polynomial.legendre.leggauss(n)
+
+
+def _arc_ends(roots, degree: int):
+    """Sorted panel ends on [0, 2 pi] for |P(e^{it})|^p, P with these roots.
+
+    Each root r makes |P|^p singular at t = arg r +- i log|r|, about
+    ||r| - 1| off the real axis. The ends cut [0, 2 pi) at every arg r and
+    grade geometrically (ratio 4) away from it, starting at that distance
+    (floored at 1e-14, where the panel's share is below rounding), so no
+    panel comes closer to a singularity than a third of its width. A uniform
+    spacing of at most 4 / degree keeps panels short against the
+    oscillation of e^{i degree t}.
+    """
+    depth = np.maximum(np.abs(np.abs(roots) - 1.0), 1e-14)
+    offsets = depth[:, None] * 4.0 ** np.arange(26)  # 1e-14 * 4^25 > pi
+    near = offsets < math.pi
+    angles = np.angle(roots)[:, None]
+    cuts = np.concatenate([angles[:, 0], (angles + offsets)[near], (angles - offsets)[near]])
+    uniform = np.linspace(0.0, 2.0 * math.pi, 2 + math.ceil(math.pi * degree / 2))
+    return np.unique(np.concatenate([uniform, np.mod(cuts, 2.0 * math.pi)]))
+
+
+def _arc_stat(s: Symbol, p):
+    """Means of |phi|^p over T^1 by Gauss-Legendre on arcs split at the roots.
+
+    s is a symbol on T^1 (a reduced symbol of rank <= 1). Returns the means
+    with _ARC_NODES and 2 * _ARC_NODES nodes per arc, and the arc count.
+    """
+    low = min(a[0] for a in s.support)
+    coefs = np.zeros(max(a[0] for a in s.support) - low + 1, dtype=complex)
+    for a, c in s.terms():
+        coefs[a[0] - low] = c
+    desc = coefs[::-1]
+    # a coefficient below rounding of |P| on the circle moves no root near it;
+    # dropping it keeps the companion matrix finite (1 + 1e-320 w^2)
+    kept = np.where(np.abs(desc) >= _EPS * np.abs(desc).max(), desc, 0)
+    ends = _arc_ends(np.roots(kept), len(coefs) - 1)
+    lefts, widths = ends[:-1, None], np.diff(ends)[:, None]
+    means = []
+    for n in (_ARC_NODES, 2 * _ARC_NODES):
+        x, w = _gauss_legendre(n)
+        values = np.abs(np.polyval(desc, np.exp(1j * (lefts + widths * (0.5 * (x + 1.0)))))) ** p
+        means.append(float((widths * w * values).sum()) / (4.0 * math.pi))
+    return means, len(ends) - 1
+
+
 def _mc_stat(s: Symbol, spec: QuadratureSpec, p):
     rng = np.random.Generator(np.random.Philox(spec.seed))
     alphas = np.array([a for a, _ in s.terms()], dtype=float)
@@ -200,7 +263,8 @@ def _mc_stat(s: Symbol, spec: QuadratureSpec, p):
     best = 0.0
     remaining = spec.samples
     while remaining > 0:
-        m = min(131072, remaining)
+        # at most 2^20 entries in the (samples, terms) matrix of exponentials
+        m = min(131072, max(1, (1 << 20) // len(coefs)), remaining)
         theta = rng.uniform(0.0, 2.0 * np.pi, size=(m, s.dim))
         mags = np.abs(np.exp(1j * theta @ alphas.T) @ coefs)
         if p == math.inf:
@@ -227,7 +291,11 @@ def hp_norm(s: Symbol, p, spec: QuadratureSpec | None = None) -> NormEstimate:
     a monte-carlo spec beyond that. The spec's points per dimension apply
     per reduced axis, as does the rule that they exceed the exponent
     spread for finite p; the metadata then says "d=<d> reduced to r=<r>".
-    Symbols of full rank are evaluated as given. p = inf returns the grid
+    Symbols of full rank are evaluated as given. At finite p a reduced
+    symbol of rank r <= 1 and degree <= _ARC_MAX_DEGREE is integrated on
+    arcs split at its roots (method "arc-quadrature", see _arc_stat) after
+    the same checks, so the points per dimension then set no node count;
+    higher degrees use the grid. p = inf returns the grid
     (or sample) maximum, which is only a lower estimate of the sup; for
     tensor grids the error bound is a rigorous Bernstein cushion from the
     axis degrees of the reduced symbol.
@@ -271,9 +339,8 @@ def hp_norm(s: Symbol, p, spec: QuadratureSpec | None = None) -> NormEstimate:
     spread = max(max(axis) - min(axis) for axis in zip(*s.support))
     if p != math.inf and n <= spread:  # frequencies of |phi|^2 would alias onto 0
         raise DomainError(f"{n} points per dimension do not resolve the exponent spread {spread}")
-    coarse = _tensor_stat(s, n, p) if p != math.inf else None  # the sup needs only the fine grid
-    fine = _tensor_stat(s, 2 * n, p)
     if p == math.inf:
+        fine = _tensor_stat(s, 2 * n, p)
         cushion, note = _sup_cushion(s, 2 * n, fine)
         return NormEstimate(
             fine,
@@ -281,14 +348,16 @@ def hp_norm(s: Symbol, p, spec: QuadratureSpec | None = None) -> NormEstimate:
             cushion,
             f"grid max on {2 * n}^{s.dim} (lower estimate){reduced}; {note}",
         )
+    if rank <= 1 and spread <= _ARC_MAX_DEGREE:
+        (coarse, fine), arcs = _arc_stat(s, p)
+        method = "arc-quadrature"
+        rule = f"gauss-legendre {_ARC_NODES} refined to {2 * _ARC_NODES} nodes on {arcs} arcs cut at the roots"
+    else:
+        coarse, fine = _tensor_stat(s, n, p), _tensor_stat(s, 2 * n, p)
+        method, rule = "grid-quadrature", f"tensor-uniform N={n} refined to {2 * n}"
     value = fine ** (1.0 / p)
     err = abs(value - coarse ** (1.0 / p)) + 32 * _EPS * (1.0 + value)
-    return NormEstimate(
-        value,
-        "grid-quadrature",
-        err,
-        f"tensor-uniform N={n} refined to {2 * n}, d={dim}{reduced}, p={p}",
-    )
+    return NormEstimate(value, method, err, f"{rule}, d={dim}{reduced}, p={p}")
 
 
 # -- closed forms and thin wrappers ------------------------------------------
@@ -355,8 +424,11 @@ def h1_norm_2hom(s: Symbol, spec: QuadratureSpec | None = None) -> NormEstimate:
 
     Homogeneity makes |phi| a function of the difference of the two
     angles alone, so the symbol reduces to rank r <= 1 in any dimension;
-    this is hp_norm at p=1 on a grid of at least 2^16 points (or the
-    spec's count if larger), with its spread check and refinement bound.
+    this is hp_norm at p=1 with a spec of at least 2^16 points (or the
+    spec's count if larger), with its budget and spread checks and
+    refinement bound. Up to degree _ARC_MAX_DEGREE the value comes from
+    the arc rule and does not depend on that count; the 2^16 floor sets
+    the grid only for the fallback above that degree.
     """
     if s.is_zero:
         raise DomainError("h1_norm_2hom requires a nonzero symbol")

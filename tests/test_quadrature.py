@@ -108,6 +108,23 @@ class TestHpNorm:
         assert other.value != first.value
         assert "seed=42" in first.metadata
 
+    def test_monte_carlo_memory_bounded_by_terms(self):
+        import tracemalloc
+
+        # the 120 lowest exponents in d=8 (1, the z_j, ...) span the full lattice
+        exponents = sorted((a for a in np.ndindex(*(4,) * 8) if sum(a) <= 3), key=lambda a: (sum(a), a))[:120]
+        rng = np.random.default_rng(151)
+        s = make_symbol(8, [(a, complex(*rng.uniform(-1, 1, size=2))) for a in exponents])
+        assert len(s.support) == 120 and _reduce(s) is s
+        tracemalloc.start()
+        try:
+            est = hp_norm(s, 2, QuadratureSpec(method="monte-carlo", seed=5, samples=20_000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48e6
+        assert abs(est.value - s.h2_norm()) <= est.error_bound
+
     def test_zero_and_bad_p(self):
         from hankel_lab import Symbol
 
@@ -156,6 +173,70 @@ class TestHpNorm:
         est = hp_norm(huge, math.inf, QuadratureSpec())
         assert est.value == 1.5
         assert est.error_bound == math.inf
+
+
+def circle_polynomial(coefs):
+    """sum_k coefs[k] w^k as a symbol on T^1."""
+    return make_symbol(1, [((k,), complex(c)) for k, c in enumerate(coefs)])
+
+
+def fft_circle_abs(coefs, n=1 << 20):
+    """|P| at the n-th roots of unity, for an independent trapezoid-rule reference."""
+    return np.abs(np.fft.ifft(np.asarray(coefs, dtype=complex), n) * n)
+
+
+class TestArcQuadrature:
+    def test_quadratic_witness_to_rounding(self):
+        est = hp_norm(phi2(1.0), 1)  # z1^2 + z1 z2 + z2^2
+        assert est.method == "arc-quadrature"
+        assert abs(est.value - H1_QUADRATIC) <= 1e-14
+        assert est.error_bound <= 1e-13
+        assert "d=2 reduced to r=1" in est.metadata
+
+    def test_roots_near_the_circle_match_fft_reference(self):
+        rng = np.random.default_rng(157)
+        for degree in range(1, 7):
+            for modulus in (0.9, 0.99, 0.999, 1.001, 1.01, 1.1):
+                roots = modulus * np.exp(2j * np.pi * rng.uniform(size=degree))
+                coefs = np.poly(roots)[::-1] * complex(*rng.normal(size=2))
+                s, mags = circle_polynomial(coefs), fft_circle_abs(coefs)
+                for p in (1, 1.5, 2, 3.5):
+                    est = hp_norm(s, p)
+                    assert est.method == "arc-quadrature"
+                    assert abs(est.value - float(np.mean(mags**p)) ** (1 / p)) <= est.error_bound
+
+    def test_rank1_symbols_match_grid_within_refinement_bound(self):
+        rng = np.random.default_rng(163)
+        symbols = [
+            z(2, 0) + z(2, 1),
+            phi2(1.0),
+            phi2(0.5),
+            make_symbol(1, [((10,), 1.0), ((0,), 1.0)]),
+            make_symbol(2, [((3, 0), 1.0), ((0, 3), 2.0)]),
+            make_symbol(2, [((1, 1), 1.0)]),
+        ]
+        symbols += [s for s in (rank_deficient(rng, 3) for _ in range(40)) if _reduce(s).dim == 1][:8]
+        n = 1024
+        for s in symbols:
+            reduced = _reduce(s)
+            for p in (1, 2, 3.5):
+                est = hp_norm(s, p, QuadratureSpec(points_per_dimension=n))
+                assert est.method == "arc-quadrature"
+                fine = _tensor_stat(reduced, 2 * n, p) ** (1 / p)
+                grid_bound = abs(fine - _tensor_stat(reduced, n, p) ** (1 / p)) + 32 * _EPS * (1 + fine)
+                assert abs(est.value - fine) <= grid_bound + est.error_bound
+
+    def test_negligible_leading_coefficient(self):
+        # the roots of 1 + 1e-320 w^2 lie near 1e160, beyond a finite companion matrix
+        est = hp_norm(make_symbol(1, [((0,), 1.0), ((2,), 1e-320)]), 1)
+        assert abs(est.value - 1.0) <= est.error_bound
+
+    def test_grid_beyond_arc_degree(self):
+        # degree 65 > _ARC_MAX_DEGREE stays on the grid; p = inf always does
+        s = make_symbol(1, [((65,), 1.0), ((0,), 1.0)])
+        est = hp_norm(s, 2, QuadratureSpec(points_per_dimension=128))
+        assert est.method == "grid-quadrature" and est.value == pytest.approx(math.sqrt(2), abs=1e-14)
+        assert hp_norm(z(2, 0) + z(2, 1), math.inf).method == "grid-quadrature"
 
 
 def rank_deficient(rng, dim, scale=2):
@@ -258,12 +339,14 @@ class TestHqBasic:
 
     @pytest.mark.parametrize("q", [1.0, 1.3, 1.7, 2.0])
     def test_matches_pair_sum_grid(self, q):
-        # an independent check of the closed form: the grid path on T^2
+        # an independent check of the closed form: hp_norm on T^2, which
+        # reduces the pair sum to 1 + w and integrates it on arcs
         pair = (z(2, 0) + z(2, 1)) * (1 / math.sqrt(2))
-        grid = hp_norm(pair, q, QuadratureSpec(points_per_dimension=1 << 14))
+        arcs = hp_norm(pair, q, QuadratureSpec(points_per_dimension=1 << 14))
         est = hq_norm_basic(q)
         assert est.method == "closed-form"
-        assert abs(est.value - grid.value) <= est.error_bound + grid.error_bound
+        assert arcs.error_bound <= 1e-12
+        assert abs(est.value - arcs.value) <= est.error_bound + arcs.error_bound
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -346,10 +429,13 @@ class TestH1Reduction:
         assert "d=6 reduced to r=1" in hp_norm(s, 1, QuadratureSpec(points_per_dimension=1024)).metadata
 
     def test_matches_full_grid(self):
+        # the grid is the independent reference: 2^16 points refined to 2^17
         rng = np.random.default_rng(113)
         for _ in range(20):
             m = int(rng.integers(1, 5))
             s = random_symbol(rng, 2, homogeneous=m, complex_coeffs=False)
-            reduced = h1_norm_2hom(s)
-            full = hp_norm(s, 1, QuadratureSpec(points_per_dimension=256))
-            assert abs(reduced.value - full.value) <= reduced.error_bound + full.error_bound
+            est = h1_norm_2hom(s)
+            reduced = _reduce(s)
+            coarse, fine = _tensor_stat(reduced, 1 << 16, 1), _tensor_stat(reduced, 1 << 17, 1)
+            grid_bound = abs(fine - coarse) + 32 * _EPS * (1 + fine)
+            assert abs(est.value - fine) <= est.error_bound + grid_bound
