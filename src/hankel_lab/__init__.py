@@ -19,6 +19,7 @@ from .symbols import (
     make_symbol,
     parse_symbol,
     separate_variables,
+    split_factors,
 )
 from .hankel import (
     HankelMatrix,
@@ -124,4 +125,5 @@ __all__ = [
     "search_c2",
     "separate_variables",
     "spectral_norm",
+    "split_factors",
 ]

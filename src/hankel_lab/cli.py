@@ -212,7 +212,8 @@ def cmd_hp_norm(args):
         "samples": spec.samples,
     }
     rows = [_estimate_row("hp_norm", est)]
-    if "reduced to" in est.metadata:  # the norm was taken on a lower-dimensional torus
+    # the norm was taken on a lower-dimensional torus, or as a product of factors
+    if "reduced to" in est.metadata or "factored into" in est.metadata:
         rows.append(_row("note", est.metadata))
     _render("hp-norm", config, rows, args.json)
     return 0

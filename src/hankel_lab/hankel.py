@@ -24,7 +24,7 @@ from itertools import product
 import numpy as np
 
 from .errors import MAX_BASIS, MAX_CLOSURE, DomainError, check_budget
-from .symbols import Symbol, degree, grlex_key
+from .symbols import FACTOR_RTOL, Symbol, degree, grlex_key, split_factors
 
 # elements per temporary array in _fill
 _CHUNK = 1 << 16
@@ -208,9 +208,52 @@ def spectral_norm(matrix) -> NormEstimate:
     )
 
 
+def product_error(values, errors):
+    """prod(v_i + e_i) - prod(v_i): how far prod t_i can be from prod v_i when |t_i - v_i| <= e_i.
+
+    Summed as a telescoping series of non-negative terms, so a small
+    difference is not lost to cancellation.
+    """
+    if math.inf in errors:
+        return math.inf
+    total, done = 0.0, 1.0
+    for i, e in enumerate(errors):
+        total += done * e * math.prod(values[i + 1:])
+        done *= values[i] + e
+    return total
+
+
 def operator_norm(s: Symbol) -> NormEstimate:
-    """Operator norm of the Hankel operator of a polynomial symbol."""
-    mat = build_matrix(s)
+    """Operator norm of the Hankel operator of a polynomial symbol.
+
+    The MAX_BASIS refusal runs on the whole symbol first. A product in
+    disjoint variables, phi = f(z_A) g(z_B), has H_phi = H_f (x) H_g, so
+    its norm is the product of its factors' norms (split_factors), each a
+    dense SVD on the factor's own basis. The factors' error bounds combine
+    as prod(v_i + e_i) - prod(v_i), and the fit residual delta adds
+    ||H_delta|| <= sqrt(sum_alpha prod(alpha_j + 1) |delta_alpha|^2), its
+    Frobenius norm, since alpha fills prod(alpha_j + 1) entries. When that
+    exceeds FACTOR_RTOL times the value, or nothing splits, the whole
+    matrix is decomposed.
+    """
+    cols, rows = active_bases(s)
+    factors, delta = split_factors(s)
+    if len(factors) > 1:
+        mats = [build_matrix(f) for _, f in factors]
+        parts = [spectral_norm(m) for m in mats]
+        values = [e.value for e in parts]
+        value = math.prod(values)
+        residual = math.sqrt(math.fsum(math.prod(e + 1 for e in a) * abs(c) ** 2 for a, c in delta.terms()))
+        if residual <= FACTOR_RTOL * value:
+            shapes = ", ".join(f"{m.shape[0]}x{m.shape[1]}" for m in mats)
+            return NormEstimate(
+                value,
+                "spectral-exact",
+                product_error(values, [e.error_bound for e in parts]) + residual,
+                f"active basis {len(rows)}x{len(cols)} factored into {len(factors)}: "
+                f"SVDs of {shapes}; fit residual bound {residual:.3g}",
+            )
+    mat = _fill(s, rows, cols)
     est = spectral_norm(mat)
     r, c = mat.shape
     return NormEstimate(est.value, est.method, est.error_bound, f"active basis {r}x{c}")

@@ -15,6 +15,7 @@ higher powers first, so for d=2 the degree-2 indices come as
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 
 from .errors import DomainError, ParseError
@@ -242,6 +243,94 @@ def separate_variables(a: Symbol, b: Symbol) -> bool:
     if a.dim != b.dim:
         raise DomainError(f"dimension mismatch: {a.dim} vs {b.dim}")
     return not (a.variable_support() & b.variable_support())
+
+
+# A caller computes a norm from the factors of split_factors only when the
+# fit residual's bound is at most this share of the value.
+FACTOR_RTOL = 1e-12
+
+
+def split_factors(s: Symbol):
+    """The finest factors of s in disjoint variables, and the fit residual.
+
+    Returns (factors, delta). factors is a list of (variables, factor)
+    pairs: the variable groups partition range(s.dim), each a sorted
+    tuple, and each factor is a Symbol in len(variables) dimensions. delta
+    is s minus the product of the factors, on the support of s, to the
+    rounding of that product. One factor, s itself with delta zero, means
+    that no split was found.
+
+    Detection is polynomial in d and the support size. Variables i and j
+    are joined when the support's projection on (i, j) is not the product
+    of its projections on i and on j, which never happens for variables of
+    different true factors; the connected components are the candidate
+    groups. The groups that do not split off the rest on their own are
+    merged into one, and the split stands only if the support is the
+    product of the groups' projections. Variables on which the support
+    takes one exponent join the first group. The coefficients are then
+    fitted as a rank-1 product through the largest one. A split can be
+    missed (two parity supports in disjoint variables), but never wrongly
+    claimed: what the fit leaves is delta, which callers bound.
+    """
+    d = s.dim
+    support = list(s._coeffs)
+    whole = ([(tuple(range(d)), s)], Symbol.zero(d))
+    if len(support) < 2:
+        return whole
+    columns = list(zip(*support))
+    sizes = [len(set(column)) for column in columns]
+    moving = [j for j in range(d) if sizes[j] > 1]
+    parent = {j: j for j in moving}
+
+    def root(j):
+        while parent[j] != j:
+            j = parent[j]
+        return j
+
+    for i, j in itertools.combinations(moving, 2):
+        ri, rj = root(i), root(j)
+        if ri != rj and len(set(zip(columns[i], columns[j]))) != sizes[i] * sizes[j]:
+            parent[ri] = rj
+    components = {}
+    for j in moving:
+        components.setdefault(root(j), []).append(j)
+
+    def projection(group):
+        return set(zip(*(columns[j] for j in group)))
+
+    n = len(support)
+    groups, merged = [], []
+    for group in components.values():
+        rest = [j for j in moving if j not in group]
+        if len(projection(group)) * len(projection(rest)) == n:
+            groups.append(group)
+        else:
+            merged += group
+    if merged:
+        groups.append(sorted(merged))
+    groups.sort()
+    if len(groups) < 2 or math.prod(len(projection(g)) for g in groups) != n:
+        return whole
+    groups[0] = sorted(groups[0] + [j for j in range(d) if sizes[j] == 1])
+
+    coeffs = s._coeffs
+    top = max(support, key=lambda a: abs(coeffs[a]))
+    fits = []
+    for i, group in enumerate(groups):
+        scale = 1.0 if i == 0 else coeffs[top]
+        fit = {}
+        for a in projection(group):
+            alpha = list(top)
+            for j, e in zip(group, a):
+                alpha[j] = e
+            fit[a] = coeffs[tuple(alpha)] / scale
+        fits.append(fit)
+    residual = []
+    for alpha, c in coeffs.items():
+        fitted = math.prod(fit[tuple(alpha[j] for j in g)] for g, fit in zip(groups, fits))
+        residual.append((alpha, c - fitted))
+    delta = Symbol(d, residual)
+    return [(tuple(g), Symbol(len(g), fit.items())) for g, fit in zip(groups, fits)], delta
 
 
 # -- text format -----------------------------------------------------------

@@ -35,6 +35,56 @@ def pair_product(d):
     return out
 
 
+# (z1^2 + 0.5 z2^2)(z3^3 - 2 z4 z5^2): a recipe prod of two sums
+RECIPE_PRODUCT = """(prod
+  (sum (mono 1.0 0.0 : 2 0 0 0 0) (mono 0.5 0.0 : 0 2 0 0 0))
+  (sum (mono 1.0 0.0 : 0 0 3 0 0) (mono -2.0 0.0 : 0 0 0 1 2)))
+"""
+
+
+def embedded_product(dim, factors):
+    """Product of (variables, Symbol) factors, each Symbol on len(variables) dimensions."""
+    out = Symbol.one(dim)
+    for variables, f in factors:
+        terms = []
+        for a, c in f.terms():
+            alpha = [0] * dim
+            for j, e in zip(variables, a):
+                alpha[j] = e
+            terms.append((tuple(alpha), c))
+        out = out * make_symbol(dim, terms)
+    return out
+
+
+def circle_factor(rng, m):
+    """c * prod (w - r_k) on one variable, every root at modulus 0.4-0.75 or 1.33-2.5."""
+    coeffs = np.array([complex(*rng.normal(size=2))])
+    for _ in range(m):
+        modulus = rng.uniform(0.4, 0.75) if rng.random() < 0.5 else rng.uniform(1.33, 2.5)
+        root = modulus * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+        coeffs = np.concatenate([[0], coeffs]) - root * np.concatenate([coeffs, [0]])
+    return make_symbol(1, [((e,), complex(c)) for e, c in enumerate(coeffs)])
+
+
+def one_variable_product(rng, degrees):
+    """Product of circle_factor polynomials of these degrees, one variable each."""
+    return embedded_product(len(degrees), [((j,), circle_factor(rng, m)) for j, m in enumerate(degrees)])
+
+
+def hom2_product(rng, degrees):
+    """Product of two-variable homogeneous polynomials with nonzero coefficients, on (z1, z2), (z3, z4), ..."""
+    factors = []
+    for i, m in enumerate(degrees):
+        coeffs = rng.normal(size=m + 1) + 1j * rng.normal(size=m + 1)
+        factors.append(((2 * i, 2 * i + 1), make_symbol(2, [((j, m - j), complex(c)) for j, c in enumerate(coeffs)])))
+    return embedded_product(2 * len(degrees), factors)
+
+
+def perturbed(rng, s, eps):
+    """s with every coefficient moved by a relative eps, on the same support."""
+    return make_symbol(s.dim, [(a, c * (1 + eps * complex(*rng.normal(size=2)))) for a, c in s.terms()])
+
+
 def random_symbol(rng, dim, max_degree=3, n_terms=4, complex_coeffs=True,
                   homogeneous=None, variables=None, no_constant=False):
     """Random nonzero symbol with bounded degree on a variable subset."""

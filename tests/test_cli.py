@@ -262,7 +262,8 @@ class TestHpNorm:
 
     def test_pair_product_is_reduced(self, capsys, tmp_path):
         # (z1+z2)(z3+z4) depends on two angle differences: the default 64^4
-        # grid becomes 64^2 on T^2
+        # grid becomes 64^2 on T^2, and (1+u)(1+v) there is a product of two
+        # circle integrals
         path = tmp_path / "pairs.sym"
         path.write_text("dim 4\n" + "".join(f"1.0 0.0 : {a} {1 - a} {b} {1 - b}\n" for a in (0, 1) for b in (0, 1)))
         start = time.perf_counter()
@@ -274,6 +275,7 @@ class TestHpNorm:
         value, bound = rows["hp_norm"]["value"], rows["hp_norm"]["error_bound"]
         assert abs(value - (4 / math.pi) ** 2) <= bound
         assert "d=4 reduced to r=2" in rows["note"]["value"]
+        assert "factored into 2" in rows["note"]["value"]
 
     def test_bad_p_is_parse_error(self, capsys, pair_file):
         code, out, err = run(capsys, "hp-norm", pair_file, "abc")

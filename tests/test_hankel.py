@@ -15,12 +15,26 @@ from hankel_lab import (
     build_block,
     build_blocks,
     build_matrix,
+    build_recipe,
     cex_truncation,
     make_symbol,
     operator_norm,
+    parse_recipe,
     spectral_norm,
 )
-from helpers import brute_norm, pair_product, phi2, phi3, random_symbol, z
+from hankel_lab.hankel import product_error
+from helpers import (
+    RECIPE_PRODUCT,
+    brute_norm,
+    hom2_product,
+    one_variable_product,
+    pair_product,
+    perturbed,
+    phi2,
+    phi3,
+    random_symbol,
+    z,
+)
 
 
 def enumerate_dominated(support, dim):
@@ -290,3 +304,59 @@ class TestOperatorNorm:
             left = spectral_norm(build_block(s, k)).value
             right = spectral_norm(build_block(s.reflect(), m - k)).value
             assert left == pytest.approx(right, abs=1e-10)
+
+
+class TestFactoredNorm:
+    def assert_agrees(self, s):
+        """operator_norm against the dense SVD of the whole matrix, within both stated bounds."""
+        est = operator_norm(s)
+        dense = spectral_norm(build_matrix(s))
+        assert abs(est.value - dense.value) <= est.error_bound + dense.error_bound
+        return est
+
+    def test_products_split_finest(self):
+        rng = np.random.default_rng(411)
+        cases = [
+            (one_variable_product(rng, [3, 2, 2]), 3),
+            (one_variable_product(rng, [5, 5, 5, 4]), 4),
+            (pair_product(3), 3),
+            (hom2_product(rng, [2, 3]), 2),
+            (build_recipe(parse_recipe(RECIPE_PRODUCT)), 2),
+        ]
+        for s, k in cases:
+            assert f"factored into {k}:" in self.assert_agrees(s).metadata
+        assert operator_norm(pair_product(3)).metadata == (
+            "active basis 27x27 factored into 3: SVDs of 3x3, 3x3, 3x3; fit residual bound 0"
+        )
+
+    def test_non_products_are_not_factored(self):
+        s = make_symbol(2, [((0, 0), 1), ((1, 0), 1), ((0, 1), 1), ((1, 1), 2)])
+        assert self.assert_agrees(s).metadata == "active basis 4x4"
+        assert "factored" not in self.assert_agrees(cex_truncation(3)).metadata
+
+    def test_perturbed_products(self):
+        rng = np.random.default_rng(413)
+        for eps in (1e-15, 1e-12, 1e-9, 1e-6):
+            for degrees in ([3, 2, 2], [4, 4, 3]):
+                s = perturbed(rng, one_variable_product(rng, degrees), eps)
+                est = self.assert_agrees(s)
+                n = math.prod(m + 1 for m in degrees)
+                if eps == 1e-15:
+                    assert "factored into 3:" in est.metadata
+                elif eps == 1e-6:  # above the constant: the whole matrix
+                    assert est.metadata == f"active basis {n}x{n}"
+
+    def test_product_error(self):
+        assert product_error([2.0, 3.0], [0.1, 0.2]) == pytest.approx(2.1 * 3.2 - 6.0, rel=1e-15)
+        assert product_error([2.0, 0.0], [math.inf, 0.5]) == math.inf
+        rng = np.random.default_rng(419)
+        for _ in range(200):
+            values, errors = rng.uniform(0.1, 3, size=4), rng.uniform(0, 0.3, size=4)
+            exact = values + errors * rng.uniform(-1, 1, size=4)
+            assert abs(np.prod(exact) - np.prod(values)) <= product_error(list(values), list(errors)) * (1 + 1e-12)
+
+    def test_refusal_runs_on_the_whole_symbol(self):
+        # four factors of 10 terms each are small; their 10^4-term product is refused
+        s = one_variable_product(np.random.default_rng(417), [9, 9, 9, 9])
+        with pytest.raises(BudgetError, match=r"full active basis \(MAX_BASIS\) exceeds the budget of 3000 monomials"):
+            operator_norm(s)

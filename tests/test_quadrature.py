@@ -9,6 +9,7 @@ from hankel_lab import (
     BudgetError,
     DomainError,
     QuadratureSpec,
+    build_recipe,
     default_spec,
     h1_norm_2hom,
     hp_norm,
@@ -17,9 +18,19 @@ from hankel_lab import (
     hq_norm_basic,
     make_symbol,
     operator_norm,
+    parse_recipe,
 )
 from hankel_lab.quadrature import _EPS, _reduce, _sup_cushion, _tensor_stat
-from helpers import pair_product, phi2, random_symbol, z
+from helpers import (
+    RECIPE_PRODUCT,
+    hom2_product,
+    one_variable_product,
+    pair_product,
+    perturbed,
+    phi2,
+    random_symbol,
+    z,
+)
 
 H1_QUADRATIC = 1 / 3 + 2 * math.sqrt(3) / math.pi  # (1/2pi) int |1 + 2 cos u| du
 
@@ -439,3 +450,113 @@ class TestH1Reduction:
             coarse, fine = _tensor_stat(reduced, 1 << 16, 1), _tensor_stat(reduced, 1 << 17, 1)
             grid_bound = abs(fine - coarse) + 32 * _EPS * (1 + fine)
             assert abs(est.value - fine) <= est.error_bound + grid_bound
+
+
+def unfactored(s, p, n):
+    """The tensor grid on the reduced symbol, refined: hp_norm's value and bound without factoring."""
+    r = _reduce(s)
+    fine = _tensor_stat(r, 2 * n, p)
+    if p == math.inf:
+        return fine, _sup_cushion(r, 2 * n, fine)[0]
+    value = fine ** (1 / p)
+    return value, abs(value - _tensor_stat(r, n, p) ** (1 / p)) + 32 * _EPS * (1 + value)
+
+
+class TestFactoredHpNorm:
+    def assert_agrees(self, s, p, n):
+        """hp_norm against the unfactored grid, within the sum of both stated bounds."""
+        est = hp_norm(s, p, QuadratureSpec(points_per_dimension=n))
+        value, bound = unfactored(s, p, n)
+        assert abs(est.value - value) <= est.error_bound + bound
+        if p == math.inf:  # the tensor grid's max is the product of the axis grids' maxima
+            assert est.value == pytest.approx(value, rel=1e-12)
+        return est
+
+    @pytest.mark.parametrize("p", [1, 2, 3.5, math.inf])
+    def test_products_split_finest(self, p):
+        rng = np.random.default_rng(421)
+        cases = [
+            (one_variable_product(rng, [2, 3, 2]), 3, "d=3, p="),
+            (one_variable_product(rng, [2, 2, 1, 1]), 4, "d=4, p="),
+            (pair_product(2), 2, "d=4 reduced to r=2"),
+            (hom2_product(rng, [2, 3]), 2, "d=4 reduced to r=2"),
+            (build_recipe(parse_recipe(RECIPE_PRODUCT)), 2, "d=5 reduced to r=2"),
+        ]
+        for s, k, where in cases:
+            est = self.assert_agrees(s, p, 16)
+            assert f"factored into {k} " in est.metadata and where in est.metadata
+            assert est.method == ("grid-quadrature" if p == math.inf else "arc-quadrature")
+
+    @pytest.mark.parametrize("p", [1, 2, 3.5, math.inf])
+    def test_product_support_with_other_coefficients_is_not_factored(self, p):
+        s = make_symbol(2, [((0, 0), 1), ((1, 0), 1), ((0, 1), 1), ((1, 1), 2)])
+        est = self.assert_agrees(s, p, 16)
+        assert "factored" not in est.metadata and est.value == unfactored(s, p, 16)[0]
+
+    @pytest.mark.parametrize("p", [1, 2, 3.5, math.inf])
+    def test_perturbed_products(self, p):
+        rng = np.random.default_rng(423)
+        for eps in (1e-15, 1e-12, 1e-9, 1e-6):
+            s = perturbed(rng, one_variable_product(rng, [2, 3, 2]), eps)
+            est = self.assert_agrees(s, p, 32)
+            if eps == 1e-15:
+                assert "factored into 3 " in est.metadata
+            elif eps == 1e-6:  # above the constant: the whole grid
+                assert "factored" not in est.metadata
+
+    def test_monte_carlo_is_not_factored(self):
+        s = one_variable_product(np.random.default_rng(425), [1, 2, 1, 1])
+        est = hp_norm(s, 2, QuadratureSpec(method="monte-carlo", seed=3, samples=20_000))
+        assert est.method == "monte-carlo" and "factored" not in est.metadata
+        assert abs(est.value - s.h2_norm()) <= est.error_bound
+
+    def test_refusals_run_on_the_whole_symbol(self):
+        rng = np.random.default_rng(427)
+        with pytest.raises(DomainError) as err:
+            hp_norm(one_variable_product(rng, [1, 1, 1, 1, 1]), 1, QuadratureSpec(points_per_dimension=16))
+        assert str(err.value) == "tensor-uniform is limited to rank <= 4, got rank 5; use monte-carlo"
+        with pytest.raises(BudgetError) as err:
+            hp_norm(one_variable_product(rng, [1, 1, 1, 1]), 1, QuadratureSpec(points_per_dimension=129))
+        assert str(err.value) == "tensor grid (MAX_GRID_POINTS) exceeds the budget of 268435456 points"
+        with pytest.raises(DomainError) as err:
+            hp_norm(one_variable_product(rng, [2, 5]), 1, QuadratureSpec(points_per_dimension=4))
+        assert str(err.value) == "4 points per dimension do not resolve the exponent spread 5"
+
+
+def mc_complex_phases(s, spec, p):
+    """hp_norm's Monte Carlo value and bound, with the phases formed as (1j * theta) @ alphas.T."""
+    s = _reduce(s)
+    rng = np.random.Generator(np.random.Philox(spec.seed))
+    alphas = np.array([a for a, _ in s.terms()], dtype=float)
+    coefs = np.array([c for _, c in s.terms()])
+    total = total_sq = 0.0
+    remaining = spec.samples
+    while remaining > 0:
+        m = min(131072, max(1, (1 << 20) // len(coefs)), remaining)
+        theta = rng.uniform(0.0, 2.0 * np.pi, size=(m, s.dim))
+        powered = np.abs(np.exp(1j * theta @ alphas.T) @ coefs) ** p
+        total += float(powered.sum())
+        total_sq += float((powered**2).sum())
+        remaining -= m
+    mean = total / spec.samples
+    value = mean ** (1 / p)
+    sem = math.sqrt(max(total_sq / spec.samples - mean**2, 0.0) / spec.samples)
+    return value, 3 * sem * value / (p * mean)
+
+
+class TestMonteCarloPhases:
+    def test_real_phases_agree_with_complex_phases(self):
+        rng = np.random.default_rng(151)
+        exponents = sorted((a for a in np.ndindex(*(4,) * 8) if sum(a) <= 3), key=lambda a: (sum(a), a))[:120]
+        wide = make_symbol(8, [(a, complex(*rng.uniform(-1, 1, size=2))) for a in exponents])
+        product = one_variable_product(np.random.default_rng(431), [1, 2, 1, 0, 0, 0])
+        cases = [
+            (z(2, 0) + z(2, 1), 1, 42, 50_000),
+            (z(5, 0) + z(5, 4), 2, 7, 200_000),
+            (wide, 2, 5, 20_000),
+            (product, 1, 11, 100_000),
+        ]
+        for s, p, seed, samples in cases:
+            spec = QuadratureSpec(method="monte-carlo", seed=seed, samples=samples)
+            value, bound = mc_complex_phases(s, spec, p)
+            assert abs(hp_norm(s, p, spec).value - value) <= bound

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -7,12 +8,28 @@ from hankel_lab import (
     DomainError,
     ParseError,
     Symbol,
+    build_recipe,
+    cex_truncation,
     format_symbol,
     make_symbol,
+    parse_recipe,
     parse_symbol,
     separate_variables,
+    split_factors,
 )
-from helpers import eval_direct, grid_mean_abs_pow, phi2, phi3, random_symbol, z
+from helpers import (
+    embedded_product,
+    eval_direct,
+    grid_mean_abs_pow,
+    RECIPE_PRODUCT,
+    hom2_product,
+    one_variable_product,
+    pair_product,
+    phi2,
+    phi3,
+    random_symbol,
+    z,
+)
 
 
 def sym_allclose(a, b, tol=1e-12):
@@ -246,3 +263,66 @@ class TestTextFormat:
     def test_missing_header(self):
         with pytest.raises(ParseError):
             parse_symbol("# nothing here\n")
+
+
+class TestSplitFactors:
+    def assert_split(self, s, groups):
+        """s splits into exactly these groups, and factors times delta give s back."""
+        factors, delta = split_factors(s)
+        assert [variables for variables, _ in factors] == groups
+        assert all(f.dim == len(variables) for variables, f in factors)
+        assert delta.h2_norm() <= 1e-14 * s.h2_norm()
+        assert sym_allclose(embedded_product(s.dim, factors) + delta, s, tol=1e-14 * s.h2_norm())
+        return factors, delta
+
+    def test_one_variable_factors(self):
+        rng = np.random.default_rng(401)
+        for degrees in ([3, 1], [2, 3, 2], [2, 2, 1, 1], [5, 5, 5, 4]):
+            self.assert_split(one_variable_product(rng, degrees), [(j,) for j in range(len(degrees))])
+
+    def test_pair_products(self):
+        _, delta = self.assert_split(pair_product(3), [(0, 1), (2, 3), (4, 5)])
+        assert delta.is_zero
+
+    def test_two_homogeneous_factors(self):
+        rng = np.random.default_rng(403)
+        self.assert_split(hom2_product(rng, [2, 3]), [(0, 1), (2, 3)])
+        self.assert_split(hom2_product(rng, [1, 2, 2]), [(0, 1), (2, 3), (4, 5)])
+
+    def test_recipe_product_of_sums(self):
+        s = build_recipe(parse_recipe(RECIPE_PRODUCT))
+        _, delta = self.assert_split(s, [(0, 1), (2, 3, 4)])
+        assert delta.is_zero
+
+    def test_single_exponent_variables_join_the_first_group(self):
+        # z1^2 (1 + z2)(1 + z3) in d=4: z1 takes one exponent, z4 none
+        one = Symbol.one(4)
+        s = z(4, 0) * z(4, 0) * (one + z(4, 1)) * (one + 3 * z(4, 2))
+        self.assert_split(s, [(0, 1, 3), (2,)])
+
+    def test_groups_that_do_not_split_off_are_merged(self):
+        # every pair of z1, z2, z3 projects onto a full square, but the
+        # parity support is not a product; (1 + z4) still splits off
+        parity = make_symbol(4, [((0, 0, 0, 0), 1), ((1, 1, 0, 0), 1), ((1, 0, 1, 0), 1), ((0, 1, 1, 0), 1)])
+        self.assert_split(parity * (Symbol.one(4) + z(4, 3)), [(0, 1, 2), (3,)])
+
+    def test_cex_truncation_does_not_split(self):
+        s = cex_truncation(6)
+        start = time.perf_counter()
+        factors, delta = split_factors(s)
+        assert time.perf_counter() - start < 1.0  # d=42: no enumeration of variable subsets
+        assert factors == [(tuple(range(42)), s)] and delta.is_zero
+
+    def test_product_support_with_other_coefficients(self):
+        # the support {0,1}^2 is a product, the coefficients are not: the
+        # rank-1 fit leaves a residual as large as the coefficients
+        s = make_symbol(2, [((0, 0), 1), ((1, 0), 1), ((0, 1), 1), ((1, 1), 2)])
+        factors, delta = split_factors(s)
+        assert [variables for variables, _ in factors] == [(0,), (1,)]
+        assert delta.h2_norm() >= 0.5
+        assert sym_allclose(embedded_product(2, factors) + delta, s)
+
+    def test_monomials_and_zero_do_not_split(self):
+        for s in (Symbol.zero(3), z(3, 0) * z(3, 1), Symbol.one(2)):
+            factors, delta = split_factors(s)
+            assert len(factors) == 1 and factors[0][1] == s and delta.is_zero
