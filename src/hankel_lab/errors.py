@@ -8,13 +8,15 @@ before the work it bounds starts.
 """
 
 # Largest active basis of a full matrix: n^2 complex entries (144 MB at
-# n = 3000) and an O(n^3) SVD.
+# n = 3000) and an O(n^3) SVD. A product in disjoint variables is held to it
+# factor by factor (hankel.factored).
 MAX_BASIS = 3000
 # Largest closure of a homogeneous symbol, split into its degree blocks:
 # each block is small, but the closure is enumerated as Python tuples and
 # z1^m alone has m + 1 one-by-one blocks.
 MAX_CLOSURE = 30_000
-# largest tensor grid evaluated: the default d=4 grid refined, 128^4 points
+# Largest tensor grid evaluated: the default d=4 grid refined, 128^4 points.
+# A product in disjoint variables is held to it factor by factor.
 MAX_GRID_POINTS = 1 << 28
 # Deepest recipe nesting the parser accepts, which bounds the recursion of
 # every walk over a parsed tree.

@@ -223,37 +223,63 @@ def product_error(values, errors):
     return total
 
 
-def operator_norm(s: Symbol) -> NormEstimate:
-    """Operator norm of the Hankel operator of a polynomial symbol.
+def factored(s: Symbol, rule, residual) -> NormEstimate:
+    """A norm of s as the product of its factors' norms, or rule(s).
 
-    The MAX_BASIS refusal runs on the whole symbol first. A product in
-    disjoint variables, phi = f(z_A) g(z_B), has H_phi = H_f (x) H_g, so
-    its norm is the product of its factors' norms (split_factors), each a
-    dense SVD on the factor's own basis. The factors' error bounds combine
-    as prod(v_i + e_i) - prod(v_i), and the fit residual delta adds
-    ||H_delta|| <= sqrt(sum_alpha prod(alpha_j + 1) |delta_alpha|^2), its
-    Frobenius norm, since alpha fills prod(alpha_j + 1) entries. When that
-    exceeds FACTOR_RTOL times the value, or nothing splits, the whole
-    matrix is decomposed.
+    A product in disjoint variables, phi = f(z_A) g(z_B), has
+    H_phi = H_f (x) H_g and, by Fubini, ||phi||_p = ||f||_p ||g||_p for
+    every p, the sup included. split_factors finds the finest split and the
+    fit residual delta; rule runs on each factor and the values multiply.
+    The factors' bounds combine as prod(v_i + e_i) - prod(v_i)
+    (product_error), and residual(delta), a bound on the norm of delta,
+    is added. The method is the factors' common one, grid-quadrature where
+    arc and grid factors mix, and the metadata reads
+    "factored into <k> [<factor metadata>] ..., fit residual bound <r>".
+
+    The whole symbol goes through rule instead when it does not split, when
+    residual(delta) exceeds FACTOR_RTOL times the value, or when rule
+    refuses a factor (any DomainError, BudgetError included). So a budget
+    bounds the work done on each factor, and every refusal, with its
+    message, is the whole symbol's.
     """
-    cols, rows = active_bases(s)
     factors, delta = split_factors(s)
     if len(factors) > 1:
-        mats = [build_matrix(f) for _, f in factors]
-        parts = [spectral_norm(m) for m in mats]
+        try:
+            parts = [rule(f) for _, f in factors]
+        except DomainError:
+            return rule(s)
         values = [e.value for e in parts]
         value = math.prod(values)
-        residual = math.sqrt(math.fsum(math.prod(e + 1 for e in a) * abs(c) ** 2 for a, c in delta.terms()))
-        if residual <= FACTOR_RTOL * value:
-            shapes = ", ".join(f"{m.shape[0]}x{m.shape[1]}" for m in mats)
+        fit = residual(delta)
+        if fit <= FACTOR_RTOL * value:
+            methods = {e.method for e in parts}
             return NormEstimate(
                 value,
-                "spectral-exact",
-                product_error(values, [e.error_bound for e in parts]) + residual,
-                f"active basis {len(rows)}x{len(cols)} factored into {len(factors)}: "
-                f"SVDs of {shapes}; fit residual bound {residual:.3g}",
+                methods.pop() if len(methods) == 1 else "grid-quadrature",
+                product_error(values, [e.error_bound for e in parts]) + fit,
+                f"factored into {len(parts)} " + " ".join(f"[{e.metadata}]" for e in parts)
+                + f", fit residual bound {fit:.3g}",
             )
-    mat = _fill(s, rows, cols)
+    return rule(s)
+
+
+def _dense_norm(s: Symbol) -> NormEstimate:
+    mat = build_matrix(s)
     est = spectral_norm(mat)
     r, c = mat.shape
     return NormEstimate(est.value, est.method, est.error_bound, f"active basis {r}x{c}")
+
+
+def operator_norm(s: Symbol) -> NormEstimate:
+    """Operator norm of the Hankel operator of a polynomial symbol.
+
+    A dense SVD on the active bases, or on each factor's for a product in
+    disjoint variables (see factored). The fit residual delta adds
+    ||H_delta|| <= sqrt(sum_alpha prod(alpha_j + 1) |delta_alpha|^2), its
+    Frobenius norm, since alpha fills prod(alpha_j + 1) entries.
+    """
+    return factored(
+        s,
+        _dense_norm,
+        lambda delta: math.sqrt(math.fsum(math.prod(e + 1 for e in a) * abs(c) ** 2 for a, c in delta.terms())),
+    )

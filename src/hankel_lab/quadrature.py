@@ -27,16 +27,9 @@ refinement-difference formula. The spec's grid is still validated there
 (budget, spread) but sets no node count; p = inf, rank r >= 2 and higher
 degrees stay on the grid.
 
-On the grid and on the arcs, a product in disjoint variables,
-phi = f(z_A) g(z_B), is integrated factor by factor: by Fubini
-||phi||_p = ||f||_p ||g||_p for every p, the sup included. The split
-comes from symbols.split_factors on the symbol as given, each factor is
-reduced on its own, and the factor values multiply. The factor bounds
-combine as prod(v_i + e_i) - prod(v_i) (at p = inf: grid maxima and
-Bernstein cushions), and the fit residual delta adds
-||delta||_p <= sum |delta_alpha|. The split is used only when that
-residual is at most FACTOR_RTOL times the value, and only after every
-refusal (rank, grid budget, spread) has run on the whole reduced symbol.
+On the grid and on the arcs, a product in disjoint variables is the
+product of its factors' norms (hankel.factored), each factor reduced,
+checked and integrated on its own.
 
 Monte Carlo sampling (counter-based Philox generator, explicit seed) is
 available for any dimension, samples the same reduced torus T^r, is not
@@ -59,8 +52,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import MAX_GRID_POINTS, MAX_SAMPLES, DomainError, check_budget
-from .hankel import NormEstimate, product_error
-from .symbols import FACTOR_RTOL, Symbol, split_factors
+from .hankel import NormEstimate, factored
+from .symbols import Symbol
 
 _EPS = np.finfo(float).eps
 # full coefficient grids above this many points are evaluated slice by slice
@@ -314,17 +307,13 @@ def hp_norm(s: Symbol, p, spec: QuadratureSpec | None = None) -> NormEstimate:
     higher degrees use the grid. p = inf returns the grid
     (or sample) maximum, which is only a lower estimate of the sup; for
     tensor grids the error bound is a rigorous Bernstein cushion from the
-    axis degrees of the reduced symbol.
+    axis degrees of the reduced symbol, and a sample max has none (inf).
 
-    A tensor-uniform spec on a product in disjoint variables of reduced
-    rank r >= 2 is computed from its factors (see the module docstring):
-    the value is the product of the factors' values, the bound is
-    prod(v_i + e_i) - prod(v_i) plus sum |delta_alpha| for the fit
-    residual delta, and the metadata says "factored into <k>" with each
-    factor's rule. At p = inf the product of grid maxima then lies below
-    the sup of the fitted product, so below the sup of phi up to
-    sum |delta_alpha|, at most FACTOR_RTOL of it. A larger residual, a
-    Monte Carlo spec or a symbol that does not split takes the paths above.
+    A tensor-uniform spec on a product in disjoint variables takes the
+    product of its factors' norms (hankel.factored), each factor reduced
+    and checked on its own; the split is found on s as given, because a
+    lattice basis can skew a product's coordinates. The fit residual delta
+    adds sum |delta_alpha|. Monte Carlo is not factored.
     """
     if s.is_zero:
         raise DomainError("hp_norm requires a nonzero symbol")
@@ -332,19 +321,17 @@ def hp_norm(s: Symbol, p, spec: QuadratureSpec | None = None) -> NormEstimate:
         raise DomainError(f"p must be >= 1 or inf, got {p}")
     if spec is None:
         spec = default_spec(s.dim)
-    dim = s.dim
-    given, s = s, _reduce(s)
-    rank = s.dim if len(s.support) > 1 else 0
-    reduced = f" reduced to r={rank}" if rank < dim else ""
-
     if spec.method == "monte-carlo":
+        dim = s.dim
+        s = _reduce(s)
+        rank = s.dim if len(s.support) > 1 else 0
         stat, err3 = _mc_stat(s, spec, p)
-        sampled = f"; d={dim}{reduced}" if reduced else ""
+        sampled = f"; d={dim} reduced to r={rank}" if rank < dim else ""
         if p == math.inf:
             return NormEstimate(
                 stat,
                 "monte-carlo",
-                0.0,
+                math.inf,
                 f"sample max (lower estimate); philox seed={spec.seed} "
                 f"samples={spec.samples}{sampled}",
             )
@@ -357,58 +344,35 @@ def hp_norm(s: Symbol, p, spec: QuadratureSpec | None = None) -> NormEstimate:
             f"philox seed={spec.seed} samples={spec.samples}; "
             f"3 standard errors, first-order in the 1/p power{sampled}",
         )
+    n = spec.points_per_dimension
+    est = factored(s, lambda f: _grid_or_arc(f, p, n), lambda delta: math.fsum(abs(c) for _, c in delta.terms()))
+    return NormEstimate(est.value, est.method, est.error_bound, f"{est.metadata}, p={p}")
 
+
+def _grid_or_arc(s: Symbol, p, n: int) -> NormEstimate:
+    """||s||_p on the arcs or the tensor grid after reduction, with its checks.
+
+    Raises DomainError for a reduced rank above 4 or a spread the grid does
+    not resolve at finite p, and BudgetError for a grid above
+    MAX_GRID_POINTS. The metadata names the rule and "d=<d>[ reduced to r=<r>]".
+    """
+    dim = s.dim
+    s = _reduce(s)
+    rank = s.dim if len(s.support) > 1 else 0
+    where = f"d={dim} reduced to r={rank}" if rank < dim else f"d={dim}"
     if rank > 4:
         raise DomainError(f"tensor-uniform is limited to rank <= 4, got rank {rank}; use monte-carlo")
-    n = spec.points_per_dimension
     check_budget((2 * n) ** s.dim, MAX_GRID_POINTS, "tensor grid (MAX_GRID_POINTS)", "points")
     spread = _spread(s)
     if p != math.inf and n <= spread:  # frequencies of |phi|^2 would alias onto 0
         raise DomainError(f"{n} points per dimension do not resolve the exponent spread {spread}")
-    est = _product_estimate(given, p, n) if rank >= 2 else None
-    if est is None:
-        est = _grid_or_arc(s, p, n)
-    return NormEstimate(est.value, est.method, est.error_bound, f"{est.metadata}, d={dim}{reduced}, p={p}")
-
-
-def _product_estimate(s: Symbol, p, n: int):
-    """||s||_p as the product of its factors' norms, or None where that does not apply.
-
-    The split (split_factors) is found on s as given, because a lattice
-    basis can skew a product's coordinates, and each factor is reduced on
-    its own. None when nothing splits, when a factor's spread needs more
-    than n points per axis at finite p, or when the fit residual's bound
-    sum |delta_alpha| exceeds FACTOR_RTOL times the value.
-    """
-    factors, delta = split_factors(s)
-    if len(factors) < 2:
-        return None
-    reduced = [_reduce(f) for _, f in factors]
-    if p != math.inf and any(_spread(f) >= n for f in reduced):
-        return None
-    parts = [_grid_or_arc(f, p, n) for f in reduced]
-    values = [e.value for e in parts]
-    value = math.prod(values)
-    residual = math.fsum(abs(c) for _, c in delta.terms())
-    if not residual <= FACTOR_RTOL * value:
-        return None
-    arcs = all(e.method == "arc-quadrature" for e in parts)
-    return NormEstimate(
-        value,
-        "arc-quadrature" if arcs else "grid-quadrature",
-        product_error(values, [e.error_bound for e in parts]) + residual,
-        f"factored into {len(factors)} " + " ".join(f"[{e.metadata}]" for e in parts)
-        + f", fit residual bound {residual:.3g}",
-    )
-
-
-def _grid_or_arc(s: Symbol, p, n: int) -> NormEstimate:
-    """||s||_p of a reduced symbol whose checks have passed; metadata names the rule only."""
     if p == math.inf:
         fine = _tensor_stat(s, 2 * n, p)
         cushion, note = _sup_cushion(s, 2 * n, fine)
-        return NormEstimate(fine, "grid-quadrature", cushion, f"grid max on {2 * n}^{s.dim} (lower estimate); {note}")
-    if s.dim <= 1 and _spread(s) <= _ARC_MAX_DEGREE:
+        return NormEstimate(
+            fine, "grid-quadrature", cushion, f"grid max on {2 * n}^{s.dim} (lower estimate); {note}, {where}"
+        )
+    if s.dim <= 1 and spread <= _ARC_MAX_DEGREE:
         (coarse, fine), arcs = _arc_stat(s, p)
         method = "arc-quadrature"
         rule = f"gauss-legendre {_ARC_NODES} refined to {2 * _ARC_NODES} nodes on {arcs} arcs cut at the roots"
@@ -417,7 +381,7 @@ def _grid_or_arc(s: Symbol, p, n: int) -> NormEstimate:
         method, rule = "grid-quadrature", f"tensor-uniform N={n} refined to {2 * n}"
     value = fine ** (1.0 / p)
     err = abs(value - coarse ** (1.0 / p)) + 32 * _EPS * (1.0 + value)
-    return NormEstimate(value, method, err, rule)
+    return NormEstimate(value, method, err, f"{rule}, {where}")
 
 
 # -- closed forms and thin wrappers ------------------------------------------

@@ -259,6 +259,18 @@ class TestHpNorm:
         assert float(table_value(out, "hp_norm")) == pytest.approx(math.sqrt(2), abs=0.05)
         assert "monte-carlo" in out
 
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_monte_carlo_sup_has_no_upper_bound(self, capsys, pair_file, as_json):
+        code, out, _ = run(capsys, "norm", pair_file, "--samples", "20000", "--seed", "1", *(["--json"] if as_json else []))
+        assert code == 0
+        if as_json:
+            rows = {r["quantity"]: r for r in json.loads(out)["reports"]}
+            assert (rows["sup_estimate"]["method"], rows["sup_estimate"]["error_bound"]) == ("monte-carlo", "inf")
+        else:
+            assert [line.split()[2:] for line in out.splitlines() if line.startswith("sup_estimate")] == [
+                ["monte-carlo", "inf"]
+            ]
+
 
     def test_pair_product_is_reduced(self, capsys, tmp_path):
         # (z1+z2)(z3+z4) depends on two angle differences: the default 64^4
@@ -274,8 +286,8 @@ class TestHpNorm:
         assert json.loads(out)["config"]["grid"] == 64
         value, bound = rows["hp_norm"]["value"], rows["hp_norm"]["error_bound"]
         assert abs(value - (4 / math.pi) ** 2) <= bound
-        assert "d=4 reduced to r=2" in rows["note"]["value"]
-        assert "factored into 2" in rows["note"]["value"]
+        factor = "[gauss-legendre 16 refined to 32 nodes on 54 arcs cut at the roots, d=2 reduced to r=1]"
+        assert rows["note"]["value"] == f"factored into 2 {factor} {factor}, fit residual bound 0, p=1.0"
 
     def test_bad_p_is_parse_error(self, capsys, pair_file):
         code, out, err = run(capsys, "hp-norm", pair_file, "abc")

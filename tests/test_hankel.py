@@ -21,11 +21,14 @@ from hankel_lab import (
     operator_norm,
     parse_recipe,
     spectral_norm,
+    split_factors,
 )
 from hankel_lab.hankel import product_error
 from helpers import (
     RECIPE_PRODUCT,
     brute_norm,
+    circle_factor,
+    embedded_product,
     hom2_product,
     one_variable_product,
     pair_product,
@@ -317,17 +320,30 @@ class TestFactoredNorm:
     def test_products_split_finest(self):
         rng = np.random.default_rng(411)
         cases = [
-            (one_variable_product(rng, [3, 2, 2]), 3),
-            (one_variable_product(rng, [5, 5, 5, 4]), 4),
-            (pair_product(3), 3),
-            (hom2_product(rng, [2, 3]), 2),
-            (build_recipe(parse_recipe(RECIPE_PRODUCT)), 2),
+            (
+                one_variable_product(rng, [3, 2, 2]),
+                "factored into 3 [active basis 4x4] [active basis 3x3] [active basis 3x3], fit residual bound 7.34e-15",
+            ),
+            (
+                one_variable_product(rng, [5, 5, 5, 4]),
+                "factored into 4 [active basis 6x6] [active basis 6x6] [active basis 6x6] [active basis 5x5], "
+                "fit residual bound 1.15e-11",
+            ),
+            (
+                pair_product(3),
+                "factored into 3 [active basis 3x3] [active basis 3x3] [active basis 3x3], fit residual bound 0",
+            ),
+            (
+                hom2_product(rng, [2, 3]),
+                "factored into 2 [active basis 6x6] [active basis 10x10], fit residual bound 1.22e-15",
+            ),
+            (
+                build_recipe(parse_recipe(RECIPE_PRODUCT)),
+                "factored into 2 [active basis 5x5] [active basis 9x9], fit residual bound 0",
+            ),
         ]
-        for s, k in cases:
-            assert f"factored into {k}:" in self.assert_agrees(s).metadata
-        assert operator_norm(pair_product(3)).metadata == (
-            "active basis 27x27 factored into 3: SVDs of 3x3, 3x3, 3x3; fit residual bound 0"
-        )
+        for s, metadata in cases:
+            assert self.assert_agrees(s).metadata == metadata
 
     def test_non_products_are_not_factored(self):
         s = make_symbol(2, [((0, 0), 1), ((1, 0), 1), ((0, 1), 1), ((1, 1), 2)])
@@ -342,7 +358,12 @@ class TestFactoredNorm:
                 est = self.assert_agrees(s)
                 n = math.prod(m + 1 for m in degrees)
                 if eps == 1e-15:
-                    assert "factored into 3:" in est.metadata
+                    assert est.metadata == {
+                        3: "factored into 3 [active basis 4x4] [active basis 3x3] [active basis 3x3], "
+                        "fit residual bound 7.93e-14",
+                        4: "factored into 3 [active basis 5x5] [active basis 5x5] [active basis 4x4], "
+                        "fit residual bound 2.11e-12",
+                    }[degrees[0]]
                 elif eps == 1e-6:  # above the constant: the whole matrix
                     assert est.metadata == f"active basis {n}x{n}"
 
@@ -355,8 +376,21 @@ class TestFactoredNorm:
             exact = values + errors * rng.uniform(-1, 1, size=4)
             assert abs(np.prod(exact) - np.prod(values)) <= product_error(list(values), list(errors)) * (1 + 1e-12)
 
-    def test_refusal_runs_on_the_whole_symbol(self):
-        # four factors of 10 terms each are small; their 10^4-term product is refused
-        s = one_variable_product(np.random.default_rng(417), [9, 9, 9, 9])
-        with pytest.raises(BudgetError, match=r"full active basis \(MAX_BASIS\) exceeds the budget of 3000 monomials"):
+    def test_products_over_the_whole_budget_compute(self):
+        # four factors of 10 terms each; the 10^4-term product's basis is over MAX_BASIS
+        rng = np.random.default_rng(417)
+        factors = [circle_factor(rng, 9) for _ in range(4)]
+        s = embedded_product(4, [((j,), f) for j, f in enumerate(factors)])
+        with pytest.raises(BudgetError):
+            active_bases(s)
+        est = operator_norm(s)
+        assert est.metadata.startswith("factored into 4 [active basis 10x10] [active basis 10x10]")
+        assert abs(est.value - math.prod(brute_norm(f) for f in factors)) <= est.error_bound
+
+    def test_refused_factor_sends_the_whole_symbol(self):
+        # the factor 1 + z1^3000 has 3001 basis indices; the message is the whole symbol's
+        s = make_symbol(2, [((a, b), 1.0) for a in (0, 3000) for b in (0, 1)])
+        assert len(split_factors(s)[0]) == 2
+        with pytest.raises(BudgetError) as err:
             operator_norm(s)
+        assert str(err.value) == "full active basis (MAX_BASIS) exceeds the budget of 3000 monomials"

@@ -19,10 +19,14 @@ from hankel_lab import (
     make_symbol,
     operator_norm,
     parse_recipe,
+    split_factors,
 )
 from hankel_lab.quadrature import _EPS, _reduce, _sup_cushion, _tensor_stat
 from helpers import (
     RECIPE_PRODUCT,
+    circle_factor,
+    embedded_product,
+    grid_mean_abs_pow,
     hom2_product,
     one_variable_product,
     pair_product,
@@ -118,6 +122,13 @@ class TestHpNorm:
         other = hp_norm(s, 1, QuadratureSpec(method="monte-carlo", seed=43, samples=50_000))
         assert other.value != first.value
         assert "seed=42" in first.metadata
+
+    def test_monte_carlo_sup_has_no_upper_bound(self):
+        # a sample max is only a lower estimate of the sup, 2 here
+        est = hp_norm(z(2, 0) + z(2, 1), math.inf, QuadratureSpec(method="monte-carlo", seed=1, samples=20_000))
+        assert est.method == "monte-carlo" and est.error_bound == math.inf
+        assert est.metadata == "sample max (lower estimate); philox seed=1 samples=20000; d=2 reduced to r=1"
+        assert 1.99 < est.value <= 2.0 + 1e-15
 
     def test_monte_carlo_memory_bounded_by_terms(self):
         import tracemalloc
@@ -475,16 +486,31 @@ class TestFactoredHpNorm:
     @pytest.mark.parametrize("p", [1, 2, 3.5, math.inf])
     def test_products_split_finest(self, p):
         rng = np.random.default_rng(421)
-        cases = [
-            (one_variable_product(rng, [2, 3, 2]), 3, "d=3, p="),
-            (one_variable_product(rng, [2, 2, 1, 1]), 4, "d=4, p="),
-            (pair_product(2), 2, "d=4 reduced to r=2"),
-            (hom2_product(rng, [2, 3]), 2, "d=4 reduced to r=2"),
-            (build_recipe(parse_recipe(RECIPE_PRODUCT)), 2, "d=5 reduced to r=2"),
+        r1 = "d=2 reduced to r=1"
+        cases = [  # symbol, (arcs, degree, where) per factor, fit residual bound
+            (one_variable_product(rng, [2, 3, 2]), [(15, 2, "d=1"), (21, 3, "d=1"), (13, 2, "d=1")], "4.59e-14"),
+            (
+                one_variable_product(rng, [2, 2, 1, 1]),
+                [(13, 2, "d=1"), (11, 2, "d=1"), (8, 1, "d=1"), (8, 1, "d=1")],
+                "2.09e-13",
+            ),
+            (pair_product(2), [(54, 1, r1), (54, 1, r1)], "0"),
+            (hom2_product(rng, [2, 3]), [(15, 2, r1), (15, 3, r1)], "3.26e-16"),
+            (build_recipe(parse_recipe(RECIPE_PRODUCT)), [(6, 1, r1), (7, 1, "d=3 reduced to r=1")], "0"),
         ]
-        for s, k, where in cases:
+
+        def rule(arcs, degree):
+            if p == math.inf:
+                return f"grid max on 32^1 (lower estimate); Bernstein cushion with sum of axis degrees {degree}"
+            return f"gauss-legendre 16 refined to 32 nodes on {arcs} arcs cut at the roots"
+
+        for s, factors, residual in cases:
             est = self.assert_agrees(s, p, 16)
-            assert f"factored into {k} " in est.metadata and where in est.metadata
+            assert est.metadata == (
+                f"factored into {len(factors)} "
+                + " ".join(f"[{rule(arcs, degree)}, {where}]" for arcs, degree, where in factors)
+                + f", fit residual bound {residual}, p={p}"
+            )
             assert est.method == ("grid-quadrature" if p == math.inf else "arc-quadrature")
 
     @pytest.mark.parametrize("p", [1, 2, 3.5, math.inf])
@@ -510,17 +536,40 @@ class TestFactoredHpNorm:
         assert est.method == "monte-carlo" and "factored" not in est.metadata
         assert abs(est.value - s.h2_norm()) <= est.error_bound
 
-    def test_refusals_run_on_the_whole_symbol(self):
+    def test_products_over_the_whole_budget_compute(self):
+        # rank 5 is over the grid's rank limit and 258^4 over MAX_GRID_POINTS;
+        # each one-variable factor takes the arc rule
         rng = np.random.default_rng(427)
+        for degrees, n in (([1, 1, 1, 1, 1], 16), ([1, 1, 1, 1], 129)):
+            factors = [circle_factor(rng, m) for m in degrees]
+            s = embedded_product(len(degrees), [((j,), f) for j, f in enumerate(factors)])
+            est = hp_norm(s, 1, QuadratureSpec(points_per_dimension=n))
+            assert est.method == "arc-quadrature"
+            assert est.metadata.startswith(f"factored into {len(degrees)} [gauss-legendre")
+            # the references' roots lie off the circle, so a 4096-point trapezoid is exact to rounding
+            expected = math.prod(grid_mean_abs_pow(f, 4096, 1) for f in factors)
+            assert abs(est.value - expected) <= est.error_bound + 1e-13 * expected
+
+    def test_refused_factor_sends_the_whole_symbol(self):
+        spec = QuadratureSpec(points_per_dimension=4)
+        # the factor 1 + z1^4 + z2^4 has full rank, so it keeps its spread 4;
+        # the whole reduces to r=3 with spread 1
+        factor = [((0, 0), 1.0), ((4, 0), 1.0), ((0, 4), 1.0)]
         with pytest.raises(DomainError) as err:
-            hp_norm(one_variable_product(rng, [1, 1, 1, 1, 1]), 1, QuadratureSpec(points_per_dimension=16))
-        assert str(err.value) == "tensor-uniform is limited to rank <= 4, got rank 5; use monte-carlo"
-        with pytest.raises(BudgetError) as err:
-            hp_norm(one_variable_product(rng, [1, 1, 1, 1]), 1, QuadratureSpec(points_per_dimension=129))
-        assert str(err.value) == "tensor grid (MAX_GRID_POINTS) exceeds the budget of 268435456 points"
+            hp_norm(make_symbol(2, factor), 1, spec)
+        assert str(err.value) == "4 points per dimension do not resolve the exponent spread 4"
+        s = make_symbol(4, [(a + b, 1.0) for a, _ in factor for b in ((1, 0), (0, 1))])  # times z3 + z4
+        assert len(split_factors(s)[0]) == 2
+        est = hp_norm(s, 1, spec)
+        assert est.value == unfactored(s, 1, 4)[0]
+        assert est.metadata == "tensor-uniform N=4 refined to 8, d=4 reduced to r=3, p=1"
         with pytest.raises(DomainError) as err:
-            hp_norm(one_variable_product(rng, [2, 5]), 1, QuadratureSpec(points_per_dimension=4))
+            hp_norm(one_variable_product(np.random.default_rng(429), [2, 5]), 1, spec)
         assert str(err.value) == "4 points per dimension do not resolve the exponent spread 5"
+        rank5_sum = make_symbol(5, [((0,) * 5, 1.0)] + [(tuple(int(i == j) for i in range(5)), 1.0) for j in range(5)])
+        with pytest.raises(DomainError) as err:
+            hp_norm(rank5_sum, 1, QuadratureSpec(points_per_dimension=16))
+        assert str(err.value) == "tensor-uniform is limited to rank <= 4, got rank 5; use monte-carlo"
 
 
 def mc_complex_phases(s, spec, p):
