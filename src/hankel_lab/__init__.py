@@ -28,6 +28,8 @@ from .hankel import (
     build_block,
     build_blocks,
     build_matrix,
+    component_norms,
+    components,
     operator_norm,
     spectral_norm,
 )
@@ -99,6 +101,8 @@ __all__ = [
     "cex_truncation",
     "classify",
     "classify_homogeneous",
+    "component_norms",
+    "components",
     "d1_monomial_test",
     "default_spec",
     "degree",

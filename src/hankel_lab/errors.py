@@ -8,8 +8,9 @@ before the work it bounds starts.
 """
 
 # Largest active basis of a full matrix: n^2 complex entries (144 MB at
-# n = 3000) and an O(n^3) SVD. A product in disjoint variables is held to it
-# factor by factor (hankel.factored).
+# n = 3000) and an O(n^3) SVD. operator_norm, one SVD per connected
+# component, keeps the same bound on the closure. A product in disjoint
+# variables is held to it factor by factor (hankel.factored).
 MAX_BASIS = 3000
 # Largest closure of a homogeneous symbol, split into its degree blocks:
 # each block is small, but the closure is enumerated as Python tuples and

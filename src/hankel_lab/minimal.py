@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import MAX_RECIPE_DEPTH, DomainError, ParseError, check_budget
-from .hankel import build_blocks, operator_norm, spectral_norm
+from .errors import MAX_CLOSURE, MAX_RECIPE_DEPTH, DomainError, ParseError, check_budget
+from .hankel import component_norms, components, operator_norm
 from .symbols import Symbol, degree, format_term, parse_term
 
 
@@ -64,20 +64,30 @@ def classify(s: Symbol, tol: float = 1e-9) -> MinimalityVerdict:
 def classify_homogeneous(s: Symbol, tol: float = 1e-9) -> MinimalityVerdict:
     """Classify an m-homogeneous symbol from its decisive blocks only.
 
-    Computes the blocks k = 1 .. floor(m/2); for m <= 1 that range is
-    empty and the symbol is minimal outright. Agrees with classify() on
-    every homogeneous input.
+    Computes the norms of the blocks k = 1 .. floor(m/2), each the largest
+    norm among the components whose columns have degree k; for m <= 1 that
+    range is empty and the symbol is minimal outright. Agrees with
+    classify() on every homogeneous input. Raises BudgetError when the
+    closure holds more than MAX_CLOSURE indices.
     """
     _check_classify_args(s, tol)
     m = s.is_homogeneous()
     if m is None:
         raise DomainError("classify_homogeneous requires a homogeneous symbol")
-    ks = range(1, m // 2 + 1)
-    block_norms = [(k, spectral_norm(block).value) for k, block in zip(ks, build_blocks(s, ks))]
-    if not block_norms:
+    if m < 2:
         return _verdict(0.0, tol, [], note="no decisive blocks")
-    gap = max(v for _, v in block_norms) - s.h2_norm()
-    return _verdict(gap, tol, block_norms)
+    # |gamma| + |beta| = m on every entry, so the columns of a component
+    # share one degree k, and block k is the direct sum of those components
+    parts = [
+        part for part in components(s, MAX_CLOSURE, "block closure (MAX_CLOSURE)")
+        if 1 <= degree(part[1][0]) <= m // 2
+    ]
+    norms = dict.fromkeys(range(1, m // 2 + 1), 0.0)
+    for (_, cols), norm in zip(parts, component_norms(s, parts)):
+        k = degree(cols[0])
+        norms[k] = max(norms[k], norm)
+    gap = max(norms.values()) - s.h2_norm()
+    return _verdict(gap, tol, list(norms.items()))
 
 
 def d1_monomial_test(s: Symbol) -> bool:

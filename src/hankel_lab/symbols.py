@@ -313,24 +313,49 @@ def split_factors(s: Symbol):
         return whole
     groups[0] = sorted(groups[0] + [j for j in range(d) if sizes[j] == 1])
 
+    import numpy as np
+
     coeffs = s._coeffs
-    top = max(support, key=lambda a: abs(coeffs[a]))
-    fits = []
+    values = list(coeffs.values())
+    moduli = list(map(abs, values))
+    top = support[max(range(n), key=moduli.__getitem__)]
+    exponents = np.array(support, dtype=np.int64)
+    fits, positions, factors = [], [], []
     for i, group in enumerate(groups):
         scale = 1.0 if i == 0 else coeffs[top]
-        fit = {}
-        for a in projection(group):
+        # the distinct projections on group, and each term's among them
+        block = exponents[:, group]
+        order = np.lexsort(block.T)
+        first = np.ones(n, dtype=bool)
+        first[1:] = (block[order[1:]] != block[order[:-1]]).any(axis=1)
+        position = np.empty(n, dtype=np.int64)
+        position[order] = np.cumsum(first) - 1
+        keys = [tuple(a) for a in block[order[first]].tolist()]
+        fit = []
+        for a in keys:
             alpha = list(top)
             for j, e in zip(group, a):
                 alpha[j] = e
-            fit[a] = coeffs[tuple(alpha)] / scale
-        fits.append(fit)
-    residual = []
-    for alpha, c in coeffs.items():
-        fitted = math.prod(fit[tuple(alpha[j] for j in g)] for g, fit in zip(groups, fits))
-        residual.append((alpha, c - fitted))
-    delta = Symbol(d, residual)
-    return [(tuple(g), Symbol(len(g), fit.items())) for g, fit in zip(groups, fits)], delta
+            fit.append(coeffs[tuple(alpha)] / scale)
+        fits.append(np.array(fit))
+        positions.append(position)
+        factors.append((tuple(group), Symbol(len(group), zip(keys, fit))))
+    # The support is the product of the projections, so a term's fitted value
+    # is the product of one coefficient from each factor, gathered per factor.
+    # The products are Python's complex products, written out in real
+    # arithmetic: numpy's complex multiply may fuse and round differently.
+    re, im = fits[0].real[positions[0]], fits[0].imag[positions[0]]
+    for fit, position in zip(fits[1:], positions[1:]):
+        fit_re, fit_im = fit.real[position], fit.imag[position]
+        re, im = re * fit_re - im * fit_im, re * fit_im + im * fit_re
+    residual = np.array(values) - (re + 1j * im)
+    if np.isfinite(residual).all():  # the indices are s's, so nothing is left to check
+        delta = Symbol.__new__(Symbol)
+        delta.dim = d
+        delta._coeffs = {a: c for a, c in zip(support, residual.tolist()) if c != 0}
+    else:  # refused, naming the coefficient that overflowed
+        delta = Symbol(d, zip(support, residual.tolist()))
+    return factors, delta
 
 
 # -- text format -----------------------------------------------------------

@@ -17,6 +17,10 @@ from hankel_lab import (
     build_matrix,
     build_recipe,
     cex_truncation,
+    classify_homogeneous,
+    component_norms,
+    components,
+    grlex_key,
     make_symbol,
     operator_norm,
     parse_recipe,
@@ -177,6 +181,114 @@ class TestAssembly:
             assert block.column_basis == single.column_basis
             assert block.row_basis == single.row_basis
             assert block.entries.tobytes() == single.entries.tobytes()
+
+
+def connected_parts(s):
+    """Oracle for components: breadth-first search over the entry rule on the closure."""
+    closure = sorted(active_bases(s)[0])
+    neighbours = {}
+    for gamma in closure:
+        for beta in closure:
+            if s.coeff(tuple(x + y for x, y in zip(beta, gamma))) != 0:
+                neighbours.setdefault(("row", gamma), []).append(("col", beta))
+                neighbours.setdefault(("col", beta), []).append(("row", gamma))
+    seen, parts = set(), set()
+    for start in neighbours:
+        if start in seen:
+            continue
+        seen.add(start)
+        queue, part = [start], [start]
+        while queue:
+            for nxt in neighbours[queue.pop()]:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    queue.append(nxt)
+                    part.append(nxt)
+        rows = frozenset(i for side, i in part if side == "row")
+        parts.add((rows, frozenset(i for side, i in part if side == "col")))
+    return parts
+
+
+class TestComponents:
+    """The operator as the direct sum of its connected components."""
+
+    def assert_brute(self, s):
+        ref = brute_norm(s)
+        assert operator_norm(s).value == pytest.approx(ref, rel=1e-12)
+        assert max(component_norms(s, components(s))) == pytest.approx(ref, rel=1e-12)
+
+    def test_norm_against_brute_force(self):
+        rng = np.random.default_rng(601)
+        for dim in (1, 2, 3):
+            for _ in range(6):
+                self.assert_brute(random_symbol(rng, dim, max_degree=4, n_terms=3))  # sparse
+                self.assert_brute(random_symbol(rng, dim, homogeneous=int(rng.integers(1, 5)), n_terms=4))
+        for _ in range(4):
+            dense = make_symbol(2, [((a, b), complex(*rng.normal(size=2))) for a in range(5) for b in range(5 - a)])
+            self.assert_brute(dense)
+            self.assert_brute(make_symbol(1, [((e,), complex(*rng.normal(size=2))) for e in range(7)]))
+        for n in (0, 1, 5, 12, 80):  # z^n: an anti-diagonal, n + 1 one-by-one components
+            s = make_symbol(1, [((n,), 1.5 - 2j)])
+            assert len(components(s)) == n + 1
+            self.assert_brute(s)
+
+    def test_cex_closed_form(self):
+        # cex is minimal, so its operator norm is its H^2 norm
+        for K in range(1, 7):
+            ref = math.sqrt(6) / math.pi * math.sqrt(math.fsum(1 / k**2 for k in range(1, K + 1)))
+            assert operator_norm(cex_truncation(K)).value == pytest.approx(ref, rel=1e-12)
+
+    def test_cex_components(self):
+        parts = components(cex_truncation(6))
+        assert len(parts) == 116
+        shapes = sorted(((len(rows), len(cols)) for rows, cols in parts), key=lambda rc: rc[0] * rc[1])
+        assert set(shapes[-2:]) == {(126, 1), (1, 126)}
+        assert shapes[-3][0] * shapes[-3][1] < 126
+        assert operator_norm(cex_truncation(6)).metadata == "active basis 1087x1087"
+
+    def test_components_partition_the_closure(self):
+        rng = np.random.default_rng(607)
+        symbols = [cex_truncation(4), phi3(0.3), make_symbol(1, [((7,), 1.0)])]
+        symbols += [random_symbol(rng, 3, max_degree=4, n_terms=4) for _ in range(6)]
+        for s in symbols:
+            closure = active_bases(s)[0]
+            parts = components(s)
+            rows = [i for r, _ in parts for i in r]
+            cols = [j for _, c in parts for j in c]
+            assert sorted(rows) == sorted(closure) and len(set(rows)) == len(rows)
+            assert sorted(cols) == sorted(closure) and len(set(cols)) == len(cols)
+            for r, c in parts:
+                assert list(r) == sorted(r, key=grlex_key) and list(c) == sorted(c, key=grlex_key)
+            assert {(frozenset(r), frozenset(c)) for r, c in parts} == connected_parts(s)
+            # every nonzero entry lies inside one component's block
+            nonzero = sum(math.prod(e + 1 for e in a) for a in s.support)
+            assert sum(np.count_nonzero(entry_rule(s, r, c)) for r, c in parts) == nonzero
+
+    def test_component_norms_are_block_norms(self):
+        rng = np.random.default_rng(611)
+        s = random_symbol(rng, 3, max_degree=3, n_terms=5)
+        parts = components(s)
+        assert component_norms(s, parts) == [spectral_norm(entry_rule(s, r, c)).value for r, c in parts]
+        assert component_norms(s, []) == []
+        assert components(Symbol.zero(2)) == []
+        assert operator_norm(Symbol.zero(2)).metadata == "active basis 0x0"
+
+    def test_homogeneous_block_norms(self):
+        rng = np.random.default_rng(613)
+        for dim, m in ((2, 6), (3, 4), (4, 5), (2, 9)):
+            s = random_symbol(rng, dim, homogeneous=m, n_terms=5)
+            verdict = classify_homogeneous(s)
+            assert [k for k, _ in verdict.block_norms] == list(range(1, m // 2 + 1))
+            for k, norm in verdict.block_norms:
+                assert norm == pytest.approx(spectral_norm(build_block(s, k)).value, rel=1e-12)
+
+    def test_codes_beyond_int64(self):
+        # the symbol of TestAssembly.test_codes_beyond_int64: codes held as Python ints
+        s = sum((z(64, j) for j in range(1, 64)), z(64, 0)) * (0.5 - 2j)
+        parts = components(s)
+        assert sorted(len(c) for _, c in parts) == [1, 64]
+        assert operator_norm(s).value == pytest.approx(spectral_norm(build_matrix(s)).value, rel=1e-12)
+        assert operator_norm(s).value == pytest.approx(abs(0.5 - 2j) * 8, rel=1e-12)
 
 
 class TestBasisBudget:

@@ -322,6 +322,22 @@ class TestSplitFactors:
         assert delta.h2_norm() >= 0.5
         assert sym_allclose(embedded_product(2, factors) + delta, s)
 
+    def test_residual_is_the_per_term_product(self):
+        # delta against the loop over terms, with Python's complex products
+        rng = np.random.default_rng(409)
+        symbols = [one_variable_product(rng, degrees) for degrees in ([3, 2, 2], [5, 5, 5, 4], [2, 2, 1, 1, 1])]
+        symbols += [hom2_product(rng, [2, 3]), make_symbol(2, [((0, 0), 1), ((1, 0), 1), ((0, 1), 1), ((1, 1), 2)])]
+        for s in symbols[:2]:  # perturbed off the product
+            terms = [(a, c * (1 + 1e-9j) if i % 3 else c) for i, (a, c) in enumerate(s.terms())]
+            symbols.append(make_symbol(s.dim, terms))
+        for s in symbols:
+            factors, delta = split_factors(s)
+            assert len(factors) > 1
+            for alpha, c in s.terms():
+                fitted = math.prod(f.coeff(tuple(alpha[j] for j in group)) for group, f in factors)
+                assert delta.coeff(alpha) == c - fitted
+            assert set(delta.support) <= set(s.support)
+
     def test_monomials_and_zero_do_not_split(self):
         for s in (Symbol.zero(3), z(3, 0) * z(3, 1), Symbol.one(2)):
             factors, delta = split_factors(s)
