@@ -28,7 +28,6 @@ from .hankel import (
     build_block,
     build_blocks,
     build_matrix,
-    component_norms,
     components,
     operator_norm,
     spectral_norm,
@@ -101,7 +100,6 @@ __all__ = [
     "cex_truncation",
     "classify",
     "classify_homogeneous",
-    "component_norms",
     "components",
     "d1_monomial_test",
     "default_spec",

@@ -12,9 +12,9 @@ before the work it bounds starts.
 # component, keeps the same bound on the closure. A product in disjoint
 # variables is held to it factor by factor (hankel.factored).
 MAX_BASIS = 3000
-# Largest closure of a homogeneous symbol, split into its degree blocks:
-# each block is small, but the closure is enumerated as Python tuples and
-# z1^m alone has m + 1 one-by-one blocks.
+# Largest closure of a homogeneous symbol, split into its components: each
+# is small, but the closure is enumerated as Python tuples and z1^m alone
+# has m + 1 one-by-one components. build_blocks keeps the same bound.
 MAX_CLOSURE = 30_000
 # Largest tensor grid evaluated: the default d=4 grid refined, 128^4 points.
 # A product in disjoint variables is held to it factor by factor.

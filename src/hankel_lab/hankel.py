@@ -14,34 +14,38 @@ hence the operator is fully represented on the downward closure of the
 support (all indices componentwise below some supported index). Everything
 outside that finite block is identically zero.
 
-Joining row gamma to column beta whenever entry[gamma, beta] is nonzero
-splits the closure into connected components, each with its own row and
-column basis. The operator is the direct sum of the components' blocks, so
-its norm is the largest block norm (components); the degree-k block of an
-m-homogeneous symbol is the direct sum of the components whose columns
-have degree k.
+The nonzero entries are found by one walk (_walk): each gamma in the box
+{gamma <= alpha} of a support index alpha gives the entry at row gamma and
+column alpha - gamma. Every matrix here is that walk scattered into zero
+blocks (_assemble): the whole matrix on the closure (build_matrix), the
+degree blocks of a homogeneous symbol (build_blocks), or the connected
+components (components). Joining row gamma to column beta on every entry
+splits the closure into components, each with its own row and column
+basis; the operator is the direct sum of their blocks, so its norm is the
+largest block norm, and the degree-k block of an m-homogeneous symbol is
+the direct sum of the components whose columns have degree k.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
 
 import numpy as np
 
 from .errors import MAX_BASIS, MAX_CLOSURE, DomainError, check_budget
 from .symbols import FACTOR_RTOL, Symbol, degree, grlex_key, split_factors
 
-# elements per temporary array in _fill
-_CHUNK = 1 << 16
-# codes per array in _boxes
-_PAIRS = 1 << 20
-# Up to this many closure indices operator_norm takes one SVD of the whole
-# matrix: finding the components costs some 0.15 ms of numpy calls, more
-# than the SVDs it saves (2 vCPU, numpy 2.4: a 45-index closure in 9
-# components, 0.39 ms whole and 0.74 ms split; 117 indices in 24, 5.4 ms
-# whole and 3.4 ms split).
+# entries per chunk of the walk: its temporaries stay near 1 MB, so
+# build_matrix at MAX_BASIS peaks at the matrix plus the interpreter
+_PAIRS = 1 << 14
+# Up to this many closure indices operator_norm takes the whole matrix as
+# one block and runs no union-find: splitting costs 0.1-0.3 ms of numpy
+# calls, more than the SVDs it saves (2 vCPU, numpy 2.4, best of 7: a
+# 45-index closure in 9 components, 0.49 ms whole and 0.69 ms split; 66
+# indices in 11, 0.88 ms whole and 0.77 ms split; 120 in 15, 4.8 ms whole
+# and 0.8 ms split).
 _SPLIT_MIN = 64
 
 
@@ -115,93 +119,101 @@ def active_bases(s: Symbol):
     return closure, closure
 
 
-def _radix(support):
-    """Mixed-radix weights for the closure of support, and the code dtype.
+def _walk(s: Symbol, closure):
+    """The nonzero entries of s's matrix on closure, the one entry rule.
 
-    Axis j has radix M_j + 1, where M_j is the largest support exponent
-    there, so every closure index has one code and beta + gamma is one
-    integer addition. Codes are int64 when twice the largest fits, Python
-    ints otherwise.
-    """
-    radices = [max(column) + 1 for column in zip(*support)]
-    weights = [1] * len(radices)
-    for j in range(len(radices) - 1, 0, -1):
-        weights[j - 1] = weights[j] * radices[j]
-    largest = weights[0] * radices[0] - 1
-    return weights, (np.int64 if 2 * largest <= np.iinfo(np.int64).max else object)
-
-
-def _encode(indices, weights, dtype):
-    """Codes of the multi-indices, as an array of dtype."""
-    if dtype is object:
-        return np.array([sum(e * w for e, w in zip(a, weights)) for a in indices], dtype=object)
-    exponents = np.array(indices, dtype=np.int64).reshape(len(indices), len(weights))
-    return exponents @ np.array(weights, dtype=np.int64)
-
-
-def _lookup(s: Symbol):
-    """What _fill looks entries up in: radix, sorted support codes, their degrees and values."""
-    terms = s.terms()
-    weights, dtype = _radix([a for a, _ in terms])
-    keys = _encode([a for a, _ in terms], weights, dtype)
-    order = np.argsort(keys)
-    key_degrees = np.array([degree(a) for a, _ in terms], dtype=np.int64)[order]
-    values = np.conj(np.array([c for _, c in terms]))[order]
-    return weights, dtype, keys[order], key_degrees, values
-
-
-def _fill(s: Symbol, rows, cols, lookup=None) -> HankelMatrix:
-    """Matrix conj(phihat(beta + gamma)) for gamma in rows and beta in cols.
-
-    Rows and columns lie in the downward closure of the support, whose
-    indices have mixed-radix codes (_radix), so beta + gamma is one integer
-    addition, looked up among the sorted support codes. A sum whose digits
-    carry can meet the code of another index, but every carry lowers the
-    digit sum, so a hit counts only when the degrees add up too. lookup,
-    when given, is _lookup(s), shared by the calls on one symbol.
-    """
-    entries = np.zeros((len(rows), len(cols)), dtype=complex)
-    if entries.size == 0 or s.is_zero:
-        return HankelMatrix(tuple(cols), tuple(rows), entries)
-    weights, dtype, keys, key_degrees, values = lookup or _lookup(s)
-    row_codes, col_codes = _encode(rows, weights, dtype), _encode(cols, weights, dtype)
-    row_degrees = np.array([degree(a) for a in rows], dtype=np.int64)
-    col_degrees = np.array([degree(a) for a in cols], dtype=np.int64)
-    step = max(1, _CHUNK // len(cols))
-    for start in range(0, len(rows), step):
-        sums = np.add.outer(row_codes[start:start + step], col_codes)
-        found = np.minimum(np.searchsorted(keys, sums), len(keys) - 1)
-        hit = keys[found] == sums
-        hit &= key_degrees[found] == np.add.outer(row_degrees[start:start + step], col_degrees)
-        entries[start:start + step][hit] = values[found[hit]]
-    return HankelMatrix(tuple(cols), tuple(rows), entries)
-
-
-def _boxes(support, weights, dtype):
-    """The boxes {gamma <= alpha} of the alphas in support, some _PAIRS codes at a time.
-
-    Yields (sizes, gamma): the box sizes prod(alpha_j + 1) of a run of
-    consecutive alphas, and the codes of their boxes, one box after the
-    other. Each box is expanded one axis at a time, so it lists its digit
+    Each gamma in a box {gamma <= alpha} of a support index alpha gives the
+    entry at row gamma and column alpha - gamma, with value
+    conj(phihat(alpha)). Returns walk(): each call walks every box again,
+    some _PAIRS entries at a time, and yields (rows, cols, values), the
+    rows and columns as positions in closure, the downward closure of the
+    support. A box is expanded one axis at a time, so it lists its digit
     tuples in lexicographic order and alpha - gamma sits at the mirror
-    position of gamma. The caller has checked that each box fits its budget.
+    position of gamma. Positions are found by mixed-radix codes, radix
+    M_j + 1 on axis j (M_j the largest support exponent there), held as
+    int64 when they fit and as Python ints otherwise.
     """
-    radices = np.array(support, dtype=np.int64).reshape(len(support), len(weights)) + 1
+    terms = s.terms()
+    radices = np.array([a for a, _ in terms], dtype=np.int64).reshape(len(terms), s.dim) + 1
+    top = radices.max(axis=0, initial=1).tolist()
+    weights = [math.prod(top[j + 1:]) for j in range(s.dim)]
+    if math.prod(top) > 1 << 63:
+        dtype, codes = object, np.array([sum(e * w for e, w in zip(a, weights)) for a in closure], dtype=object)
+    else:
+        dtype, codes = np.int64, np.fromiter(chain.from_iterable(closure), np.int64, len(closure) * s.dim)
+        codes = codes.reshape(len(closure), s.dim) @ np.array(weights, dtype=np.int64)
+    by_code = np.argsort(codes)
+    sorted_codes = codes[by_code]
+    values = np.conj(np.array([c for _, c in terms]))
     sizes = radices.prod(axis=1)
     ends = np.cumsum(sizes)
-    start = 0
-    while start < len(support):
-        stop = max(start + 1, int(np.searchsorted(ends, ends[start] - sizes[start] + _PAIRS, side="right")))
-        owner = np.arange(start, stop)
-        gamma = np.zeros(len(owner), dtype=dtype)
-        for j in np.flatnonzero(radices[start:stop].max(axis=0) > 1):
-            counts = radices[owner, j]
-            offsets = counts.cumsum() - counts
-            digit = np.arange(offsets[-1] + counts[-1]) - offsets.repeat(counts)
-            owner = owner.repeat(counts)
-            gamma = gamma.repeat(counts) + digit.astype(dtype) * weights[j]
-        yield sizes[start:stop], gamma
-        start = stop
+
+    def walk():
+        start = 0
+        while start < len(terms):
+            stop = max(start + 1, int(np.searchsorted(ends, ends[start] - sizes[start] + _PAIRS, side="right")))
+            owner = np.arange(start, stop)
+            gamma = np.zeros(len(owner), dtype=dtype)
+            for j in np.flatnonzero(radices[start:stop].max(axis=0) > 1):
+                counts = radices[owner, j]
+                offsets = counts.cumsum() - counts
+                digit = np.arange(offsets[-1] + counts[-1]) - offsets.repeat(counts)
+                owner = owner.repeat(counts)
+                gamma = gamma.repeat(counts) + digit.astype(dtype) * weights[j]
+            rows = by_code[np.searchsorted(sorted_codes, gamma)]
+            box = sizes[start:stop]
+            mirror = np.repeat(2 * np.cumsum(box) - box - 1, box) - np.arange(len(gamma))
+            yield rows, rows[mirror], values[owner]
+            start = stop
+
+    return walk
+
+
+def _fill(closure, rows, cols, entries) -> HankelMatrix:
+    """One assembled block, entries, on the closure indices at positions rows and cols."""
+    return HankelMatrix(
+        tuple(map(closure.__getitem__, cols.tolist())), tuple(map(closure.__getitem__, rows.tolist())), entries
+    )
+
+
+def _groups(part, count):
+    """Positions grouped by part: (at, order, bounds).
+
+    order[bounds[b]:bounds[b + 1]] are the positions of part b in
+    increasing order, for b in range(count), and at[i] is the place of
+    position i among those of its part. Part -1 is in no group.
+    """
+    order = np.argsort(part, kind="stable")
+    bounds = np.searchsorted(part[order], np.arange(count + 1))
+    at = np.empty(len(part), dtype=np.int64)
+    at[order] = np.arange(len(part)) - bounds[part[order]]
+    return at, order, bounds
+
+
+def _assemble(closure, walk, row_part, col_part, count):
+    """Blocks 0 .. count - 1 of the matrix on closure, one at a time.
+
+    Block b has as rows the closure indices whose row_part is b and as
+    columns those whose col_part is b, each in closure order; part -1 is in
+    no block, and every nonzero entry in a block's rows lies in its
+    columns. The walk is scattered a chunk at a time into one zero buffer
+    that holds the blocks one after the other, and each block is a view.
+    """
+    row_at, row_order, row_bounds = _groups(row_part, count)
+    col_at, col_order, col_bounds = _groups(col_part, count)
+    heights, widths = np.diff(row_bounds), np.diff(col_bounds)
+    ends = np.cumsum(heights * widths)
+    starts = ends - heights * widths
+    # where each closure index's row starts in the buffer, -1 off the blocks
+    row_start = np.where(row_part >= 0, starts[row_part] + row_at * widths[row_part], -1)
+    flat = np.zeros(ends[-1] if count else 0, dtype=complex)
+    for rows, cols, values in walk():
+        at = row_start[rows]
+        keep = at >= 0
+        flat[at[keep] + col_at[cols[keep]]] = values[keep]
+    for b in range(count):
+        rows, cols = row_order[row_bounds[b]:row_bounds[b + 1]], col_order[col_bounds[b]:col_bounds[b + 1]]
+        yield _fill(closure, rows, cols, flat[starts[b]:ends[b]].reshape(len(rows), len(cols)))
 
 
 def _join(label, u, v):
@@ -227,58 +239,41 @@ def _join(label, u, v):
         np.minimum.at(label, np.maximum(lu, lv), np.minimum(lu, lv))
 
 
-def components(s: Symbol, budget=MAX_BASIS, what="full active basis (MAX_BASIS)"):
-    """Row and column bases of the connected components of the operator's matrix.
+def _split(closure, walk):
+    """The parts of the components: (row_part, col_part, count).
 
-    Each support index alpha gives the prod(alpha_j + 1) nonzero entries
-    (gamma, alpha - gamma), gamma <= alpha. Joining row gamma to column
-    beta on each of them, by a vectorised union-find over the boxes,
-    splits the downward closure into components: every closure index is
-    the column of exactly one component and the row of exactly one, and
-    the matrix is the direct sum of the components' blocks. The closure,
-    and its budget, are _downward_closure's; the entries are then walked
-    a chunk of codes at a time, so memory stays at the closure plus one
-    chunk.
-
-    Returns (row_basis, column_basis) pairs, each basis in graded lex
-    order, the pairs in the graded lex order of their first rows; the zero
-    symbol has none. Raises BudgetError, naming what, when the closure
-    holds more than budget indices.
+    A vectorised union-find joins row gamma to column beta on every entry
+    of the walk; each closure index gets its component as a row and as a
+    column, the components numbered in the order of their first rows.
     """
-    return _split(s, _downward_closure(s.support, budget, what))
-
-
-def _split(s: Symbol, closure):
-    """components(s), given the closure of s's support in graded lex order."""
-    support = s.support
     n = len(closure)
-    if not n:
-        return []
-    weights, dtype = _radix(support)
-    codes = _encode(closure, weights, dtype)
-    by_code = np.argsort(codes)
-    sorted_codes = codes[by_code]
     label = np.arange(2 * n)  # closure[i] is row node i and column node n + i
-    for sizes, gamma in _boxes(support, weights, dtype):
-        rows = by_code[np.searchsorted(sorted_codes, gamma)]
-        mirror = np.repeat(2 * np.cumsum(sizes) - sizes - 1, sizes) - np.arange(len(gamma))
-        _join(label, rows, n + rows[mirror])
-    parts = {}  # by root, its smallest row, in the order of the first rows
-    for index, root in zip(closure, label[:n].tolist()):
-        parts.setdefault(root, ([], []))[0].append(index)
-    for index, root in zip(closure, label[n:].tolist()):
-        parts[root][1].append(index)
-    return [(tuple(rows), tuple(cols)) for rows, cols in parts.values()]
+    for rows, cols, _ in walk():
+        _join(label, rows, n + cols)
+    # a root is the smallest node of its set, a row, so parts follow their first rows
+    roots, part = np.unique(label, return_inverse=True)
+    return part[:n], part[n:], len(roots)
 
 
-def component_norms(s: Symbol, parts):
-    """Spectral norm of each component's block, in the order of parts.
+def _whole(closure):
+    """The parts of the whole matrix on closure, one block."""
+    return np.zeros(len(closure), dtype=np.int64), np.zeros(len(closure), dtype=np.int64), 1
 
-    parts are (row_basis, column_basis) pairs from components(s); each
-    block is assembled on its own bases.
+
+def components(s: Symbol, budget=MAX_BASIS, what="full active basis (MAX_BASIS)"):
+    """The blocks of the connected components of the operator's matrix.
+
+    Joining row gamma to column beta on every nonzero entry splits the
+    downward closure into components: every closure index is the column of
+    exactly one component and the row of exactly one, and the matrix is
+    the direct sum of their blocks. Returns an iterator over the blocks,
+    HankelMatrix objects with bases in graded lex order, in the order of
+    their first rows; the zero symbol has none. The closure, and its
+    budget, are _downward_closure's: BudgetError names what.
     """
-    lookup = None if s.is_zero else _lookup(s)
-    return [spectral_norm(_fill(s, rows, cols, lookup)).value for rows, cols in parts]
+    closure = _downward_closure(s.support, budget, what)
+    walk = _walk(s, closure)
+    return _assemble(closure, walk, *_split(closure, walk))
 
 
 def build_matrix(s: Symbol) -> HankelMatrix:
@@ -288,18 +283,18 @@ def build_matrix(s: Symbol) -> HankelMatrix:
     of this finite matrix is the operator norm. The zero symbol gives an
     empty matrix. Raises BudgetError above MAX_BASIS columns.
     """
-    cols, rows = active_bases(s)
-    return _fill(s, rows, cols)
+    closure, _ = active_bases(s)
+    return next(_assemble(closure, _walk(s, closure), *_whole(closure)))
 
 
 def build_blocks(s: Symbol, ks):
     """Blocks k in ks of an m-homogeneous symbol, from one closure.
 
     Block k has the degree-k indices of the closure as columns and the
-    degree-(m-k) ones as rows; for k > m it is the zero operator, an empty
-    matrix. The blocks partition the closure, which may hold MAX_CLOSURE
-    indices, more than MAX_BASIS; a larger one raises BudgetError. Yields
-    the blocks in the order of ks, one at a time.
+    degree-(m-k) ones as rows, ranges of the graded lex closure; for k > m
+    it is the zero operator, an empty matrix. The blocks partition the
+    closure, which may hold MAX_CLOSURE indices, more than MAX_BASIS; a
+    larger one raises BudgetError. Yields the blocks in the order of ks.
     """
     m = s.is_homogeneous()
     if m is None:
@@ -308,15 +303,16 @@ def build_blocks(s: Symbol, ks):
     for k in ks:
         if not isinstance(k, int) or isinstance(k, bool) or k < 0:
             raise DomainError(f"block index must be an integer >= 0, got {k!r}")
-    levels = {}
-    if any(k <= m for k in ks):
-        for alpha in _downward_closure(s.support, MAX_CLOSURE, "block closure (MAX_CLOSURE)"):
-            levels.setdefault(degree(alpha), []).append(alpha)
+    wanted = [k for k in dict.fromkeys(ks) if k <= m]
+    blocks = {}
+    if wanted:
+        closure = _downward_closure(s.support, MAX_CLOSURE, "block closure (MAX_CLOSURE)")
+        level = np.array([degree(a) for a in closure], dtype=np.int64)
+        part = np.full(m + 1, -1)  # the block of each degree, -1 if not wanted
+        part[wanted] = np.arange(len(wanted))
+        blocks = dict(zip(wanted, _assemble(closure, _walk(s, closure), part[m - level], part[level], len(wanted))))
     for k in ks:
-        if k > m:
-            yield HankelMatrix((), (), np.zeros((0, 0), dtype=complex))
-        else:
-            yield _fill(s, levels.get(m - k, []), levels.get(k, []))
+        yield blocks[k] if k <= m else HankelMatrix((), (), np.zeros((0, 0), dtype=complex))
 
 
 def build_block(s: Symbol, k: int) -> HankelMatrix:
@@ -335,10 +331,11 @@ def spectral_norm(matrix) -> NormEstimate:
     Accepts a HankelMatrix or anything convertible to a 2-d array. LAPACK
     SVD is backward stable, so the relative error is far below the 1e-12
     budget reported here for matrices up to a few thousand rows.
-    operator_norm and classify_homogeneous call it once per connected
-    component, so their matrices are the components' blocks (126x1 at most
-    for cex_truncation(6), whose closure has 1087 indices); build_matrix
-    and build_blocks hand it whole matrices and whole degree blocks.
+    operator_norm and classify_homogeneous call it on each block that
+    components yields (126x1 at most for cex_truncation(6), whose closure
+    has 1087 indices), and operator_norm on the whole matrix up to
+    _SPLIT_MIN closure indices; the blocks command hands it whole degree
+    blocks from build_blocks.
     """
     entries = matrix.entries if isinstance(matrix, HankelMatrix) else np.asarray(matrix)
     if entries.size == 0:
@@ -409,9 +406,10 @@ def factored(s: Symbol, rule, residual) -> NormEstimate:
 
 def _dense_norm(s: Symbol) -> NormEstimate:
     closure, _ = active_bases(s)
-    parts = _split(s, closure) if len(closure) > _SPLIT_MIN else [(closure, closure)]
-    value = max(component_norms(s, parts), default=0.0)
     n = len(closure)
+    walk = _walk(s, closure)
+    blocks = _assemble(closure, walk, *(_split(closure, walk) if n > _SPLIT_MIN else _whole(closure)))
+    value = max((spectral_norm(block).value for block in blocks), default=0.0)
     return NormEstimate(value, "spectral-exact", 1e-12 * value, f"active basis {n}x{n}")
 
 

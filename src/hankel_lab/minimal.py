@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import MAX_CLOSURE, MAX_RECIPE_DEPTH, DomainError, ParseError, check_budget
-from .hankel import component_norms, components, operator_norm
+from .hankel import components, operator_norm, spectral_norm
 from .symbols import Symbol, degree, format_term, parse_term
 
 
@@ -78,14 +78,11 @@ def classify_homogeneous(s: Symbol, tol: float = 1e-9) -> MinimalityVerdict:
         return _verdict(0.0, tol, [], note="no decisive blocks")
     # |gamma| + |beta| = m on every entry, so the columns of a component
     # share one degree k, and block k is the direct sum of those components
-    parts = [
-        part for part in components(s, MAX_CLOSURE, "block closure (MAX_CLOSURE)")
-        if 1 <= degree(part[1][0]) <= m // 2
-    ]
     norms = dict.fromkeys(range(1, m // 2 + 1), 0.0)
-    for (_, cols), norm in zip(parts, component_norms(s, parts)):
-        k = degree(cols[0])
-        norms[k] = max(norms[k], norm)
+    for block in components(s, MAX_CLOSURE, "block closure (MAX_CLOSURE)"):
+        k = degree(block.column_basis[0])
+        if k in norms:
+            norms[k] = max(norms[k], spectral_norm(block).value)
     gap = max(norms.values()) - s.h2_norm()
     return _verdict(gap, tol, list(norms.items()))
 

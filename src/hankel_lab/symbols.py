@@ -15,6 +15,7 @@ higher powers first, so for d=2 the degree-2 indices come as
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 
@@ -295,21 +296,23 @@ def split_factors(s: Symbol):
     for j in moving:
         components.setdefault(root(j), []).append(j)
 
-    def projection(group):
-        return set(zip(*(columns[j] for j in group)))
+    @functools.cache
+    def projected(group):
+        """How many distinct projections the support has on group, a tuple."""
+        return len(set(zip(*(columns[j] for j in group))))
 
     n = len(support)
     groups, merged = [], []
     for group in components.values():
-        rest = [j for j in moving if j not in group]
-        if len(projection(group)) * len(projection(rest)) == n:
+        rest = tuple(j for j in moving if j not in group)
+        if projected(tuple(group)) * projected(rest) == n:
             groups.append(group)
         else:
             merged += group
     if merged:
         groups.append(sorted(merged))
     groups.sort()
-    if len(groups) < 2 or math.prod(len(projection(g)) for g in groups) != n:
+    if len(groups) < 2 or math.prod(projected(tuple(g)) for g in groups) != n:
         return whole
     groups[0] = sorted(groups[0] + [j for j in range(d) if sizes[j] == 1])
 

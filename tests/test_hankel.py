@@ -18,7 +18,6 @@ from hankel_lab import (
     build_recipe,
     cex_truncation,
     classify_homogeneous,
-    component_norms,
     components,
     grlex_key,
     make_symbol,
@@ -67,6 +66,18 @@ def entry_rule(s, rows, cols):
 
 def assert_entry_rule(mat, s):
     assert mat.entries.tobytes() == entry_rule(s, mat.row_basis, mat.column_basis).tobytes()
+
+
+def assert_views(s):
+    """Every view of the walk against the entry rule, bit for bit: the whole
+    matrix, each component's block and, when s is homogeneous, each degree block."""
+    assert_entry_rule(build_matrix(s), s)
+    for block in components(s):
+        assert_entry_rule(block, s)
+    m = s.is_homogeneous()
+    if m is not None:
+        for block in build_blocks(s, range(m + 2)):
+            assert_entry_rule(block, s)
 
 
 class TestActiveBases:
@@ -137,31 +148,30 @@ class TestBuildMatrix:
 
 
 class TestAssembly:
-    """The vectorised gather against the entry rule, bit for bit."""
+    """The box walk's views against the entry rule, bit for bit."""
 
     def test_random_symbols(self):
         rng = np.random.default_rng(53)
         for dim in (1, 2, 3, 4):
             for _ in range(8):
                 s = random_symbol(rng, dim, max_degree=4, n_terms=5)
-                assert_entry_rule(build_matrix(s), s)
+                assert_views(s)
                 h = random_symbol(rng, dim, homogeneous=int(rng.integers(1, 5)), n_terms=5)
-                assert_entry_rule(build_matrix(h), h)
+                assert_views(h)
                 m = h.is_homogeneous()
                 for k in range(m + 1):
                     assert_entry_rule(build_block(h, k), h)
 
     def test_cex_truncations(self):
         for K in range(1, 6):
-            s = cex_truncation(K)
-            assert_entry_rule(build_matrix(s), s)
+            assert_views(cex_truncation(K))
 
     def test_codes_beyond_int64(self):
         # radix 2 on each of 64 axes: codes reach 2^64 - 1, held as Python ints
         s = sum((z(64, j) for j in range(1, 64)), z(64, 0)) * (0.5 - 2j)
         mat = build_matrix(s)
         assert mat.shape == (65, 65)
-        assert_entry_rule(mat, s)
+        assert_views(s)
 
     def test_carry_collision_is_rejected(self):
         # radices (2, 3): code(0, 1) + code(0, 2) = 3 = code(1, 0), but
@@ -170,7 +180,7 @@ class TestAssembly:
         mat = build_matrix(s)
         i, j = mat.row_basis.index((0, 2)), mat.column_basis.index((0, 1))
         assert mat.entries[i, j] == 0
-        assert_entry_rule(mat, s)
+        assert_views(s)
 
     def test_blocks_match_single_blocks(self):
         rng = np.random.default_rng(59)
@@ -215,7 +225,7 @@ class TestComponents:
     def assert_brute(self, s):
         ref = brute_norm(s)
         assert operator_norm(s).value == pytest.approx(ref, rel=1e-12)
-        assert max(component_norms(s, components(s))) == pytest.approx(ref, rel=1e-12)
+        assert max(spectral_norm(block).value for block in components(s)) == pytest.approx(ref, rel=1e-12)
 
     def test_norm_against_brute_force(self):
         rng = np.random.default_rng(601)
@@ -229,7 +239,7 @@ class TestComponents:
             self.assert_brute(make_symbol(1, [((e,), complex(*rng.normal(size=2))) for e in range(7)]))
         for n in (0, 1, 5, 12, 80):  # z^n: an anti-diagonal, n + 1 one-by-one components
             s = make_symbol(1, [((n,), 1.5 - 2j)])
-            assert len(components(s)) == n + 1
+            assert len(list(components(s))) == n + 1
             self.assert_brute(s)
 
     def test_cex_closed_form(self):
@@ -239,9 +249,9 @@ class TestComponents:
             assert operator_norm(cex_truncation(K)).value == pytest.approx(ref, rel=1e-12)
 
     def test_cex_components(self):
-        parts = components(cex_truncation(6))
+        parts = list(components(cex_truncation(6)))
         assert len(parts) == 116
-        shapes = sorted(((len(rows), len(cols)) for rows, cols in parts), key=lambda rc: rc[0] * rc[1])
+        shapes = sorted((block.shape for block in parts), key=lambda rc: rc[0] * rc[1])
         assert set(shapes[-2:]) == {(126, 1), (1, 126)}
         assert shapes[-3][0] * shapes[-3][1] < 126
         assert operator_norm(cex_truncation(6)).metadata == "active basis 1087x1087"
@@ -252,7 +262,7 @@ class TestComponents:
         symbols += [random_symbol(rng, 3, max_degree=4, n_terms=4) for _ in range(6)]
         for s in symbols:
             closure = active_bases(s)[0]
-            parts = components(s)
+            parts = [(block.row_basis, block.column_basis) for block in components(s)]
             rows = [i for r, _ in parts for i in r]
             cols = [j for _, c in parts for j in c]
             assert sorted(rows) == sorted(closure) and len(set(rows)) == len(rows)
@@ -267,10 +277,11 @@ class TestComponents:
     def test_component_norms_are_block_norms(self):
         rng = np.random.default_rng(611)
         s = random_symbol(rng, 3, max_degree=3, n_terms=5)
-        parts = components(s)
-        assert component_norms(s, parts) == [spectral_norm(entry_rule(s, r, c)).value for r, c in parts]
-        assert component_norms(s, []) == []
-        assert components(Symbol.zero(2)) == []
+        parts = list(components(s))
+        assert [spectral_norm(b).value for b in parts] == [
+            spectral_norm(entry_rule(s, b.row_basis, b.column_basis)).value for b in parts
+        ]
+        assert list(components(Symbol.zero(2))) == []
         assert operator_norm(Symbol.zero(2)).metadata == "active basis 0x0"
 
     def test_homogeneous_block_norms(self):
@@ -286,7 +297,7 @@ class TestComponents:
         # the symbol of TestAssembly.test_codes_beyond_int64: codes held as Python ints
         s = sum((z(64, j) for j in range(1, 64)), z(64, 0)) * (0.5 - 2j)
         parts = components(s)
-        assert sorted(len(c) for _, c in parts) == [1, 64]
+        assert sorted(len(block.column_basis) for block in parts) == [1, 64]
         assert operator_norm(s).value == pytest.approx(spectral_norm(build_matrix(s)).value, rel=1e-12)
         assert operator_norm(s).value == pytest.approx(abs(0.5 - 2j) * 8, rel=1e-12)
 
