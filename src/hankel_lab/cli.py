@@ -103,15 +103,20 @@ def _witness_rows(report):
     ]
 
 
+def _given(value, default):
+    """An option's value, or default when it was not given; an explicit 0 stays 0."""
+    return default if value is None else value
+
+
 def _spec_from(args, dim):
     if getattr(args, "samples", None) is not None or getattr(args, "seed", None) is not None:
         return QuadratureSpec(
-            points_per_dimension=args.grid or DEFAULT_GRID,
+            points_per_dimension=_given(args.grid, DEFAULT_GRID),
             method="monte-carlo",
-            seed=args.seed or 0,
-            samples=args.samples or 10**6,
+            seed=_given(args.seed, 0),
+            samples=_given(args.samples, 10**6),
         )
-    return QuadratureSpec(points_per_dimension=args.grid or default_spec(dim).points_per_dimension)
+    return QuadratureSpec(points_per_dimension=_given(args.grid, default_spec(dim).points_per_dimension))
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -119,14 +124,14 @@ def _spec_from(args, dim):
 
 def cmd_norm(args):
     s = parse_symbol(_load_text(args.symbol))
+    spec = _spec_from(args, s.dim)
     rows = [_row("h2_norm", s.h2_norm(), "closed-form", 0.0)]
     if s.is_zero:
         rows += [_row(quantity, 0.0, "closed-form", 0.0) for quantity in ("operator_norm", "sup_estimate")]
     else:
-        spec = _spec_from(args, s.dim)
         rows.append(_estimate_row("operator_norm", operator_norm(s)))
         rows.append(_estimate_row("sup_estimate", hp_norm(s, math.inf, spec)))
-    config = {"grid": args.grid or default_spec(s.dim).points_per_dimension, "dim": s.dim}
+    config = {"grid": _given(args.grid, default_spec(s.dim).points_per_dimension), "dim": s.dim}
     _render("norm", config, rows, args.json)
     return 0
 
@@ -167,7 +172,7 @@ def _check_minimal_rows(args, tol):
 
 
 def cmd_check_minimal(args):
-    tol = args.tol if args.tol is not None else DEFAULT_TOL
+    tol = _given(args.tol, DEFAULT_TOL)
     _render("check-minimal", {"tol": tol}, _check_minimal_rows(args, tol), args.json)
     return 0
 
@@ -248,7 +253,7 @@ def cmd_nehari_search(args):
 
 
 def cmd_cex(args):
-    K = args.trunc if args.trunc is not None else 4
+    K = _given(args.trunc, 4)
     s = cex_truncation(K)
     # block k has degree k, so truncation k is the degree <= k part of s
     squares = [(sum(alpha), abs(c) ** 2) for alpha, c in s.terms()]
@@ -270,8 +275,8 @@ def cmd_cex(args):
 
 
 def cmd_psi(args):
-    K = args.trunc if args.trunc is not None else DEFAULT_TRUNC
-    grid = args.grid or 512
+    K = _given(args.trunc, DEFAULT_TRUNC)
+    grid = _given(args.grid, 512)
     est = psi_sup_estimate(K, grid)
     origin_trunc = min(K, 10**5)  # the value at the origin is summed to at most 1e5 terms
     origin = psi_evaluate(PsiSeries(origin_trunc), 0.0, 0.0)

@@ -331,6 +331,29 @@ class TestHpNorm:
         assert out == ""
         assert err == message
 
+    GRID_TOO_SMALL = "error: points_per_dimension must be >= 4\n"
+    TOO_FEW_SAMPLES = "error: monte-carlo needs at least 1000 samples\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("hp-norm", "{pair}", "2", "--samples", "0"), TOO_FEW_SAMPLES),
+            (("hp-norm", "{pair}", "2", "--samples", "0", "--seed", "3"), TOO_FEW_SAMPLES),
+            (("hp-norm", "{pair}", "2", "--grid", "0"), GRID_TOO_SMALL),
+            (("hp-norm", "{pair}", "2", "--grid", "0", "--samples", "5000"), GRID_TOO_SMALL),
+            (("norm", "{pair}", "--grid", "0"), GRID_TOO_SMALL),
+            (("norm", "{zero}", "--grid", "0"), GRID_TOO_SMALL),
+            (("nehari-bound", "{pair}", "{pair}", "--grid", "0"), GRID_TOO_SMALL),
+            (("psi", "--grid", "0"), "error: grid must have at least 16 points\n"),
+        ],
+        ids=["hp-samples", "hp-samples-seed", "hp-grid", "hp-grid-mc", "norm", "norm-zero", "nehari-bound", "psi"],
+    )
+    def test_explicit_zero_is_refused_not_defaulted(self, capsys, tmp_path, pair_file, argv, message):
+        zero = tmp_path / "zero.sym"
+        zero.write_text("dim 2\n")
+        code, out, err = run(capsys, *(a.format(pair=pair_file, zero=zero) for a in argv))
+        assert (code, out, err) == (1, "", message)
+
     def test_under_resolved_grid_is_domain_error(self, capsys, tmp_path):
         path = tmp_path / "big.sym"
         path.write_text("dim 1\n1.0 0.0 : 100000000000000000000000\n0.5 0.0 : 0\n")

@@ -136,16 +136,21 @@ class TestHpNorm:
         # the 120 lowest exponents in d=8 (1, the z_j, ...) span the full lattice
         exponents = sorted((a for a in np.ndindex(*(4,) * 8) if sum(a) <= 3), key=lambda a: (sum(a), a))[:120]
         rng = np.random.default_rng(151)
-        s = make_symbol(8, [(a, complex(*rng.uniform(-1, 1, size=2))) for a in exponents])
-        assert len(s.support) == 120 and _reduce(s) is s
-        tracemalloc.start()
-        try:
-            est = hp_norm(s, 2, QuadratureSpec(method="monte-carlo", seed=5, samples=20_000))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 48e6
-        assert abs(est.value - s.h2_norm()) <= est.error_bound
+        wide = make_symbol(8, [(a, complex(*rng.uniform(-1, 1, size=2))) for a in exponents])
+        assert len(wide.support) == 120 and _reduce(wide) is wide
+        # 1000 of the 6^6 exponents below 6 in d=6
+        picked = rng.choice(6**6, size=1000, replace=False)
+        many = make_symbol(6, [(tuple(map(int, np.unravel_index(i, (6,) * 6))), complex(*rng.normal(size=2))) for i in picked])
+        assert len(many.support) == 1000 and _reduce(many) is many
+        for s in (wide, many):
+            tracemalloc.start()
+            try:
+                est = hp_norm(s, 2, QuadratureSpec(method="monte-carlo", seed=5, samples=20_000))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 48e6
+            assert abs(est.value - s.h2_norm()) <= est.error_bound
 
     def test_zero_and_bad_p(self):
         from hankel_lab import Symbol
@@ -573,20 +578,29 @@ class TestFactoredHpNorm:
 
 
 def mc_complex_phases(s, spec, p):
-    """hp_norm's Monte Carlo value and bound, with the phases formed as (1j * theta) @ alphas.T."""
+    """hp_norm's Monte Carlo value and bound, with one exponential per term: exp(1j * theta @ alphas.T).
+
+    At p=inf, the sample max and inf.
+    """
     s = _reduce(s)
     rng = np.random.Generator(np.random.Philox(spec.seed))
     alphas = np.array([a for a, _ in s.terms()], dtype=float)
     coefs = np.array([c for _, c in s.terms()])
-    total = total_sq = 0.0
+    total = total_sq = best = 0.0
     remaining = spec.samples
     while remaining > 0:
         m = min(131072, max(1, (1 << 20) // len(coefs)), remaining)
         theta = rng.uniform(0.0, 2.0 * np.pi, size=(m, s.dim))
-        powered = np.abs(np.exp(1j * theta @ alphas.T) @ coefs) ** p
-        total += float(powered.sum())
-        total_sq += float((powered**2).sum())
+        mags = np.abs(np.exp(1j * theta @ alphas.T) @ coefs)
+        if p == math.inf:
+            best = max(best, float(mags.max()))
+        else:
+            powered = mags**p
+            total += float(powered.sum())
+            total_sq += float((powered**2).sum())
         remaining -= m
+    if p == math.inf:
+        return best, math.inf
     mean = total / spec.samples
     value = mean ** (1 / p)
     sem = math.sqrt(max(total_sq / spec.samples - mean**2, 0.0) / spec.samples)
@@ -594,6 +608,16 @@ def mc_complex_phases(s, spec, p):
 
 
 class TestMonteCarloPhases:
+    """The per-axis phasor evaluation against one exponential per term, on the same samples."""
+
+    @staticmethod
+    def assert_agrees(s, p, seed, samples):
+        spec = QuadratureSpec(method="monte-carlo", seed=seed, samples=samples)
+        value, bound = mc_complex_phases(s, spec, p)
+        est = hp_norm(s, p, spec)
+        assert est.value == pytest.approx(value, rel=1e-12, abs=0)
+        assert est.error_bound == (math.inf if p == math.inf else pytest.approx(bound, rel=1e-9))
+
     def test_real_phases_agree_with_complex_phases(self):
         rng = np.random.default_rng(151)
         exponents = sorted((a for a in np.ndindex(*(4,) * 8) if sum(a) <= 3), key=lambda a: (sum(a), a))[:120]
@@ -605,7 +629,31 @@ class TestMonteCarloPhases:
             (wide, 2, 5, 20_000),
             (product, 1, 11, 100_000),
         ]
-        for s, p, seed, samples in cases:
-            spec = QuadratureSpec(method="monte-carlo", seed=seed, samples=samples)
-            value, bound = mc_complex_phases(s, spec, p)
-            assert abs(hp_norm(s, p, spec).value - value) <= bound
+        for case in cases:
+            self.assert_agrees(*case)
+
+    def test_gapped_exponents_on_one_axis(self):
+        s = make_symbol(1, [((0,), 1.0), ((5,), 0.5 - 0.25j), ((37,), 0.75j)])
+        self.assert_agrees(s, 3, 13, 100_000)
+
+    @pytest.mark.parametrize("p", [3.5, math.inf])
+    def test_benchmark_shaped_product(self, p):
+        # [1, 2, 1] in d=8, as the benchmark's Monte Carlo ops; at p=inf the
+        # sample maxima agree, since the samples are the same
+        self.assert_agrees(one_variable_product(np.random.default_rng(433), [1, 2, 1, 0, 0, 0, 0, 0]), p, 17, 100_000)
+
+    def test_sparse_symbol_with_more_exponents_than_terms(self):
+        s = random_symbol(np.random.default_rng(435), 4, max_degree=1000, n_terms=100)
+        assert len(s.support) == 100 and _reduce(s) is s
+        assert sum(len({a[j] for a in s.support}) for j in range(4)) > len(s.support)
+        self.assert_agrees(s, 1.5, 23, 50_000)
+
+    @pytest.mark.parametrize("e", [2**40, 10**23])
+    def test_huge_exponent_stays_finite(self, e):
+        # full rank, so _reduce keeps the exponent e; u^e by unnormalised
+        # squaring overflows to nan
+        s = make_symbol(2, [((0, 0), 1.0), ((e, 0), 1.0), ((0, 1), 1.0)])
+        assert _reduce(s) is s
+        est = hp_norm(s, 2, QuadratureSpec(method="monte-carlo", seed=29, samples=100_000))
+        assert math.isfinite(est.value) and math.isfinite(est.error_bound)
+        assert abs(est.value - math.sqrt(3)) <= 3 * est.error_bound
