@@ -19,7 +19,7 @@ from numpy.linalg import LinAlgError
 
 from . import _threads  # noqa: F401  (thread cap must precede numpy-heavy work)
 from .errors import BudgetError, DomainError, ParseError
-from .hankel import active_bases, build_block, build_blocks, operator_norm, spectral_norm
+from .hankel import build_block, build_blocks, operator_norm, spectral_norm
 from .minimal import build_recipe, classify, classify_homogeneous, parse_recipe
 from .nehari import (
     PsiSeries,
@@ -148,8 +148,6 @@ def _check_minimal_rows(args, tol):
     if args.recipe:
         s = build_recipe(parse_recipe(_load_text(args.symbol)))
         try:
-            if s.is_homogeneous() is not None:
-                active_bases(s)  # the cut is the full basis, though blocks allow more
             verdict, path = _classify(s, tol)
         except BudgetError:
             return [
@@ -265,8 +263,8 @@ def cmd_cex(args):
         rows.append(_row(f"h2_K={k}", h2, "closed-form", abs(h2 - reference)))
     try:
         verdict = classify(s, DEFAULT_TOL)
-    except BudgetError:  # no numeric gap above the basis budget
-        pass
+    except BudgetError as err:  # no numeric gap; the note says which budget
+        rows.append(_row("note", str(err)))
     else:
         rows += [_row("classification", verdict.status, "full-matrix"), _row("gap", verdict.gap, "full-matrix")]
     rows += [_row(f"dual_ratio_k={k}_q=1", cex_ratio(k, 1.0), "closed-form", 0.0) for k in (1, 10, 100, 200)]

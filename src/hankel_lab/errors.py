@@ -7,14 +7,13 @@ is a MAX_* constant below, and every refusal goes through check_budget
 before the work it bounds starts.
 """
 
-# Largest active basis of a full matrix: n^2 complex entries (144 MB at
-# n = 3000) and an O(n^3) SVD. operator_norm, one SVD per connected
-# component, keeps the same bound on the closure. A product in disjoint
-# variables is held to it factor by factor (hankel.factored).
+# MAX_BASIS**2 bounds the complex entries assembled at once (144 MB), so a
+# full matrix has at most 3000 columns and no SVD is larger, and the entries
+# one walk over the support's boxes visits. A product in disjoint variables
+# is held to both factor by factor (hankel.factored).
 MAX_BASIS = 3000
-# Largest closure of a homogeneous symbol, split into its components: each
-# is small, but the closure is enumerated as Python tuples and z1^m alone
-# has m + 1 one-by-one components. build_blocks keeps the same bound.
+# Largest downward closure of a support, listed as Python tuples; every
+# matrix, block and component is built on one (z1^m: m + 1 components).
 MAX_CLOSURE = 30_000
 # Largest tensor grid evaluated: the default d=4 grid refined, 128^4 points.
 # A product in disjoint variables is held to it factor by factor.

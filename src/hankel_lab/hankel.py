@@ -93,18 +93,20 @@ class HankelMatrix:
         return "\n".join(lines) + "\n"
 
 
-def _downward_closure(support, budget, what):
+def _downward_closure(support):
     """All multi-indices componentwise dominated by some element of support.
 
-    Sorted in graded lex order. Raises BudgetError as soon as there are
-    more than budget of them, before enumerating a box that large; its
-    message names the budget, what.
+    Sorted in graded lex order. BudgetError is raised before any box
+    {gamma <= alpha} is listed if one exceeds MAX_CLOSURE or all exceed
+    MAX_BASIS**2 (_walk's entries), and once the closure exceeds MAX_CLOSURE.
     """
+    boxes = [math.prod(e + 1 for e in alpha) for alpha in support]
+    check_budget(max(boxes, default=0), MAX_CLOSURE, "closure (MAX_CLOSURE)", "monomials")
+    check_budget(sum(boxes), MAX_BASIS**2, "walk (MAX_BASIS**2)", "entries")
     closed = set()
     for alpha in support:
-        check_budget(math.prod(e + 1 for e in alpha), budget, what, "monomials")
         closed.update(product(*(range(e + 1) for e in alpha)))
-        check_budget(len(closed), budget, what, "monomials")
+        check_budget(len(closed), MAX_CLOSURE, "closure (MAX_CLOSURE)", "monomials")
     return sorted(closed, key=grlex_key)
 
 
@@ -113,9 +115,9 @@ def active_bases(s: Symbol):
 
     Both sides equal the downward closure of the support, in graded lex
     order. The zero symbol yields empty bases. Raises BudgetError when the
-    closure holds more than MAX_BASIS indices.
+    closure holds more than MAX_CLOSURE indices.
     """
-    closure = tuple(_downward_closure(s.support, MAX_BASIS, "full active basis (MAX_BASIS)"))
+    closure = tuple(_downward_closure(s.support))
     return closure, closure
 
 
@@ -196,12 +198,13 @@ def _assemble(closure, walk, row_part, col_part, count):
     Block b has as rows the closure indices whose row_part is b and as
     columns those whose col_part is b, each in closure order; part -1 is in
     no block, and every nonzero entry in a block's rows lies in its
-    columns. The walk is scattered a chunk at a time into one zero buffer
-    that holds the blocks one after the other, and each block is a view.
+    columns. The walk is scattered into one zero buffer, the blocks one
+    after the other, each a view; over MAX_BASIS**2 entries is BudgetError.
     """
     row_at, row_order, row_bounds = _groups(row_part, count)
     col_at, col_order, col_bounds = _groups(col_part, count)
     heights, widths = np.diff(row_bounds), np.diff(col_bounds)
+    check_budget(int(heights @ widths), MAX_BASIS**2, "matrix (MAX_BASIS**2)", "entries")
     ends = np.cumsum(heights * widths)
     starts = ends - heights * widths
     # where each closure index's row starts in the buffer, -1 off the blocks
@@ -260,7 +263,7 @@ def _whole(closure):
     return np.zeros(len(closure), dtype=np.int64), np.zeros(len(closure), dtype=np.int64), 1
 
 
-def components(s: Symbol, budget=MAX_BASIS, what="full active basis (MAX_BASIS)"):
+def components(s: Symbol):
     """The blocks of the connected components of the operator's matrix.
 
     Joining row gamma to column beta on every nonzero entry splits the
@@ -268,10 +271,10 @@ def components(s: Symbol, budget=MAX_BASIS, what="full active basis (MAX_BASIS)"
     exactly one component and the row of exactly one, and the matrix is
     the direct sum of their blocks. Returns an iterator over the blocks,
     HankelMatrix objects with bases in graded lex order, in the order of
-    their first rows; the zero symbol has none. The closure, and its
-    budget, are _downward_closure's: BudgetError names what.
+    their first rows; the zero symbol has none. BudgetError is raised above
+    MAX_CLOSURE closure indices or MAX_BASIS**2 entries walked or assembled.
     """
-    closure = _downward_closure(s.support, budget, what)
+    closure = _downward_closure(s.support)
     walk = _walk(s, closure)
     return _assemble(closure, walk, *_split(closure, walk))
 
@@ -293,8 +296,8 @@ def build_blocks(s: Symbol, ks):
     Block k has the degree-k indices of the closure as columns and the
     degree-(m-k) ones as rows, ranges of the graded lex closure; for k > m
     it is the zero operator, an empty matrix. The blocks partition the
-    closure, which may hold MAX_CLOSURE indices, more than MAX_BASIS; a
-    larger one raises BudgetError. Yields the blocks in the order of ks.
+    closure, and BudgetError is raised above MAX_CLOSURE closure indices or
+    MAX_BASIS**2 entries in the wanted blocks. Yields them in the order of ks.
     """
     m = s.is_homogeneous()
     if m is None:
@@ -306,7 +309,7 @@ def build_blocks(s: Symbol, ks):
     wanted = [k for k in dict.fromkeys(ks) if k <= m]
     blocks = {}
     if wanted:
-        closure = _downward_closure(s.support, MAX_CLOSURE, "block closure (MAX_CLOSURE)")
+        closure = _downward_closure(s.support)
         level = np.array([degree(a) for a in closure], dtype=np.int64)
         part = np.full(m + 1, -1)  # the block of each degree, -1 if not wanted
         part[wanted] = np.arange(len(wanted))

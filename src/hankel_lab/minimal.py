@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import MAX_CLOSURE, MAX_RECIPE_DEPTH, DomainError, ParseError, check_budget
+from .errors import MAX_RECIPE_DEPTH, DomainError, ParseError, check_budget
 from .hankel import components, operator_norm, spectral_norm
 from .symbols import Symbol, degree, format_term, parse_term
 
@@ -67,8 +67,8 @@ def classify_homogeneous(s: Symbol, tol: float = 1e-9) -> MinimalityVerdict:
     Computes the norms of the blocks k = 1 .. floor(m/2), each the largest
     norm among the components whose columns have degree k; for m <= 1 that
     range is empty and the symbol is minimal outright. Agrees with
-    classify() on every homogeneous input. Raises BudgetError when the
-    closure holds more than MAX_CLOSURE indices.
+    classify() on every homogeneous input. Raises BudgetError where
+    hankel.components does.
     """
     _check_classify_args(s, tol)
     m = s.is_homogeneous()
@@ -79,7 +79,7 @@ def classify_homogeneous(s: Symbol, tol: float = 1e-9) -> MinimalityVerdict:
     # |gamma| + |beta| = m on every entry, so the columns of a component
     # share one degree k, and block k is the direct sum of those components
     norms = dict.fromkeys(range(1, m // 2 + 1), 0.0)
-    for block in components(s, MAX_CLOSURE, "block closure (MAX_CLOSURE)"):
+    for block in components(s):
         k = degree(block.column_basis[0])
         if k in norms:
             norms[k] = max(norms[k], spectral_norm(block).value)

@@ -153,6 +153,13 @@ def test_criterion_7_divergent_family():
     assert report("criterion 7", ok, detail, elapsed, 60.0)
 
 
+@pytest.mark.parametrize("K", range(3, 9))
+def test_cex_truncations_are_minimal(K):
+    # the closure grows to 9833 indices at K=8, over MAX_BASIS, but the components stay small
+    v = classify(cex_truncation(K))
+    assert v.status == "minimal" and abs(v.gap) <= 1e-12
+
+
 def test_criterion_8_completion_series():
     start = time.perf_counter()
     pair = z(2, 0) + z(2, 1)

@@ -78,14 +78,16 @@ class TestNorm:
         assert code == 2
         assert "line 3" in err
 
-    def test_basis_over_budget_is_domain_error(self, capsys, tmp_path):
+    def test_closure_over_basis_size_computes(self, capsys, tmp_path):
+        # the closure has 20001 > MAX_BASIS indices, in 20001 one-by-one components
         path = tmp_path / "high.sym"
         path.write_text("dim 1\n1.0 0.0 : 20000\n")
-        code, out, err = run(capsys, "norm", str(path))
-        assert code == 1
-        assert out == ""
-        assert err.count("\n") == 1 and "budget of 3000" in err
-        assert "full active basis (MAX_BASIS)" in err
+        code, out, err = run(capsys, "norm", str(path), "--json")
+        assert (code, err) == (0, "")
+        rows = {r["quantity"]: r for r in json.loads(out)["reports"]}
+        assert rows["operator_norm"]["value"] == 1.0
+        assert rows["operator_norm"]["method"] == "spectral-exact"
+        assert rows["sup_estimate"]["value"] == 1.0
 
     @pytest.mark.parametrize(
         "command, text",
@@ -164,17 +166,20 @@ class TestCheckMinimal:
     @pytest.mark.parametrize(
         "recipe",
         [
-            "(prod (mono 1.0 0.0 : 3000 0) (mono 1.0 0.0 : 0 1))",  # homogeneous, basis 6002
-            "(sum (mono 1.0 0.0 : 3001 0) (mono 1.0 0.0 : 0 1))",  # full matrix, basis 3003
+            "(prod (mono 1.0 0.0 : 3000 0) (mono 1.0 0.0 : 0 1))",  # homogeneous, closure 6002
+            "(sum (mono 1.0 0.0 : 3001 0) (mono 1.0 0.0 : 0 1))",  # full matrix, closure 3003
         ],
     )
     def test_recipe_over_budget_is_certified(self, capsys, tmp_path, recipe):
+        # closures over MAX_BASIS whose components are 1x1: a numeric gap, and the certificate note
         path = tmp_path / "big.txt"
         path.write_text(recipe + "\n")
-        code, out, _ = run(capsys, "check-minimal", str(path), "--recipe")
-        assert code == 0
-        assert table_value(out, "status") == "minimal"
-        assert "certificate" in out and "basis too large" in out
+        code, out, err = run(capsys, "check-minimal", str(path), "--recipe", "--json")
+        assert (code, err) == (0, "")
+        rows = {r["quantity"]: r for r in json.loads(out)["reports"]}
+        assert rows["status"]["value"] == "minimal" and rows["status"]["method"] != "certificate"
+        assert abs(rows["gap"]["value"]) <= 1e-12
+        assert rows["note"]["value"] == "boundary; construction-certified"
 
     def test_blocks_over_budget_is_domain_error(self, capsys, tmp_path):
         path = tmp_path / "huge.sym"
@@ -184,8 +189,22 @@ class TestCheckMinimal:
         assert time.perf_counter() - start < 1.0
         assert code == 1
         assert out == ""
-        assert err.count("\n") == 1 and "budget of 30000" in err
-        assert "block closure (MAX_CLOSURE)" in err
+        assert err == "error: closure (MAX_CLOSURE) exceeds the budget of 30000 monomials\n"
+
+    @pytest.mark.parametrize(
+        "degree, refusal",
+        [
+            (130, "walk (MAX_BASIS**2) exceeds the budget of 9000000 entries"),  # boxes of 12.8M entries
+            (100, "matrix (MAX_BASIS**2) exceeds the budget of 9000000 entries"),  # one 5151-index component
+        ],
+        ids=["walk", "matrix"],
+    )
+    def test_walk_and_matrix_budgets_are_domain_errors(self, capsys, tmp_path, degree, refusal):
+        path = tmp_path / "dense.sym"
+        terms = (f"1.0 0.0 : {a} {b}\n" for a in range(degree + 1) for b in range(degree + 1 - a))
+        path.write_text("dim 2\n" + "".join(terms))
+        code, out, err = run(capsys, "check-minimal", str(path))
+        assert (code, out, err) == (1, "", f"error: {refusal}\n")
 
     def test_zero_symbol_is_domain_error(self, capsys, tmp_path):
         path = tmp_path / "zero.sym"
@@ -457,11 +476,13 @@ class TestCexPsi:
             assert rows[f"h2_K={k}"]["value"] == cex_truncation(k).h2_norm()
 
     def test_cex_skips_gap_beyond_budget(self, capsys):
-        # cex K=7 has a 3273-index basis: the h2 and dual-ratio rows stay
-        code, out, _ = run(capsys, "cex", "--trunc", "7")
-        assert code == 0
-        assert "classification" not in out and "gap" not in out
-        assert table_value(out, "h2_K=7")
+        # cex K=10 has a closure over MAX_CLOSURE: a note says so, the h2 and dual-ratio rows stay
+        code, out, err = run(capsys, "cex", "--trunc", "10", "--json")
+        assert (code, err) == (0, "")
+        rows = {r["quantity"]: r for r in json.loads(out)["reports"]}
+        assert "classification" not in rows and "gap" not in rows
+        assert rows["note"]["value"] == "closure (MAX_CLOSURE) exceeds the budget of 30000 monomials"
+        assert rows["h2_K=10"]["value"] > 0 and "dual_ratio_k=200_q=1" in rows
 
     def test_psi(self, capsys):
         code, out, _ = run(capsys, "psi", "--trunc", "500", "--grid", "64")
@@ -646,7 +667,7 @@ class TestExactLayout:
     @pytest.mark.parametrize("as_json", [False, True])
     def test_recipe_certificate_branch(self, capsys, tmp_path, as_json):
         path = tmp_path / "big.txt"
-        path.write_text("(sum (mono 1.0 0.0 : 3001 0) (mono 1.0 0.0 : 0 1))\n")
+        path.write_text("(sum (mono 1.0 0.0 : 30001 0) (mono 1.0 0.0 : 0 1))\n")  # closure over MAX_CLOSURE
         code, out, err = run(capsys, "check-minimal", str(path), "--recipe", *(["--json"] if as_json else []))
         assert (code, err) == (0, "")
         assert out == (CERTIFICATE_JSON if as_json else CERTIFICATE_TEXT)

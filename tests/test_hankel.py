@@ -26,6 +26,7 @@ from hankel_lab import (
     spectral_norm,
     split_factors,
 )
+from hankel_lab import hankel
 from hankel_lab.hankel import product_error
 from helpers import (
     RECIPE_PRODUCT,
@@ -41,6 +42,11 @@ from helpers import (
     random_symbol,
     z,
 )
+
+
+def all_degrees_upto(m):
+    """Every monomial of degree <= m in two variables, coefficient 1."""
+    return make_symbol(2, [((a, b), 1.0) for a in range(m + 1) for b in range(m + 1 - a)])
 
 
 def enumerate_dominated(support, dim):
@@ -306,9 +312,10 @@ class TestBasisBudget:
     def test_huge_monomial_stops_at_once(self):
         s = make_symbol(1, [((10**9,), 1.0)])
         start = time.perf_counter()
-        with pytest.raises(BudgetError, match=str(MAX_BASIS)):
+        with pytest.raises(BudgetError) as err:
             active_bases(s)
         assert time.perf_counter() - start < 1.0
+        assert str(err.value) == f"closure (MAX_CLOSURE) exceeds the budget of {MAX_CLOSURE} monomials"
         assert issubclass(BudgetError, DomainError)
 
     def test_union_of_small_boxes_exceeds(self):
@@ -327,6 +334,36 @@ class TestBasisBudget:
         with pytest.raises(BudgetError):
             build_matrix(s)
         assert build_block(s, 7).entries.tolist() == [[1.0 - 0j]]
+
+    def test_walk_budget_refuses_before_the_walk(self, monkeypatch):
+        # the 8646 monomials of degree <= 130 in d=2: a closure within MAX_CLOSURE, but
+        # their boxes hold C(134, 4) = 12.8M > MAX_BASIS**2 entries
+        s = all_degrees_upto(130)
+        assert len(s.support) == 8646 and sum(math.prod(e + 1 for e in a) for a in s.support) == math.comb(134, 4)
+
+        def walked(*args):
+            raise AssertionError("walked")
+
+        monkeypatch.setattr(hankel, "_walk", walked)
+        monkeypatch.setattr(hankel, "product", walked)  # nor is a box listed for the closure
+        for refused in (operator_norm, active_bases, lambda s: list(components(s))):
+            with pytest.raises(BudgetError) as err:
+                refused(s)
+            assert str(err.value) == f"walk (MAX_BASIS**2) exceeds the budget of {MAX_BASIS**2} entries"
+
+    def test_matrix_budget_refuses_one_large_component(self):
+        # the monomials of degree <= 100 in d=2 walk C(104, 4) = 4.6M <= MAX_BASIS**2
+        # entries, but form one component of 5151 > MAX_BASIS indices
+        s = all_degrees_upto(100)
+        closure = active_bases(s)[0]
+        walk = hankel._walk(s, closure)
+        row_part, col_part, count = hankel._split(closure, walk)
+        assert (len(closure), count) == (5151, 1)
+        with pytest.raises(BudgetError) as err:
+            next(hankel._assemble(closure, walk, row_part, col_part, count))
+        assert str(err.value) == f"matrix (MAX_BASIS**2) exceeds the budget of {MAX_BASIS**2} entries"
+        with pytest.raises(BudgetError, match=r"^matrix \(MAX_BASIS\*\*2\)"):
+            build_matrix(s)
 
     def test_blocks_budget_is_fixed(self):
         # a closure of 10**6 + 1 indices is refused before it is enumerated
@@ -500,20 +537,20 @@ class TestFactoredNorm:
             assert abs(np.prod(exact) - np.prod(values)) <= product_error(list(values), list(errors)) * (1 + 1e-12)
 
     def test_products_over_the_whole_budget_compute(self):
-        # four factors of 10 terms each; the 10^4-term product's basis is over MAX_BASIS
+        # three factors of 32 terms each; the 32^3-term product's closure is over MAX_CLOSURE
         rng = np.random.default_rng(417)
-        factors = [circle_factor(rng, 9) for _ in range(4)]
-        s = embedded_product(4, [((j,), f) for j, f in enumerate(factors)])
-        with pytest.raises(BudgetError):
+        factors = [circle_factor(rng, 31) for _ in range(3)]
+        s = embedded_product(3, [((j,), f) for j, f in enumerate(factors)])
+        with pytest.raises(BudgetError, match=r"^closure \(MAX_CLOSURE\)"):
             active_bases(s)
         est = operator_norm(s)
-        assert est.metadata.startswith("factored into 4 [active basis 10x10] [active basis 10x10]")
+        assert est.metadata.startswith("factored into 3 [active basis 32x32] [active basis 32x32]")
         assert abs(est.value - math.prod(brute_norm(f) for f in factors)) <= est.error_bound
 
     def test_refused_factor_sends_the_whole_symbol(self):
-        # the factor 1 + z1^3000 has 3001 basis indices; the message is the whole symbol's
-        s = make_symbol(2, [((a, b), 1.0) for a in (0, 3000) for b in (0, 1)])
+        # the factor 1 + z1^30000 has 30001 closure indices; the message is the whole symbol's
+        s = make_symbol(2, [((a, b), 1.0) for a in (0, 30000) for b in (0, 1)])
         assert len(split_factors(s)[0]) == 2
         with pytest.raises(BudgetError) as err:
             operator_norm(s)
-        assert str(err.value) == "full active basis (MAX_BASIS) exceeds the budget of 3000 monomials"
+        assert str(err.value) == "closure (MAX_CLOSURE) exceeds the budget of 30000 monomials"
