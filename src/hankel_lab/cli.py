@@ -149,11 +149,8 @@ def _check_minimal_rows(args, tol):
         s = build_recipe(parse_recipe(_load_text(args.symbol)))
         try:
             verdict, path = _classify(s, tol)
-        except BudgetError:
-            return [
-                _row("status", "minimal", "certificate", 0.0),
-                _row("note", "basis too large for a numeric gap; " + certified),
-            ]
+        except BudgetError as err:  # no numeric gap; the note says which budget
+            return [_row("status", "minimal", "certificate", 0.0), _row("note", f"{err}; {certified}")]
     else:
         s = parse_symbol(_load_text(args.symbol))
         verdict, path = _classify(s, tol)

@@ -12,8 +12,9 @@ before the work it bounds starts.
 # one walk over the support's boxes visits. A product in disjoint variables
 # is held to both factor by factor (hankel.factored).
 MAX_BASIS = 3000
-# Largest downward closure of a support, listed as Python tuples; every
-# matrix, block and component is built on one (z1^m: m + 1 components).
+# Largest downward closure of a support, merged as integer codes and kept
+# as Python tuples for the bases; every matrix, block and component is
+# built on one (z1^m: m + 1 components).
 MAX_CLOSURE = 30_000
 # Largest tensor grid evaluated: the default d=4 grid refined, 128^4 points.
 # A product in disjoint variables is held to it factor by factor.

@@ -14,28 +14,29 @@ hence the operator is fully represented on the downward closure of the
 support (all indices componentwise below some supported index). Everything
 outside that finite block is identically zero.
 
-The nonzero entries are found by one walk (_walk): each gamma in the box
-{gamma <= alpha} of a support index alpha gives the entry at row gamma and
-column alpha - gamma. Every matrix here is that walk scattered into zero
-blocks (_assemble): the whole matrix on the closure (build_matrix), the
-degree blocks of a homogeneous symbol (build_blocks), or the connected
-components (components). Joining row gamma to column beta on every entry
-splits the closure into components, each with its own row and column
-basis; the operator is the direct sum of their blocks, so its norm is the
-largest block norm, and the degree-k block of an m-homogeneous symbol is
-the direct sum of the components whose columns have degree k.
+The closure and the nonzero entries come from one enumeration of the boxes
+{gamma <= alpha} of the support indices alpha (_downward_closure): the
+closure is the union of the boxes, and each gamma in a box gives the entry
+at row gamma and column alpha - gamma. Every matrix here is the walk over
+those entries scattered into zero blocks (_assemble): the whole matrix on
+the closure (build_matrix), the degree blocks of a homogeneous symbol
+(build_blocks), or the connected components (components). Joining row
+gamma to column beta on every entry splits the closure into components,
+each with its own row and column basis; the operator is the direct sum of
+their blocks, so its norm is the largest block norm, and the degree-k
+block of an m-homogeneous symbol is the direct sum of the components
+whose columns have degree k.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, product
 
 import numpy as np
 
 from .errors import MAX_BASIS, MAX_CLOSURE, DomainError, check_budget
-from .symbols import FACTOR_RTOL, Symbol, degree, grlex_key, split_factors
+from .symbols import FACTOR_RTOL, Symbol, degree, split_factors
 
 # entries per chunk of the walk: its temporaries stay near 1 MB, so
 # build_matrix at MAX_BASIS peaks at the matrix plus the interpreter
@@ -93,21 +94,71 @@ class HankelMatrix:
         return "\n".join(lines) + "\n"
 
 
-def _downward_closure(support):
-    """All multi-indices componentwise dominated by some element of support.
+def _boxes(radices, weights, dtype):
+    """The boxes {gamma <= alpha} of the terms, some _PAIRS entries at a time.
 
-    Sorted in graded lex order. BudgetError is raised before any box
-    {gamma <= alpha} is listed if one exceeds MAX_CLOSURE or all exceed
-    MAX_BASIS**2 (_walk's entries), and once the closure exceeds MAX_CLOSURE.
+    Yields (owner, gamma, box): each entry's term and the mixed-radix code
+    of its gamma, and the sizes of the boxes listed. A box is expanded one
+    axis at a time, so it lists its gammas in lexicographic, code, order.
     """
-    boxes = [math.prod(e + 1 for e in alpha) for alpha in support]
+    sizes = radices.prod(axis=1)
+    ends = np.cumsum(sizes)
+    start = 0
+    while start < len(sizes):
+        stop = max(start + 1, int(np.searchsorted(ends, ends[start] - sizes[start] + _PAIRS, side="right")))
+        owner = np.arange(start, stop)
+        gamma = np.zeros(len(owner), dtype=dtype)
+        for j in np.flatnonzero(radices[start:stop].max(axis=0) > 1):
+            counts = radices[owner, j]
+            offsets = counts.cumsum() - counts
+            digit = np.arange(offsets[-1] + counts[-1]) - offsets.repeat(counts)
+            owner = owner.repeat(counts)
+            gamma = gamma.repeat(counts) + digit.astype(dtype) * weights[j]
+        yield owner, gamma, sizes[start:stop]
+        start = stop
+
+
+def _downward_closure(s: Symbol):
+    """The downward closure of the support and the walk of s's matrix on it.
+
+    Returns (closure, walk). The closure is the distinct codes of the boxes
+    (radix M_j + 1 on axis j, M_j the largest exponent there; Python ints
+    from 2^63) in graded lex order. walk() lists the boxes again and yields
+    (rows, cols, values) some _PAIRS entries at a time: the closure
+    positions of row gamma, found by one search among those codes, and of
+    column alpha - gamma, the mirror of gamma in its box, and the value
+    conj(phihat(alpha)). BudgetError is raised before any box is listed if
+    one exceeds MAX_CLOSURE or all exceed MAX_BASIS**2 entries, and as soon
+    as the merged codes exceed MAX_CLOSURE.
+    """
+    terms = s.terms()
+    boxes = [math.prod(e + 1 for e in alpha) for alpha, _ in terms]
     check_budget(max(boxes, default=0), MAX_CLOSURE, "closure (MAX_CLOSURE)", "monomials")
     check_budget(sum(boxes), MAX_BASIS**2, "walk (MAX_BASIS**2)", "entries")
-    closed = set()
-    for alpha in support:
-        closed.update(product(*(range(e + 1) for e in alpha)))
-        check_budget(len(closed), MAX_CLOSURE, "closure (MAX_CLOSURE)", "monomials")
-    return sorted(closed, key=grlex_key)
+    radices = np.array([a for a, _ in terms], dtype=np.int64).reshape(len(terms), s.dim) + 1
+    top = radices.max(axis=0, initial=1).tolist()
+    weights = [math.prod(top[j + 1:]) for j in range(s.dim)]
+    dtype = object if math.prod(top) >= 1 << 63 else np.int64
+    codes = np.zeros(0, dtype=dtype)
+    for _, gamma, _ in _boxes(radices, weights, dtype):
+        # sorted runs, the codes so far and each box: a stable sort merges them
+        merged = np.sort(np.concatenate([codes, gamma]), kind="stable")
+        codes = merged[np.append(True, merged[1:] != merged[:-1])]
+        check_budget(len(codes), MAX_CLOSURE, "closure (MAX_CLOSURE)", "monomials")
+    digits = np.array([codes // w % t for w, t in zip(weights, top)], dtype=np.int64).T
+    # codes ascend in lexicographic order, so graded lex is by degree, then by descending code
+    order = np.lexsort((-np.arange(len(codes)), digits.sum(axis=1)))
+    closure = tuple(map(tuple, digits[order].tolist()))
+    at = np.argsort(order)  # the closure position of each code
+    values = np.conj(np.array([c for _, c in terms]))
+
+    def walk():
+        for owner, gamma, box in _boxes(radices, weights, dtype):
+            rows = at[np.searchsorted(codes, gamma)]
+            mirror = np.repeat(2 * np.cumsum(box) - box - 1, box) - np.arange(len(gamma))
+            yield rows, rows[mirror], values[owner]
+
+    return closure, walk
 
 
 def active_bases(s: Symbol):
@@ -117,58 +168,8 @@ def active_bases(s: Symbol):
     order. The zero symbol yields empty bases. Raises BudgetError when the
     closure holds more than MAX_CLOSURE indices.
     """
-    closure = tuple(_downward_closure(s.support))
+    closure, _ = _downward_closure(s)
     return closure, closure
-
-
-def _walk(s: Symbol, closure):
-    """The nonzero entries of s's matrix on closure, the one entry rule.
-
-    Each gamma in a box {gamma <= alpha} of a support index alpha gives the
-    entry at row gamma and column alpha - gamma, with value
-    conj(phihat(alpha)). Returns walk(): each call walks every box again,
-    some _PAIRS entries at a time, and yields (rows, cols, values), the
-    rows and columns as positions in closure, the downward closure of the
-    support. A box is expanded one axis at a time, so it lists its digit
-    tuples in lexicographic order and alpha - gamma sits at the mirror
-    position of gamma. Positions are found by mixed-radix codes, radix
-    M_j + 1 on axis j (M_j the largest support exponent there), held as
-    int64 when they fit and as Python ints otherwise.
-    """
-    terms = s.terms()
-    radices = np.array([a for a, _ in terms], dtype=np.int64).reshape(len(terms), s.dim) + 1
-    top = radices.max(axis=0, initial=1).tolist()
-    weights = [math.prod(top[j + 1:]) for j in range(s.dim)]
-    if math.prod(top) > 1 << 63:
-        dtype, codes = object, np.array([sum(e * w for e, w in zip(a, weights)) for a in closure], dtype=object)
-    else:
-        dtype, codes = np.int64, np.fromiter(chain.from_iterable(closure), np.int64, len(closure) * s.dim)
-        codes = codes.reshape(len(closure), s.dim) @ np.array(weights, dtype=np.int64)
-    by_code = np.argsort(codes)
-    sorted_codes = codes[by_code]
-    values = np.conj(np.array([c for _, c in terms]))
-    sizes = radices.prod(axis=1)
-    ends = np.cumsum(sizes)
-
-    def walk():
-        start = 0
-        while start < len(terms):
-            stop = max(start + 1, int(np.searchsorted(ends, ends[start] - sizes[start] + _PAIRS, side="right")))
-            owner = np.arange(start, stop)
-            gamma = np.zeros(len(owner), dtype=dtype)
-            for j in np.flatnonzero(radices[start:stop].max(axis=0) > 1):
-                counts = radices[owner, j]
-                offsets = counts.cumsum() - counts
-                digit = np.arange(offsets[-1] + counts[-1]) - offsets.repeat(counts)
-                owner = owner.repeat(counts)
-                gamma = gamma.repeat(counts) + digit.astype(dtype) * weights[j]
-            rows = by_code[np.searchsorted(sorted_codes, gamma)]
-            box = sizes[start:stop]
-            mirror = np.repeat(2 * np.cumsum(box) - box - 1, box) - np.arange(len(gamma))
-            yield rows, rows[mirror], values[owner]
-            start = stop
-
-    return walk
 
 
 def _fill(closure, rows, cols, entries) -> HankelMatrix:
@@ -274,8 +275,7 @@ def components(s: Symbol):
     their first rows; the zero symbol has none. BudgetError is raised above
     MAX_CLOSURE closure indices or MAX_BASIS**2 entries walked or assembled.
     """
-    closure = _downward_closure(s.support)
-    walk = _walk(s, closure)
+    closure, walk = _downward_closure(s)
     return _assemble(closure, walk, *_split(closure, walk))
 
 
@@ -286,8 +286,8 @@ def build_matrix(s: Symbol) -> HankelMatrix:
     of this finite matrix is the operator norm. The zero symbol gives an
     empty matrix. Raises BudgetError above MAX_BASIS columns.
     """
-    closure, _ = active_bases(s)
-    return next(_assemble(closure, _walk(s, closure), *_whole(closure)))
+    closure, walk = _downward_closure(s)
+    return next(_assemble(closure, walk, *_whole(closure)))
 
 
 def build_blocks(s: Symbol, ks):
@@ -309,11 +309,11 @@ def build_blocks(s: Symbol, ks):
     wanted = [k for k in dict.fromkeys(ks) if k <= m]
     blocks = {}
     if wanted:
-        closure = _downward_closure(s.support)
+        closure, walk = _downward_closure(s)
         level = np.array([degree(a) for a in closure], dtype=np.int64)
         part = np.full(m + 1, -1)  # the block of each degree, -1 if not wanted
         part[wanted] = np.arange(len(wanted))
-        blocks = dict(zip(wanted, _assemble(closure, _walk(s, closure), part[m - level], part[level], len(wanted))))
+        blocks = dict(zip(wanted, _assemble(closure, walk, part[m - level], part[level], len(wanted))))
     for k in ks:
         yield blocks[k] if k <= m else HankelMatrix((), (), np.zeros((0, 0), dtype=complex))
 
@@ -408,9 +408,8 @@ def factored(s: Symbol, rule, residual) -> NormEstimate:
 
 
 def _dense_norm(s: Symbol) -> NormEstimate:
-    closure, _ = active_bases(s)
+    closure, walk = _downward_closure(s)
     n = len(closure)
-    walk = _walk(s, closure)
     blocks = _assemble(closure, walk, *(_split(closure, walk) if n > _SPLIT_MIN else _whole(closure)))
     value = max((spectral_norm(block).value for block in blocks), default=0.0)
     return NormEstimate(value, "spectral-exact", 1e-12 * value, f"active basis {n}x{n}")

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from hankel_lab import Symbol, make_symbol
+from hankel_lab import Symbol, grlex_key, make_symbol
 
 
 def z(dim, j):
@@ -83,6 +83,14 @@ def hom2_product(rng, degrees):
 def perturbed(rng, s, eps):
     """s with every coefficient moved by a relative eps, on the same support."""
     return make_symbol(s.dim, [(a, c * (1 + eps * complex(*rng.normal(size=2)))) for a, c in s.terms()])
+
+
+def downward_closure(support):
+    """Brute-force closure: the union of the boxes {gamma <= alpha}, sorted by grlex_key."""
+    closed = set()
+    for alpha in support:
+        closed.update(itertools.product(*(range(e + 1) for e in alpha)))
+    return tuple(sorted(closed, key=grlex_key))
 
 
 def random_symbol(rng, dim, max_degree=3, n_terms=4, complex_coeffs=True,

@@ -622,9 +622,12 @@ NORM_ZERO_JSON = """{
 """
 CERTIFICATE_TEXT = (
     "# hankel-lab check-minimal tol=1e-09\n"
-    "quantity  value                                                      method       error_bound\n"
-    "status    minimal                                                    certificate  0.0        \n"
-    "note      basis too large for a numeric gap; construction-certified                          \n"
+    "quantity  value                                                                                "
+    "method       error_bound\n"
+    "status    minimal                                                                              "
+    "certificate  0.0        \n"
+    "note      closure (MAX_CLOSURE) exceeds the budget of 30000 monomials; construction-certified  "
+    "                        \n"
 )
 CERTIFICATE_JSON = """{
   "command": "check-minimal",
@@ -640,7 +643,7 @@ CERTIFICATE_JSON = """{
     },
     {
       "quantity": "note",
-      "value": "basis too large for a numeric gap; construction-certified",
+      "value": "closure (MAX_CLOSURE) exceeds the budget of 30000 monomials; construction-certified",
       "method": "",
       "error_bound": ""
     }

@@ -32,6 +32,7 @@ from helpers import (
     RECIPE_PRODUCT,
     brute_norm,
     circle_factor,
+    downward_closure,
     embedded_product,
     hom2_product,
     one_variable_product,
@@ -114,6 +115,20 @@ class TestActiveBases:
             cols, _ = active_bases(s)
             assert set(cols) == enumerate_dominated(s.support, 3)
 
+    def test_closure_matches_the_box_union(self):
+        # the same tuples in the same graded lex order as the union of the boxes
+        rng = np.random.default_rng(31)
+        symbols = [random_symbol(rng, d, max_degree=int(rng.integers(1, 9 - d)), n_terms=int(rng.integers(1, 9)))
+                   for d in range(1, 6) for _ in range(12)]
+        symbols += [
+            sum((z(64, j) for j in range(1, 64)), z(64, 0)),  # radix 2 on 64 axes: Python-int codes
+            Symbol.zero(3),
+            make_symbol(1, [((MAX_CLOSURE - 1,), 1.0)]),
+        ]
+        for s in symbols:
+            closure = downward_closure(s.support)
+            assert active_bases(s) == (closure, closure)
+
 
 class TestBuildMatrix:
     def test_quadratic_middle_block_display(self):
@@ -177,6 +192,14 @@ class TestAssembly:
         s = sum((z(64, j) for j in range(1, 64)), z(64, 0)) * (0.5 - 2j)
         mat = build_matrix(s)
         assert mat.shape == (65, 65)
+        assert_views(s)
+
+    def test_codes_at_the_int64_edge(self):
+        # radix 1 on the first axis and 2 on the other 63: codes stay below 2^63,
+        # but the unused axis weighs 2^63, so they are held as Python ints
+        s = sum((z(64, j) for j in range(2, 64)), z(64, 1)) * (0.5 - 2j)
+        assert build_matrix(s).shape == (64, 64)
+        assert operator_norm(s).value == pytest.approx(abs(0.5 - 2j) * math.sqrt(63), rel=1e-12)
         assert_views(s)
 
     def test_carry_collision_is_rejected(self):
@@ -344,19 +367,33 @@ class TestBasisBudget:
         def walked(*args):
             raise AssertionError("walked")
 
-        monkeypatch.setattr(hankel, "_walk", walked)
-        monkeypatch.setattr(hankel, "product", walked)  # nor is a box listed for the closure
+        monkeypatch.setattr(hankel, "_boxes", walked)  # no box is listed, for the closure or the walk
         for refused in (operator_norm, active_bases, lambda s: list(components(s))):
             with pytest.raises(BudgetError) as err:
                 refused(s)
             assert str(err.value) == f"walk (MAX_BASIS**2) exceeds the budget of {MAX_BASIS**2} entries"
 
+    def test_closure_budget_refuses_as_the_boxes_are_merged(self, monkeypatch):
+        # ten lines of 15000 indices, one box per chunk: the closure passes MAX_CLOSURE at the third
+        s = make_symbol(10, [(tuple(14999 * (i == j) for i in range(10)), 1.0) for j in range(10)])
+        listed, boxes = [], hankel._boxes
+
+        def counted(*args):
+            for chunk in boxes(*args):
+                listed.append(len(chunk[1]))
+                yield chunk
+
+        monkeypatch.setattr(hankel, "_boxes", counted)
+        with pytest.raises(BudgetError) as err:
+            active_bases(s)
+        assert str(err.value) == f"closure (MAX_CLOSURE) exceeds the budget of {MAX_CLOSURE} monomials"
+        assert listed == [15000] * 3
+
     def test_matrix_budget_refuses_one_large_component(self):
         # the monomials of degree <= 100 in d=2 walk C(104, 4) = 4.6M <= MAX_BASIS**2
         # entries, but form one component of 5151 > MAX_BASIS indices
         s = all_degrees_upto(100)
-        closure = active_bases(s)[0]
-        walk = hankel._walk(s, closure)
+        closure, walk = hankel._downward_closure(s)
         row_part, col_part, count = hankel._split(closure, walk)
         assert (len(closure), count) == (5151, 1)
         with pytest.raises(BudgetError) as err:
