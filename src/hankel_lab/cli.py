@@ -11,6 +11,7 @@ algebra routine), 2 parse error (including unreadable files).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -377,6 +378,7 @@ def cmd_reproduce(args):
 # -- wiring --------------------------------------------------------------------
 
 
+@functools.cache  # built on the first main(), not at import; parse_args leaves it unchanged
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="hankel-lab",
@@ -448,8 +450,7 @@ def _build_parser():
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ParseError, OSError) as exc:

@@ -55,7 +55,7 @@ class NormEstimate:
     """A computed norm together with how it was obtained.
 
     method is one of "spectral-exact", "grid-quadrature", "arc-quadrature",
-    "monte-carlo" or "closed-form"; metadata is a free-form description
+    "exact", "monte-carlo" or "closed-form"; metadata is a free-form description
     (grid sizes, seeds, refinement data) making the estimate
     self-describing.
     """
@@ -367,6 +367,11 @@ def product_error(values, errors):
     return total
 
 
+def _coarsest(methods):
+    """The least precise of several quadrature rules: a product is only as exact as its coarsest factor."""
+    return next(m for m in ("grid-quadrature", "arc-quadrature") if m in methods)
+
+
 def factored(s: Symbol, rule, residual) -> NormEstimate:
     """A norm of s as the product of its factors' norms, or rule(s).
 
@@ -376,8 +381,8 @@ def factored(s: Symbol, rule, residual) -> NormEstimate:
     fit residual delta; rule runs on each factor and the values multiply.
     The factors' bounds combine as prod(v_i + e_i) - prod(v_i)
     (product_error), and residual(delta), a bound on the norm of delta,
-    is added. The method is the factors' common one, grid-quadrature where
-    arc and grid factors mix, and the metadata reads
+    is added. The method is the factors' common one, or the coarsest of
+    theirs where they differ (grid, then arc, then exact), and the metadata reads
     "factored into <k> [<factor metadata>] ..., fit residual bound <r>".
 
     The whole symbol goes through rule instead when it does not split, when
@@ -399,7 +404,7 @@ def factored(s: Symbol, rule, residual) -> NormEstimate:
             methods = {e.method for e in parts}
             return NormEstimate(
                 value,
-                methods.pop() if len(methods) == 1 else "grid-quadrature",
+                methods.pop() if len(methods) == 1 else _coarsest(methods),
                 product_error(values, [e.error_bound for e in parts]) + fit,
                 f"factored into {len(parts)} " + " ".join(f"[{e.metadata}]" for e in parts)
                 + f", fit residual bound {fit:.3g}",

@@ -23,13 +23,19 @@ convergence at zeros of P on the circle is avoidable: _arc_stat cuts the
 circle at the angles of the roots of P, grades panels geometrically
 toward each cut, and integrates |P|^p by Gauss-Legendre with 16 and 32
 nodes per panel, exact to rounding. Its bound is the grid's
-refinement-difference formula. The spec's grid is still validated there
-(budget, spread) but sets no node count; p = inf, rank r >= 2 and higher
-degrees stay on the grid.
+refinement-difference formula. At p = 1 a self-reciprocal P
+(c_k = u conj(c_(m-k)), |u| = 1) needs no nodes at all: it is e^{imt/2}
+times a real trigonometric polynomial, so ||P||_1 is a sum of
+antiderivative differences between its roots (_reciprocal_h1, method
+"exact", a rounding bound); the nehari-search test functions
+z1^2 + c z1 z2 + z2^2 are of this kind. A monomial (rank 0) has
+||c z^alpha||_p = |c| at every finite p, also "exact". The spec's grid is
+still validated on these paths (budget, spread) but sets no node count;
+p = inf, rank r >= 2 and higher degrees stay on the grid.
 
-On the grid and on the arcs, a product in disjoint variables is the
-product of its factors' norms (hankel.factored), each factor reduced,
-checked and integrated on its own.
+On the grid, on the arcs and on the exact paths, a product in disjoint
+variables is the product of its factors' norms (hankel.factored), each
+factor reduced, checked and integrated on its own.
 
 Monte Carlo sampling (counter-based Philox generator, explicit seed) is
 available for any dimension, samples the same reduced torus T^r, is not
@@ -57,12 +63,13 @@ import numpy as np
 
 from .errors import MAX_GRID_POINTS, MAX_SAMPLES, DomainError, check_budget
 from .hankel import NormEstimate, factored
-from .symbols import Symbol
+from .symbols import FACTOR_RTOL, Symbol
 
 _EPS = np.finfo(float).eps
 # full coefficient grids above this many points are evaluated slice by slice
 _FULL_GRID_LIMIT = 1 << 22
-# rank <= 1 symbols up to this degree are integrated on arcs (_arc_stat) at finite p
+# rank <= 1 symbols up to this degree are integrated on arcs (_arc_stat) at finite p,
+# or exactly at p = 1 when self-reciprocal (_reciprocal_h1)
 _ARC_MAX_DEGREE = 64
 # Gauss-Legendre nodes per arc of the coarse rule; the refined rule has twice as many
 _ARC_NODES = 16
@@ -243,21 +250,34 @@ def _arc_ends(roots, degree: int):
     return np.unique(np.concatenate([uniform, np.mod(cuts, 2.0 * math.pi)]))
 
 
-def _arc_stat(s: Symbol, p):
-    """Means of |phi|^p over T^1 by Gauss-Legendre on arcs split at the roots.
-
-    s is a symbol on T^1 (a reduced symbol of rank <= 1). Returns the means
-    with _ARC_NODES and 2 * _ARC_NODES nodes per arc, and the arc count.
-    """
+def _circle_coefs(s: Symbol):
+    """Ascending coefficients of a symbol on T^1, its lowest exponent moved to w^0."""
     low = min(a[0] for a in s.support)
     coefs = np.zeros(max(a[0] for a in s.support) - low + 1, dtype=complex)
     for a, c in s.terms():
         coefs[a[0] - low] = c
+    return coefs
+
+
+def _circle_roots(coefs):
+    """np.roots of the polynomial with these ascending coefficients, trimmed.
+
+    A coefficient below rounding of |P| on the circle moves no root near
+    it; dropping it keeps the companion matrix finite (1 + 1e-320 w^2).
+    """
     desc = coefs[::-1]
-    # a coefficient below rounding of |P| on the circle moves no root near it;
-    # dropping it keeps the companion matrix finite (1 + 1e-320 w^2)
-    kept = np.where(np.abs(desc) >= _EPS * np.abs(desc).max(), desc, 0)
-    ends = _arc_ends(np.roots(kept), len(coefs) - 1)
+    return np.roots(np.where(np.abs(desc) >= _EPS * np.abs(desc).max(), desc, 0))
+
+
+def _arc_stat(coefs, p):
+    """Means of |P|^p over T^1 by Gauss-Legendre on arcs split at the roots.
+
+    coefs are P's ascending coefficients (_circle_coefs of a reduced
+    symbol of rank <= 1). Returns the means with _ARC_NODES and
+    2 * _ARC_NODES nodes per arc, and the arc count.
+    """
+    desc = coefs[::-1]
+    ends = _arc_ends(_circle_roots(coefs), len(coefs) - 1)
     lefts, widths = ends[:-1, None], np.diff(ends)[:, None]
     means = []
     for n in (_ARC_NODES, 2 * _ARC_NODES):
@@ -265,6 +285,60 @@ def _arc_stat(s: Symbol, p):
         values = np.abs(np.polyval(desc, np.exp(1j * (lefts + widths * (0.5 * (x + 1.0)))))) ** p
         means.append(float((widths * w * values).sum()) / (4.0 * math.pi))
     return means, len(ends) - 1
+
+
+def _reciprocal_h1(coefs):
+    """||P||_1 by antiderivatives if P is self-reciprocal, else None.
+
+    P = sum_k c_k w^k of degree m is self-reciprocal when
+    c_k = u conj(c_(m-k)) for some |u| = 1. u is fitted at the largest
+    |c_k|, and P is replaced by its projection q = (c + u conj(c reversed)) / 2,
+    which is self-reciprocal exactly; the fit residual sum |c_k - q_k|
+    bounds ||P - q||_1 and must be at most FACTOR_RTOL times the value.
+    With v = sqrt(u), T(t) = conj(v) e^{-imt/2} q(e^{it}) is real, with
+    antiderivative S(t) = Re sum_k (q_k / v) e^{i(k-m/2)t} / (i(k-m/2)),
+    plus the middle coefficient times t for even m. T changes sign only at
+    the angles of q's roots on the circle, so cutting [0, 2 pi] at the
+    angles of all its roots gives ||P||_1 = (1/2pi) sum over arcs of
+    |S(b) - S(a)|; a cut where T keeps its sign does no harm.
+
+    The bound is rounding only: the S evaluations, the cuts, and the fit
+    residual. A cut misplaced by delta from a zero of T costs
+    O(|T'| delta^2); taking the cuts as the sign changes of T moved by the
+    roots' backward error eta = (m + 2) eps sum |q_k| in sup norm, which
+    moves ||T||_1 by at most eta, the cuts cost at most 2 eta in all.
+    Returns (value, bound, arc count).
+    """
+    m = len(coefs) - 1
+    k = int(np.argmax(np.abs(coefs)))
+    if coefs[m - k] == 0:
+        return None
+    u = np.exp(1j * (np.angle(coefs[k]) + np.angle(coefs[m - k])))  # no overflow at 1e-320
+    q = 0.5 * (coefs + u * np.conj(coefs[::-1]))
+    residual = math.fsum(np.abs(coefs - q))
+    size = math.fsum(np.abs(q))
+    if residual > FACTOR_RTOL * size:  # the value is at most size, so the gate fails
+        return None
+    a = q * np.conj(np.sqrt(u))
+    omega = np.arange(m + 1) - 0.5 * m
+    spin = omega != 0
+    b = np.divide(a, 1j * omega, out=np.zeros(m + 1, dtype=complex), where=spin)
+    middle = 0.0 if m % 2 else float(a[m // 2].real)
+    ends = np.unique(np.concatenate([[0.0, 2.0 * math.pi], np.mod(np.angle(_circle_roots(q)), 2.0 * math.pi)]))
+    antiderivative = (np.exp(1j * np.outer(ends, omega)) @ b).real + middle * ends
+    arcs = len(ends) - 1
+    value = math.fsum(np.abs(np.diff(antiderivative))) / (2.0 * math.pi)
+    if residual > FACTOR_RTOL * value:
+        return None
+    # per evaluation of S: the phase omega t (2 pi |q_k| eps), exp and the
+    # dot product ((m + 3) eps |b_k|), and the middle term's product with t
+    per_eval = _EPS * (
+        math.fsum(np.abs(q[spin]) * (2.0 * math.pi + (m + 3) / np.abs(omega[spin])))
+        + 6.0 * math.pi * abs(middle)
+    )
+    cuts = 2.0 * (m + 2) * _EPS * size
+    err = arcs * per_eval / math.pi + cuts + (arcs + 2) * _EPS * value + residual
+    return value, float(err), arcs
 
 
 def _unit(z):
@@ -377,7 +451,10 @@ def hp_norm(s: Symbol, p, spec: QuadratureSpec | None = None) -> NormEstimate:
     symbol of rank r <= 1 and degree <= _ARC_MAX_DEGREE is integrated on
     arcs split at its roots (method "arc-quadrature", see _arc_stat) after
     the same checks, so the points per dimension then set no node count;
-    higher degrees use the grid. p = inf returns the grid
+    higher degrees use the grid. On that path two cases are exact (method
+    "exact", a rounding bound): p = 1 for a self-reciprocal symbol, by
+    antiderivatives between its roots (_reciprocal_h1), and a monomial
+    (r = 0), whose norm is |c| with bound 0. p = inf returns the grid
     (or sample) maximum, which is only a lower estimate of the sup; for
     tensor grids the error bound is a rigorous Bernstein cushion from the
     axis degrees of the reduced symbol, and a sample max has none (inf).
@@ -423,7 +500,7 @@ def hp_norm(s: Symbol, p, spec: QuadratureSpec | None = None) -> NormEstimate:
 
 
 def _grid_or_arc(s: Symbol, p, n: int) -> NormEstimate:
-    """||s||_p on the arcs or the tensor grid after reduction, with its checks.
+    """||s||_p exactly, on the arcs or on the tensor grid after reduction, with its checks.
 
     Raises DomainError for a reduced rank above 4 or a spread the grid does
     not resolve at finite p, and BudgetError for a grid above
@@ -445,8 +522,16 @@ def _grid_or_arc(s: Symbol, p, n: int) -> NormEstimate:
         return NormEstimate(
             fine, "grid-quadrature", cushion, f"grid max on {2 * n}^{s.dim} (lower estimate); {note}, {where}"
         )
+    if rank == 0:
+        return NormEstimate(abs(s.coeff(s.support[0])), "exact", 0.0, f"modulus of a monomial, {where}")
     if s.dim <= 1 and spread <= _ARC_MAX_DEGREE:
-        (coarse, fine), arcs = _arc_stat(s, p)
+        coefs = _circle_coefs(s)
+        exact = _reciprocal_h1(coefs) if p == 1 else None
+        if exact is not None:
+            value, err, arcs = exact
+            rule = f"self-reciprocal antiderivative on {arcs} arcs cut at the roots"
+            return NormEstimate(value, "exact", err, f"{rule}, {where}")
+        (coarse, fine), arcs = _arc_stat(coefs, p)
         method = "arc-quadrature"
         rule = f"gauss-legendre {_ARC_NODES} refined to {2 * _ARC_NODES} nodes on {arcs} arcs cut at the roots"
     else:
@@ -522,10 +607,11 @@ def h1_norm_2hom(s: Symbol, spec: QuadratureSpec | None = None) -> NormEstimate:
     Homogeneity makes |phi| a function of the difference of the two
     angles alone, so the symbol reduces to rank r <= 1 in any dimension;
     this is hp_norm at p=1 with a spec of at least 2^16 points (or the
-    spec's count if larger), with its budget and spread checks and
-    refinement bound. Up to degree _ARC_MAX_DEGREE the value comes from
-    the arc rule and does not depend on that count; the 2^16 floor sets
-    the grid only for the fallback above that degree.
+    spec's count if larger), with its budget and spread checks. Up to
+    degree _ARC_MAX_DEGREE the value does not depend on that count: it is
+    exact (rounding bound) for a self-reciprocal symbol, such as
+    z1^2 + c z1 z2 + z2^2 with c real, and from the arc rule (refinement
+    bound) otherwise; the 2^16 floor sets the grid only above that degree.
     """
     if s.is_zero:
         raise DomainError("h1_norm_2hom requires a nonzero symbol")

@@ -305,8 +305,22 @@ class TestHpNorm:
         assert json.loads(out)["config"]["grid"] == 64
         value, bound = rows["hp_norm"]["value"], rows["hp_norm"]["error_bound"]
         assert abs(value - (4 / math.pi) ** 2) <= bound
-        factor = "[gauss-legendre 16 refined to 32 nodes on 54 arcs cut at the roots, d=2 reduced to r=1]"
+        factor = "[self-reciprocal antiderivative on 2 arcs cut at the roots, d=2 reduced to r=1]"
         assert rows["note"]["value"] == f"factored into 2 {factor} {factor}, fit residual bound 0, p=1.0"
+
+    @pytest.mark.parametrize("p", ["1", "2.5"])
+    def test_constant_is_exact(self, capsys, tmp_path, p):
+        path = tmp_path / "one.sym"
+        path.write_text("dim 2\n1.0 0.0 : 0 0\n")
+        code, out, _ = run(capsys, "hp-norm", str(path), p)
+        assert code == 0
+        assert [line.split() for line in out.splitlines()[1:3]] == [
+            ["quantity", "value", "method", "error_bound"],
+            ["hp_norm", "1.0", "exact", "0.0"],
+        ]
+        code, out, _ = run(capsys, "hp-norm", str(path), p, "--json")
+        rows = {r["quantity"]: r for r in json.loads(out)["reports"]}
+        assert rows["note"]["value"] == f"modulus of a monomial, d=2 reduced to r=0, p={float(p)}"
 
     def test_bad_p_is_parse_error(self, capsys, pair_file):
         code, out, err = run(capsys, "hp-norm", pair_file, "abc")
@@ -650,6 +664,31 @@ CERTIFICATE_JSON = """{
   ]
 }
 """
+
+
+class TestRepeatedMain:
+    def test_no_option_leaks_between_calls(self, capsys, pair_file):
+        # main() builds its parser once per process; each call parses afresh
+        assert cli._build_parser() is cli._build_parser()
+        code, out, _ = run(capsys, "hp-norm", pair_file, "1", "--grid", "8", "--json")
+        assert code == 0 and json.loads(out)["config"]["grid"] == 8
+        code, out, _ = run(capsys, "hp-norm", pair_file, "1", "--json")
+        assert code == 0 and json.loads(out)["config"]["grid"] == 256
+        code, out, _ = run(capsys, "hp-norm", pair_file, "2", "--samples", "1000", "--seed", "3", "--json")
+        assert code == 0 and json.loads(out)["config"]["method"] == "monte-carlo"
+        code, out, _ = run(capsys, "hp-norm", pair_file, "2", "--json")
+        assert code == 0 and json.loads(out)["config"]["method"] == "tensor-uniform"
+        code, out, _ = run(capsys, "norm", pair_file)
+        assert code == 0 and out.startswith("# hankel-lab norm grid=256 dim=2\n")
+
+    def test_parse_error_still_exits_2(self, capsys, pair_file):
+        for argv in (["hp-norm", pair_file], ["nehari-search"], ["no-such-command"], ["hp-norm", pair_file, "1", "--grid", "x"]):
+            with pytest.raises(SystemExit) as err:
+                main(argv)
+            assert err.value.code == 2
+            assert "usage: hankel-lab" in capsys.readouterr().err
+        code, out, _ = run(capsys, "hp-norm", pair_file, "1", "--grid", "16")
+        assert code == 0 and out.startswith("# hankel-lab hp-norm p=1 method=tensor-uniform grid=16 ")
 
 
 class TestExactLayout:

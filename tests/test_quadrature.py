@@ -21,7 +21,7 @@ from hankel_lab import (
     parse_recipe,
     split_factors,
 )
-from hankel_lab.quadrature import _EPS, _reduce, _sup_cushion, _tensor_stat
+from hankel_lab.quadrature import _EPS, _arc_stat, _circle_coefs, _reduce, _sup_cushion, _tensor_stat
 from helpers import (
     RECIPE_PRODUCT,
     circle_factor,
@@ -214,8 +214,8 @@ def fft_circle_abs(coefs, n=1 << 20):
 
 class TestArcQuadrature:
     def test_quadratic_witness_to_rounding(self):
-        est = hp_norm(phi2(1.0), 1)  # z1^2 + z1 z2 + z2^2
-        assert est.method == "arc-quadrature"
+        est = hp_norm(phi2(1.0), 1)  # z1^2 + z1 z2 + z2^2, self-reciprocal
+        assert est.method == "exact"
         assert abs(est.value - H1_QUADRATIC) <= 1e-14
         assert est.error_bound <= 1e-13
         assert "d=2 reduced to r=1" in est.metadata
@@ -234,21 +234,23 @@ class TestArcQuadrature:
 
     def test_rank1_symbols_match_grid_within_refinement_bound(self):
         rng = np.random.default_rng(163)
-        symbols = [
-            z(2, 0) + z(2, 1),
-            phi2(1.0),
-            phi2(0.5),
-            make_symbol(1, [((10,), 1.0), ((0,), 1.0)]),
-            make_symbol(2, [((3, 0), 1.0), ((0, 3), 2.0)]),
-            make_symbol(2, [((1, 1), 1.0)]),
+        every_p = {1, 2, 3.5}
+        symbols = [  # symbol, the p at which it is integrated exactly
+            (z(2, 0) + z(2, 1), {1}),  # self-reciprocal
+            (phi2(1.0), {1}),
+            (phi2(0.5), {1}),
+            (make_symbol(1, [((10,), 1.0), ((0,), 1.0)]), {1}),
+            (make_symbol(2, [((3, 0), 1.0), ((0, 3), 2.0)]), set()),
+            (make_symbol(2, [((1, 1), 1.0)]), every_p),  # a monomial: rank 0
         ]
-        symbols += [s for s in (rank_deficient(rng, 3) for _ in range(40)) if _reduce(s).dim == 1][:8]
+        randoms = [s for s in (rank_deficient(rng, 3) for _ in range(40)) if _reduce(s).dim == 1][:8]
+        symbols += [(s, every_p if len(s.support) == 1 else set()) for s in randoms]
         n = 1024
-        for s in symbols:
+        for s, exact in symbols:
             reduced = _reduce(s)
-            for p in (1, 2, 3.5):
+            for p in every_p:
                 est = hp_norm(s, p, QuadratureSpec(points_per_dimension=n))
-                assert est.method == "arc-quadrature"
+                assert est.method == ("exact" if p in exact else "arc-quadrature")
                 fine = _tensor_stat(reduced, 2 * n, p) ** (1 / p)
                 grid_bound = abs(fine - _tensor_stat(reduced, n, p) ** (1 / p)) + 32 * _EPS * (1 + fine)
                 assert abs(est.value - fine) <= grid_bound + est.error_bound
@@ -264,6 +266,137 @@ class TestArcQuadrature:
         est = hp_norm(s, 2, QuadratureSpec(points_per_dimension=128))
         assert est.method == "grid-quadrature" and est.value == pytest.approx(math.sqrt(2), abs=1e-14)
         assert hp_norm(z(2, 0) + z(2, 1), math.inf).method == "grid-quadrature"
+
+
+def trinomial_h1(c):
+    """||1 + c w + w^2||_1 for real c: the mean of |c + 2 cos t|, integrated by hand."""
+    if abs(c) > 2:
+        return abs(c)
+    return (2 * c * math.acos(-c / 2) + 2 * math.sqrt(4 - c * c)) / math.pi - c
+
+
+def binomial_power_h1(m):
+    """||(1 + w)^m||_1 = 2^m times the mean of |cos|^m (Wallis)."""
+    return 2**m * math.gamma((m + 1) / 2) / (math.sqrt(math.pi) * math.gamma(m / 2 + 1))
+
+
+def arc_rule(s, p=1):
+    """The arc rule's value and bound on s, as hp_norm reports them for a symbol that is not self-reciprocal."""
+    (coarse, fine), _ = _arc_stat(_circle_coefs(_reduce(s)), p)
+    value = fine ** (1 / p)
+    return value, abs(value - coarse ** (1 / p)) + 32 * _EPS * (1 + value)
+
+
+M6_F = [1, -0.82439, 0.66883, -0.67071, 0.66883, -0.82439, 1]  # a symmetric degree-6 test function
+
+
+class TestExactH1:
+    def assert_exact(self, s, reference, ref_error=0.0):
+        est = hp_norm(s, 1)
+        assert est.method == "exact"
+        assert "self-reciprocal antiderivative on" in est.metadata
+        assert abs(est.value - reference) <= est.error_bound + ref_error
+        assert est.error_bound <= 1e-13 * est.value
+        return est
+
+    def test_trinomials_match_closed_form(self):
+        rng = np.random.default_rng(181)
+        # c = +-2: a double root at -+1
+        for c in [0.0, 1.0, -1.0, 2.0, -2.0, 2.5, -2.5, *rng.uniform(-3, 3, size=40)]:
+            est = self.assert_exact(phi2(float(c)), trinomial_h1(c))
+            assert "d=2 reduced to r=1" in est.metadata
+        self.assert_exact(circle_polynomial([1, 1]), 4 / math.pi)
+        self.assert_exact(z(2, 0) + z(2, 1), 4 / math.pi)
+        assert h1_norm_2hom(phi2(1.0)).method == "exact"
+
+    def test_odd_degree_and_unimodular_factor(self):
+        for m in (1, 3, 5, 6):
+            coefs = [math.comb(m, k) for k in range(m + 1)]
+            for u in (1, 1j, -1, complex(0.6, -0.8)):
+                self.assert_exact(circle_polynomial([u * c for c in coefs]), binomial_power_h1(m))
+        # i times a real symmetric polynomial of odd degree: roots at e^{+-0.7i}, -1 and the pair 0.5, 2
+        real = np.real(np.poly([np.exp(0.7j), np.exp(-0.7j), -1.0, 0.5, 2.0]))[::-1]
+        assert np.allclose(real, real[::-1])
+        s = circle_polynomial(1j * real)
+        self.assert_exact(s, *arc_rule(s))
+
+    def test_root_pairs_off_the_circle(self):
+        rng = np.random.default_rng(191)
+        for _ in range(20):
+            roots = []
+            for _ in range(int(rng.integers(1, 4))):  # r and 1/conj(r) together
+                r = rng.uniform(0.3, 0.8) * np.exp(2j * np.pi * rng.uniform())
+                roots += [r, 1 / np.conj(r)]
+            coefs = np.poly(roots)[::-1] * np.exp(2j * np.pi * rng.uniform())
+            # no zero on the circle: the trapezoid rule converges geometrically
+            mags = fft_circle_abs(coefs, 1 << 12)
+            self.assert_exact(circle_polynomial(coefs), float(np.mean(mags)), 1e-14 * float(np.mean(mags)))
+
+    def test_agrees_with_arc_rule(self):
+        f = make_symbol(2, [((6 - k, k), c) for k, c in enumerate(M6_F)])
+        arc_value, arc_bound = arc_rule(f)
+        est = self.assert_exact(f, arc_value, arc_bound)
+        assert "d=2 reduced to r=1" in est.metadata
+        rng = np.random.default_rng(193)
+        for _ in range(20):
+            half = rng.normal(size=4)
+            coefs = np.concatenate([half, half[-2::-1]]) * np.exp(1j * rng.uniform(0, 2 * np.pi))
+            s = circle_polynomial(coefs)
+            self.assert_exact(s, *arc_rule(s))
+
+    def test_perturbations_take_one_path_or_the_other(self):
+        rng = np.random.default_rng(197)
+        f = make_symbol(2, [((6 - k, k), c) for k, c in enumerate(M6_F)])
+        clean = hp_norm(f, 1)
+        for eps in (1e-15, 1e-14, 1e-13, 1e-12, 1e-11, 1e-9, 1e-6):
+            for _ in range(5):
+                s = perturbed(rng, f, eps)
+                est = hp_norm(s, 1)
+                arc_value, arc_bound = arc_rule(s)
+                assert abs(est.value - arc_value) <= est.error_bound + arc_bound
+                assert abs(est.value - clean.value) <= est.error_bound + clean.error_bound + 10 * eps
+                if est.method == "exact":
+                    assert eps <= 1e-12
+                    if eps >= 1e-13:  # the fit residual is in the bound
+                        assert est.error_bound > clean.error_bound
+                else:
+                    assert est.method == "arc-quadrature" and eps >= 1e-12
+                    assert (est.value, est.error_bound) == (arc_value, arc_bound)
+
+    def test_random_complex_quadratics_keep_the_arc_rule(self):
+        rng = np.random.default_rng(199)
+        for _ in range(20):
+            coefs = rng.normal(size=3) + 1j * rng.normal(size=3)
+            s = make_symbol(2, [((2 - k, k), complex(c)) for k, c in enumerate(coefs)])
+            est = h1_norm_2hom(s)
+            assert est.method == "arc-quadrature"
+            assert (est.value, est.error_bound) == arc_rule(s)
+
+    def test_a_product_is_as_exact_as_its_coarsest_factor(self):
+        pair = [((1, 0), 1.0), ((0, 1), 1.0)]  # z1 + z2, exact at p = 1
+        for other, method in (
+            ([((0,), 1.0), ((1,), 2.0)], "arc-quadrature"),  # 1 + 2 z3
+            ([((0, 0), 1.0), ((1, 0), 1.0), ((0, 1), 1.0)], "grid-quadrature"),  # 1 + z3 + z4, full rank
+        ):
+            s = make_symbol(2 + len(other[0][0]), [(a + b, c * d) for a, c in pair for b, d in other])
+            est = hp_norm(s, 1, QuadratureSpec(points_per_dimension=64))
+            assert est.metadata.startswith("factored into 2 [self-reciprocal antiderivative on 2 arcs")
+            assert est.method == method
+
+
+class TestMonomials:
+    def test_modulus_at_every_finite_p(self):
+        for s in (make_symbol(1, [((0,), 1.0)]), make_symbol(2, [((0, 0), 1.0)]), make_symbol(3, [((2, 5, 1), -0.5j)])):
+            (c,) = [abs(c) for _, c in s.terms()]
+            for p in (1, 1.5, 2, 3.5):
+                est = hp_norm(s, p)
+                assert (est.value, est.method, est.error_bound) == (c, "exact", 0.0)
+                assert est.metadata == f"modulus of a monomial, d={s.dim} reduced to r=0, p={p}"
+
+    def test_sup_and_monte_carlo_unchanged(self):
+        s = make_symbol(2, [((1, 1), 2.0)])
+        assert hp_norm(s, math.inf).method == "grid-quadrature"
+        assert hp_norm(s, 1, QuadratureSpec(method="monte-carlo", samples=1000)).method == "monte-carlo"
 
 
 def rank_deficient(rng, dim, scale=2):
@@ -499,7 +632,7 @@ class TestFactoredHpNorm:
                 [(13, 2, "d=1"), (11, 2, "d=1"), (8, 1, "d=1"), (8, 1, "d=1")],
                 "2.09e-13",
             ),
-            (pair_product(2), [(54, 1, r1), (54, 1, r1)], "0"),
+            (pair_product(2), [((54, 2), 1, r1), ((54, 2), 1, r1)], "0"),  # arcs of the arc rule, of the exact one
             (hom2_product(rng, [2, 3]), [(15, 2, r1), (15, 3, r1)], "3.26e-16"),
             (build_recipe(parse_recipe(RECIPE_PRODUCT)), [(6, 1, r1), (7, 1, "d=3 reduced to r=1")], "0"),
         ]
@@ -507,6 +640,10 @@ class TestFactoredHpNorm:
         def rule(arcs, degree):
             if p == math.inf:
                 return f"grid max on 32^1 (lower estimate); Bernstein cushion with sum of axis degrees {degree}"
+            if isinstance(arcs, tuple):  # a self-reciprocal factor, exact at p = 1
+                if p == 1:
+                    return f"self-reciprocal antiderivative on {arcs[1]} arcs cut at the roots"
+                arcs = arcs[0]
             return f"gauss-legendre 16 refined to 32 nodes on {arcs} arcs cut at the roots"
 
         for s, factors, residual in cases:
@@ -516,7 +653,8 @@ class TestFactoredHpNorm:
                 + " ".join(f"[{rule(arcs, degree)}, {where}]" for arcs, degree, where in factors)
                 + f", fit residual bound {residual}, p={p}"
             )
-            assert est.method == ("grid-quadrature" if p == math.inf else "arc-quadrature")
+            reciprocal = p == 1 and all(isinstance(arcs, tuple) for arcs, _, _ in factors)
+            assert est.method == ("grid-quadrature" if p == math.inf else "exact" if reciprocal else "arc-quadrature")
 
     @pytest.mark.parametrize("p", [1, 2, 3.5, math.inf])
     def test_product_support_with_other_coefficients_is_not_factored(self, p):
