@@ -16,11 +16,12 @@ import json
 import math
 import sys
 
+import numpy as np
 from numpy.linalg import LinAlgError
 
 from . import _threads  # noqa: F401  (thread cap must precede numpy-heavy work)
 from .errors import BudgetError, DomainError, ParseError
-from .hankel import build_block, build_blocks, operator_norm, spectral_norm
+from .hankel import build_block, build_blocks, float_texts, operator_norm, spectral_norm
 from .minimal import build_recipe, classify, classify_homogeneous, parse_recipe
 from .nehari import (
     PsiSeries,
@@ -65,14 +66,77 @@ def _jsonable(value):
     return value
 
 
+def _json(value, depth=0):
+    """The text of json.dumps(value, indent=2), shifted right by depth levels, in pieces.
+
+    A value without an ndarray is json's own text, with two more spaces per
+    level after each newline (JSON strings hold no raw newline). json
+    refuses an ndarray, so a dict or list holding one is written a level at
+    a time, and the ndarray as its tolist() would be, by _json_array.
+    """
+    if isinstance(value, np.ndarray):
+        yield _json_array(value, depth)
+        return
+    try:
+        text = json.dumps(value, indent=2)
+    except TypeError:
+        if not isinstance(value, (dict, list, tuple)):
+            raise
+    else:
+        yield text.replace("\n", "\n" + "  " * depth) if depth else text
+        return
+    pad = "\n" + "  " * (depth + 1)
+    is_dict = isinstance(value, dict)
+    yield "{" if is_dict else "["
+    for i, (key, item) in enumerate(value.items() if is_dict else enumerate(value)):
+        yield ("," if i else "") + pad + (json.dumps(key) + ": " if is_dict else "")
+        yield from _json(item, depth + 1)
+    yield "\n" + "  " * depth + ("}" if is_dict else "]")
+
+
+def _json_array(a, depth):
+    """The text that _json(a.tolist(), depth) yields, without a Python step per float.
+
+    Each float's text comes from float_texts, json's own float.__repr__.
+    Between two floats in C order, k of the innermost lists end and as many
+    start afresh, so the text between them is one of a.ndim strings, by k;
+    the whole array is one str.join. A 0-d, empty, non-finite or
+    non-float64 array goes through json itself.
+    """
+    if a.dtype != np.float64 or a.ndim == 0 or a.size == 0 or not np.isfinite(a).all():
+        return "".join(_json(a.tolist(), depth))
+    n = a.ndim
+    indent = ["\n" + "  " * (depth + axis) for axis in range(n + 1)]
+    opens = ["[" + indent[axis + 1] for axis in range(n)]  # outermost first
+    closes = [indent[axis] + "]" for axis in reversed(range(n))]  # innermost first
+    # gaps[k]: k lists end, a comma, k lists start
+    gaps = np.array(["".join(closes[:k] + ["," + indent[n - k]] + opens[n - k :]) for k in range(n)], dtype=object)
+    # before float i, the lists of the innermost k axes end: k counts the list sizes dividing i
+    i = np.arange(1, a.size)
+    ends = sum(i % math.prod(a.shape[axis:]) == 0 for axis in range(1, n))
+    pieces = np.empty(2 * a.size - 1, dtype=object)
+    pieces[0::2] = float_texts(a)
+    pieces[1::2] = gaps[ends]
+    return "".join(opens) + "".join(pieces.tolist()) + "".join(closes)
+
+
 def _render(command, config, rows, as_json):
+    """Print the rows as a table under a settings header, or as JSON.
+
+    The JSON is laid out exactly as json.dumps(payload, indent=2) would lay
+    it out, floats written by repr so that they read back bit for bit; a
+    row's float ndarray (a block's matrix) is written as its tolist() would
+    be, at C speed.
+    """
     if as_json:
         payload = {
             "command": command,
             "config": {k: _jsonable(v) for k, v in config.items()},
             "reports": [{k: _jsonable(v) for k, v in row.items()} for row in rows],
         }
-        print(json.dumps(payload, indent=2))
+        # piece by piece: a block matrix's text is never copied into one payload string
+        sys.stdout.writelines(_json(payload))
+        print()
         return
     settings = " ".join(f"{k}={_fmt(v)}" for k, v in config.items())
     print(f"# hankel-lab {command} {settings}".rstrip())
@@ -188,7 +252,7 @@ def cmd_blocks(args):
     rows.append({**_estimate_row("operator_norm", max(estimates, key=lambda e: e.value)), "shape": ""})
     if args.json and args.dump:
         for row, (_, block) in zip(rows, blocks):
-            row["matrix"] = [[[z.real, z.imag] for z in line] for line in block.entries]
+            row["matrix"] = block.entries.view(float).reshape(*block.shape, 2)  # [re, im] pairs
     _render("blocks", {"homogeneity": m}, rows, args.json)
     if args.dump and not args.json:
         for k, block in blocks:

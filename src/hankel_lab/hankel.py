@@ -86,12 +86,22 @@ class HankelMatrix:
     def dump_text(self) -> str:
         """Plain-text dump: 'rows <n> cols <m>' then one 're,im ...' line per row."""
         r, c = self.entries.shape
-        lines = [f"rows {r} cols {c}"]
-        for i in range(r):
-            lines.append(
-                " ".join(f"{float(z.real)!r},{float(z.imag)!r}" for z in self.entries[i])
-            )
+        parts = float_texts(np.ascontiguousarray(self.entries, dtype=complex).view(float))
+        pairs = list(map("{},{}".format, parts[0::2], parts[1::2]))
+        lines = [f"rows {r} cols {c}"] + [" ".join(pairs[i * c : (i + 1) * c]) for i in range(r)]
         return "\n".join(lines) + "\n"
+
+
+def float_texts(values: np.ndarray) -> list:
+    """float.__repr__(x) for every x of a float64 array, in C order.
+
+    Each distinct bit pattern is formatted once, so -0.0 stays -0.0 and a
+    Hankel block, which holds few distinct coefficients, costs few reprs.
+    """
+    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.int64).ravel()
+    distinct, at = np.unique(bits, return_inverse=True)
+    table = np.array(list(map(float.__repr__, distinct.view(np.float64).tolist())), dtype=object)
+    return table[at].tolist()
 
 
 def _boxes(radices, weights, dtype):

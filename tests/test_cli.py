@@ -5,12 +5,19 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import hankel_lab.cli as cli
 from hankel_lab.cli import main
 from hankel_lab.nehari import cex_truncation
 
+# derandomized: the suite gives the same verdict on every run
+SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
 PAIR = "dim 2\n1.0 0.0 : 1 0\n1.0 0.0 : 0 1\n"
+CUBIC = "dim 2\n1.0 0.0 : 3 0\n0.5 0.0 : 2 1\n0.5 0.0 : 1 2\n1.0 0.0 : 0 3\n"
 
 
 def quadratic(a):
@@ -252,6 +259,13 @@ class TestBlocks:
         assert code == 0
         values = {r["quantity"]: r["value"] for r in json.loads(out)["reports"]}
         assert values["operator_norm"] == max(values[f"block_k={k}"] for k in range(77))
+
+    def test_zero_symbol_dumps_empty_matrix(self, capsys, tmp_path):
+        path = tmp_path / "zero.sym"
+        path.write_text("dim 2\n")
+        code, out, err = run(capsys, "blocks", str(path), "--dump", "--json")
+        assert (code, err) == (0, "")
+        assert '\n      "shape": "0x0",\n      "matrix": []\n' in out
 
     def test_non_homogeneous_is_domain_error(self, capsys, tmp_path):
         path = tmp_path / "mixed.sym"
@@ -713,3 +727,110 @@ class TestExactLayout:
         code, out, err = run(capsys, "check-minimal", str(path), "--recipe", *(["--json"] if as_json else []))
         assert (code, err) == (0, "")
         assert out == (CERTIFICATE_JSON if as_json else CERTIFICATE_TEXT)
+
+
+# floats whose repr json must keep: signed zero, the least subnormal, the
+# switches between positional and exponent notation
+SPECIAL = [-0.0, 0.0, 5e-324, 1e16, 1e-5, 1e22]
+
+
+def shifted(text, depth):
+    """A json.dumps(..., indent=2) text as it reads nested depth levels deep."""
+    return text.replace("\n", "\n" + "  " * depth)
+
+
+def written(value, depth=0):
+    return "".join(cli._json(value, depth))
+
+
+def tolists(value):
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, dict):
+        return {key: tolists(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [tolists(item) for item in value]
+    return value
+
+
+float_arrays = hnp.arrays(
+    np.float64,
+    hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=4),
+    elements=st.floats() | st.sampled_from(SPECIAL),
+)
+payloads = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4) | float_arrays,
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=8,
+)
+
+
+class TestJsonWriter:
+    """The ndarray writer against json.dumps(array.tolist(), indent=2), byte for byte."""
+
+    @pytest.mark.parametrize("depth", range(5))
+    @pytest.mark.parametrize(
+        "shape", [(0, 0, 2), (0, 3, 2), (3, 0, 2), (1, 1, 2), (4, 3, 2), (0,), (7,), (0, 4), (3, 4), ()]
+    )
+    def test_shapes(self, shape, depth):
+        a = np.resize(np.array(SPECIAL + SPECIAL[::-1]), shape)  # every value, repeated
+        assert written(a, depth) == shifted(json.dumps(a.tolist(), indent=2), depth)
+
+    @pytest.mark.parametrize("value, text", [(math.inf, "Infinity"), (-math.inf, "-Infinity"), (math.nan, "NaN")])
+    def test_non_finite_is_json_text(self, value, text):
+        a = np.array([[[1.0, value], [value, -0.0]]])
+        out = written(a, 3)
+        assert out == shifted(json.dumps(a.tolist(), indent=2), 3)
+        assert f"{text},\n" in out
+
+    @pytest.mark.parametrize("a", [np.arange(6).reshape(3, 2), np.array([[True, False]])], ids=["int", "bool"])
+    def test_other_dtypes_are_json_text(self, a):
+        assert written(a, 1) == shifted(json.dumps(a.tolist(), indent=2), 1)
+
+    @SETTINGS
+    @given(float_arrays, st.integers(0, 4))
+    def test_random_arrays(self, a, depth):
+        assert written(a, depth) == shifted(json.dumps(a.tolist(), indent=2), depth)
+
+    @SETTINGS
+    @given(payloads)
+    def test_payloads_holding_arrays(self, value):
+        assert written(value) == json.dumps(tolists(value), indent=2)
+
+
+# every subcommand, on inputs small enough to run in well under a second each
+JSON_COMMANDS = [
+    ("norm", ["{pair}"]),
+    ("norm", ["{zero}"]),
+    ("check-minimal", ["{cubic}"]),
+    ("check-minimal", ["{recipe}", "--recipe"]),
+    ("blocks", ["{cubic}", "--dump"]),
+    ("blocks", ["{zero}", "--dump"]),
+    ("hp-norm", ["{pair}", "inf"]),
+    ("hp-norm", ["{pair}", "1", "--samples", "1000", "--seed", "3"]),
+    ("nehari-bound", ["{cubic}", "{cubic}", "--grid", "64"]),
+    ("nehari-bound", ["--d", "4"]),
+    ("nehari-search", ["--a", "0.5"]),
+    ("cex", ["--trunc", "4"]),
+    ("psi", ["--trunc", "100", "--grid", "64"]),
+    ("reproduce", []),
+]
+
+
+class TestJsonFixedPoint:
+    """Every --json output is exactly json.dumps(json.loads(out), indent=2)."""
+
+    def test_every_subcommand_is_listed(self):
+        (subparsers,) = [a for a in cli._build_parser()._actions if a.dest == "command"]
+        assert {command for command, _ in JSON_COMMANDS} == set(subparsers.choices)
+
+    @pytest.mark.parametrize("command, argv", JSON_COMMANDS, ids=[" ".join([c, *a]) for c, a in JSON_COMMANDS])
+    def test_layout(self, capsys, tmp_path, command, argv):
+        files = {"pair": PAIR, "cubic": CUBIC, "zero": "dim 2\n", "recipe": RECIPE}
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        argv = [arg.format(**{name: str(tmp_path / name) for name in files}) for arg in argv]
+        code, out, err = run(capsys, command, *argv, "--json")
+        # reproduce exits 1 on its known-red psi_sup_gridmax row
+        assert code == (1 if command == "reproduce" else 0), err
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"

@@ -167,6 +167,18 @@ class TestBuildMatrix:
         assert lines[0] == "rows 2 cols 2"
         assert lines[1] == "1.0,-0.0 0.5,-0.0"
 
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0), (1, 1), (4, 5)])
+    def test_dump_is_each_entrys_repr(self, shape):
+        # signed zeros, a subnormal, notation switches and non-finite values, repeated
+        values = [-0.0, 0.0, 5e-324, 1e16, 1e-5, 1e22, math.inf, -math.nan, 0.1 + 0.2]
+        reals = np.resize(np.array(values), 2 * math.prod(shape))
+        np.random.default_rng(5).shuffle(reals)
+        entries = reals.view(complex).reshape(shape)
+        expected = f"rows {shape[0]} cols {shape[1]}\n" + "".join(
+            " ".join(f"{float(z.real)!r},{float(z.imag)!r}" for z in row) + "\n" for row in entries
+        )
+        assert hankel.HankelMatrix((), (), entries).dump_text() == expected
+
 
 class TestAssembly:
     """The box walk's views against the entry rule, bit for bit."""
