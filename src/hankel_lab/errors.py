@@ -23,7 +23,7 @@ MAX_GRID_POINTS = 1 << 28
 # every walk over a parsed tree.
 MAX_RECIPE_DEPTH = 200
 # Monte Carlo samples: ten times the CLI default; a 12-term symbol of full
-# rank in T^8 takes about 0.7 s per 10^6 samples (2 vCPU, numpy 2.4.6)
+# rank in T^8 takes about 0.2 s per 10^6 samples (2 vCPU, numpy 2.4.6)
 MAX_SAMPLES = 10**7
 # completion series terms per side: about 4 s and 640 MB at 10^7
 MAX_PSI_TRUNC = 10**7

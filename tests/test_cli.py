@@ -292,6 +292,18 @@ class TestHpNorm:
         assert float(table_value(out, "hp_norm")) == pytest.approx(math.sqrt(2), abs=0.05)
         assert "monte-carlo" in out
 
+    @pytest.mark.parametrize("p", ["400", "1e6"])
+    def test_monte_carlo_at_large_p_is_finite(self, capsys, tmp_path, p):
+        # |1 + z1 + z2|^p overflows a double near its sup 3 at p=400
+        path = tmp_path / "t.sym"
+        path.write_text("dim 2\n1.0 0.0 : 0 0\n1.0 0.0 : 1 0\n1.0 0.0 : 0 1\n")
+        code, out, _ = run(capsys, "hp-norm", str(path), p, "--samples", "1000", "--json")
+        assert code == 0
+        rows = {r["quantity"]: r for r in json.loads(out)["reports"]}
+        value, bound = rows["hp_norm"]["value"], rows["hp_norm"]["error_bound"]
+        assert isinstance(value, float) and isinstance(bound, float)
+        assert 2.9 < value <= 3.0 and 0.0 <= bound < 0.1
+
     @pytest.mark.parametrize("as_json", [False, True])
     def test_monte_carlo_sup_has_no_upper_bound(self, capsys, pair_file, as_json):
         code, out, _ = run(capsys, "norm", pair_file, "--samples", "20000", "--seed", "1", *(["--json"] if as_json else []))

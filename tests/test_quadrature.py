@@ -21,7 +21,17 @@ from hankel_lab import (
     parse_recipe,
     split_factors,
 )
-from hankel_lab.quadrature import _EPS, _arc_stat, _circle_coefs, _reduce, _sup_cushion, _tensor_stat
+from hankel_lab.quadrature import (
+    _EPS,
+    _MC_CHUNK,
+    _TURNS,
+    _arc_stat,
+    _circle_coefs,
+    _reduce,
+    _sup_cushion,
+    _tensor_stat,
+    _turn_phasors,
+)
 from helpers import (
     RECIPE_PRODUCT,
     circle_factor,
@@ -766,9 +776,26 @@ class TestMonteCarloPhases:
             (z(5, 0) + z(5, 4), 2, 7, 200_000),
             (wide, 2, 5, 20_000),
             (product, 1, 11, 100_000),
+            # one chunk exactly, one chunk and one sample, the fewest samples allowed
+            (z(2, 0) + z(2, 1), 2, 3, _MC_CHUNK),
+            (product, 3.5, 19, _MC_CHUNK + 1),
+            (wide, 1, 37, 1000),
         ]
         for case in cases:
             self.assert_agrees(*case)
+
+    def test_turn_phasors_match_the_complex_exponential(self):
+        # 0; just below 1, which rounds to the table's last entry; the rint
+        # ties halfway between table entries; and random turns
+        x = np.concatenate(
+            [[0.0, 1.0 - 2.0**-53], (np.arange(_TURNS) + 0.5) / _TURNS, np.random.default_rng(437).random(100_000)]
+        )
+        u = _turn_phasors(x)
+        assert u[0] == 1.0
+        # the reference rounds its argument 2 pi x, by up to (pi + 2) eps near
+        # x = 1, and its exponential adds about one more
+        assert np.abs(u - np.exp(2j * np.pi * x)).max() <= 8 * _EPS
+        assert np.abs(np.abs(u) - 1.0).max() <= 4 * _EPS
 
     def test_gapped_exponents_on_one_axis(self):
         s = make_symbol(1, [((0,), 1.0), ((5,), 0.5 - 0.25j), ((37,), 0.75j)])
