@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import MAX_CEX_TRUNC, MAX_GRID_POINTS, MAX_PSI_TRUNC, DomainError, check_budget
 from .hankel import NormEstimate, operator_norm
-from .quadrature import QuadratureSpec, _grid_values, default_spec, h1_norm_2hom, hp_norm, hq_norm_basic
+from .quadrature import QuadratureSpec, _circle_norm, _grid_values, default_spec, hp_norm, hq_norm_basic
 from .symbols import Symbol
 
 
@@ -123,8 +123,10 @@ def search_c2(a: float, c_range=(0.0, 2.0)):
     Requires 0 <= a <= 1/2 so the Hankel norm equals the H^2 norm, and a
     finite c_range. A 101-point scan locates the maximum (and insists it
     is interior to c_range), then golden-section search refines c to
-    1e-6. Returns (best c, the dual_bound report at best c, with method
-    "search").
+    1e-6. Each step takes ||f||_1 from the coefficients f reduces to on
+    the circle, 1 + c w + w^2 (_circle_norm, the rule hp_norm applies to
+    them), with no Symbol. Returns (best c, the dual_bound report at best
+    c, with method "search").
     """
     if not 0.0 <= a <= 0.5:
         raise DomainError(
@@ -139,8 +141,8 @@ def search_c2(a: float, c_range=(0.0, 2.0)):
     hankel = operator_norm(phi)
 
     def bound(c):
-        f = _quadratic_symbol(c)
-        return abs(2.0 + a * c) / (hankel.value * h1_norm_2hom(f).value)
+        h1 = _circle_norm(np.array([1.0, c, 1.0], dtype=complex), 1)[0]
+        return abs(2.0 + a * c) / (hankel.value * h1)
 
     grid = np.linspace(lo, hi, 101)
     values = [bound(c) for c in grid]

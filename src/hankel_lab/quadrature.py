@@ -22,16 +22,21 @@ at finite p, a polynomial P on the circle, and the grid's algebraic
 convergence at zeros of P on the circle is avoidable: _arc_stat cuts the
 circle at the angles of the roots of P, grades panels geometrically
 toward each cut, and integrates |P|^p by Gauss-Legendre with 16 and 32
-nodes per panel, exact to rounding. Its bound is the grid's
-refinement-difference formula. At p = 1 a self-reciprocal P
-(c_k = u conj(c_(m-k)), |u| = 1) needs no nodes at all: it is e^{imt/2}
-times a real trigonometric polynomial, so ||P||_1 is a sum of
-antiderivative differences between its roots (_reciprocal_h1, method
-"exact", a rounding bound); the nehari-search test functions
-z1^2 + c z1 z2 + z2^2 are of this kind. A monomial (rank 0) has
-||c z^alpha||_p = |c| at every finite p, also "exact". The spec's grid is
-still validated on these paths (budget, spread) but sets no node count;
-p = inf, rank r >= 2 and higher degrees stay on the grid.
+nodes per panel, exact to rounding at small p. Each node set's mean
+is of (|P| / M)^p, M its largest |P|, so a large p does not overflow.
+Its bound is the grid's refinement-difference formula, looser at large
+p, where |P|^p is a peak narrower than the panels. At p = 1 a
+self-reciprocal P (c_k = u conj(c_(m-k)), |u| = 1) needs no nodes at
+all: it is e^{imt/2} times a real trigonometric polynomial, so ||P||_1
+is a sum of antiderivative differences between its roots
+(_reciprocal_h1, method "exact", a rounding bound); the nehari-search
+test functions z1^2 + c z1 z2 + z2^2 are of this kind. A monomial (rank
+0) has ||c z^alpha||_p = |c| at every finite p, also "exact". The spec's
+grid is still validated on these paths (budget, spread) but sets no node
+count; p = inf, rank r >= 2 and higher degrees stay on the grid. The
+exact and arc rules for P take its coefficient array (_circle_norm), so
+a caller that already holds one, such as the nehari-search scan, builds
+no Symbol.
 
 On the grid, on the arcs and on the exact paths, a product in disjoint
 variables is the product of its factors' norms (hankel.factored), each
@@ -49,11 +54,13 @@ matrix, in chunks of _MC_CHUNK samples whose arrays stay in cache. Its
 sums are of (|phi| / M)^p, M the sample max so far, so a large p does
 not overflow.
 
-Every quadrature number comes from hp_norm: h1_norm_2hom (homogeneous
-symbols in at most two variables, which reduce to rank r <= 1) is
-hp_norm at p=1 with a spec of at least 2^16 points. The one number not
-integrated is hq_norm_basic, the H^q norm of (z1+z2)/sqrt(2), which has a
-closed form (Wallis) evaluated with log-gamma.
+Every printed quadrature number comes from hp_norm: h1_norm_2hom
+(homogeneous symbols in at most two variables, which reduce to rank
+r <= 1) is hp_norm at p=1 with a spec of at least 2^16 points, and the
+nehari-search scan's values from _circle_norm only rank its candidates.
+The one number not integrated is hq_norm_basic, the H^q norm of
+(z1+z2)/sqrt(2), which has a closed form (Wallis) evaluated with
+log-gamma.
 """
 
 from __future__ import annotations
@@ -280,21 +287,25 @@ def _circle_roots(coefs):
 
 
 def _arc_stat(coefs, p):
-    """Means of |P|^p over T^1 by Gauss-Legendre on arcs split at the roots.
+    """||P||_p on T^1 by Gauss-Legendre on arcs split at the roots.
 
     coefs are P's ascending coefficients (_circle_coefs of a reduced
-    symbol of rank <= 1). Returns the means with _ARC_NODES and
-    2 * _ARC_NODES nodes per arc, and the arc count.
+    symbol of rank <= 1). Each node set, _ARC_NODES and 2 * _ARC_NODES
+    nodes per arc, gives M mean((|P| / M)^p)^(1/p) with M its largest
+    |P|, so a large p does not overflow. Returns the two norms, coarse
+    then fine, and the arc count.
     """
     desc = coefs[::-1]
     ends = _arc_ends(_circle_roots(coefs), len(coefs) - 1)
     lefts, widths = ends[:-1, None], np.diff(ends)[:, None]
-    means = []
+    norms = []
     for n in (_ARC_NODES, 2 * _ARC_NODES):
         x, w = _gauss_legendre(n)
-        values = np.abs(np.polyval(desc, np.exp(1j * (lefts + widths * (0.5 * (x + 1.0)))))) ** p
-        means.append(float((widths * w * values).sum()) / (4.0 * math.pi))
-    return means, len(ends) - 1
+        mags = np.abs(np.polyval(desc, np.exp(1j * (lefts + widths * (0.5 * (x + 1.0))))))
+        top = float(mags.max())
+        mean = float((widths * w * (mags / top) ** p).sum()) / (4.0 * math.pi)
+        norms.append(top * mean ** (1.0 / p))
+    return norms, len(ends) - 1
 
 
 def _reciprocal_h1(coefs):
@@ -349,6 +360,29 @@ def _reciprocal_h1(coefs):
     cuts = 2.0 * (m + 2) * _EPS * size
     err = arcs * per_eval / math.pi + cuts + (arcs + 2) * _EPS * value + residual
     return value, float(err), arcs
+
+
+def _refined(coarse: float, fine: float) -> float:
+    """Error bound of a rule's refined norm: its distance to the coarse one, plus rounding."""
+    return abs(fine - coarse) + 32 * _EPS * (1.0 + fine)
+
+
+def _circle_norm(coefs, p):
+    """||P||_p of P = sum_k coefs[k] w^k on the circle, at finite p.
+
+    coefs are ascending and complex, of degree at most _ARC_MAX_DEGREE,
+    not all zero; they are taken as given, with no Symbol, reduction or
+    budget check. At p = 1 a self-reciprocal P is exact (_reciprocal_h1);
+    otherwise the arc rule (_arc_stat) with its refinement bound. Returns
+    (value, method, bound, rule), the rule worded for the metadata.
+    """
+    exact = _reciprocal_h1(coefs) if p == 1 else None
+    if exact is not None:
+        value, err, arcs = exact
+        return value, "exact", err, f"self-reciprocal antiderivative on {arcs} arcs cut at the roots"
+    (coarse, fine), arcs = _arc_stat(coefs, p)
+    rule = f"gauss-legendre {_ARC_NODES} refined to {2 * _ARC_NODES} nodes on {arcs} arcs cut at the roots"
+    return fine, "arc-quadrature", _refined(coarse, fine), rule
 
 
 def _unit(z):
@@ -586,21 +620,11 @@ def _grid_or_arc(s: Symbol, p, n: int) -> NormEstimate:
     if rank == 0:
         return NormEstimate(abs(s.coeff(s.support[0])), "exact", 0.0, f"modulus of a monomial, {where}")
     if s.dim <= 1 and spread <= _ARC_MAX_DEGREE:
-        coefs = _circle_coefs(s)
-        exact = _reciprocal_h1(coefs) if p == 1 else None
-        if exact is not None:
-            value, err, arcs = exact
-            rule = f"self-reciprocal antiderivative on {arcs} arcs cut at the roots"
-            return NormEstimate(value, "exact", err, f"{rule}, {where}")
-        (coarse, fine), arcs = _arc_stat(coefs, p)
-        method = "arc-quadrature"
-        rule = f"gauss-legendre {_ARC_NODES} refined to {2 * _ARC_NODES} nodes on {arcs} arcs cut at the roots"
-    else:
-        coarse, fine = _tensor_stat(s, n, p), _tensor_stat(s, 2 * n, p)
-        method, rule = "grid-quadrature", f"tensor-uniform N={n} refined to {2 * n}"
-    value = fine ** (1.0 / p)
-    err = abs(value - coarse ** (1.0 / p)) + 32 * _EPS * (1.0 + value)
-    return NormEstimate(value, method, err, f"{rule}, {where}")
+        value, method, err, rule = _circle_norm(_circle_coefs(s), p)
+        return NormEstimate(value, method, err, f"{rule}, {where}")
+    coarse, fine = _tensor_stat(s, n, p) ** (1.0 / p), _tensor_stat(s, 2 * n, p) ** (1.0 / p)
+    rule = f"tensor-uniform N={n} refined to {2 * n}"
+    return NormEstimate(fine, "grid-quadrature", _refined(coarse, fine), f"{rule}, {where}")
 
 
 # -- closed forms and thin wrappers ------------------------------------------

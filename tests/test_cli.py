@@ -304,6 +304,19 @@ class TestHpNorm:
         assert isinstance(value, float) and isinstance(bound, float)
         assert 2.9 < value <= 3.0 and 0.0 <= bound < 0.1
 
+    def test_arc_rule_at_large_p_is_finite(self, capsys, tmp_path):
+        # |1 + w|^2000 overflows a double near its sup 2
+        path = tmp_path / "w.sym"
+        path.write_text("dim 1\n1.0 0.0 : 0\n1.0 0.0 : 1\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, _ = run(capsys, "hp-norm", str(path), "2000", "--json")
+        assert code == 0
+        row = {r["quantity"]: r for r in json.loads(out)["reports"]}["hp_norm"]
+        assert row["method"] == "arc-quadrature"
+        assert all(isinstance(row[k], float) and math.isfinite(row[k]) for k in ("value", "error_bound"))
+        assert 1.99 < row["value"] <= 2.0
+
     @pytest.mark.parametrize("as_json", [False, True])
     def test_monte_carlo_sup_has_no_upper_bound(self, capsys, pair_file, as_json):
         code, out, _ = run(capsys, "norm", pair_file, "--samples", "20000", "--seed", "1", *(["--json"] if as_json else []))

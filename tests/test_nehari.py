@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,6 +28,9 @@ from hankel_lab import (
     quadratic_witness_lower,
     search_c2,
 )
+import hankel_lab.nehari as nehari
+from hankel_lab.nehari import _GOLDEN
+from hankel_lab.quadrature import _circle_norm
 from helpers import phi2, z
 
 C2_QUADRATIC = 5 * math.pi / (math.pi + 6 * math.sqrt(3))
@@ -135,6 +139,65 @@ class TestSearch:
             warnings.simplefilter("error")  # refused before numpy sees the interval
             with pytest.raises(DomainError, match="must have finite ends"):
                 search_c2(0.5, c_range=c_range)
+
+
+def symbol_search(a, c_range=(0.0, 2.0)):
+    """search_c2's scan and golden-section search with ||f||_1 from h1_norm_2hom of each f as a Symbol."""
+    phi = phi2(a)
+    hankel = operator_norm(phi)
+
+    def bound(c):
+        return abs(2.0 + a * c) / (hankel.value * h1_norm_2hom(phi2(c)).value)
+
+    grid = np.linspace(c_range[0], c_range[1], 101)
+    values = [bound(c) for c in grid]
+    peak = int(np.argmax(values))
+    left, right = grid[peak - 1], grid[peak + 1]
+    x1 = right - _GOLDEN * (right - left)
+    x2 = left + _GOLDEN * (right - left)
+    f1, f2 = bound(x1), bound(x2)
+    while right - left > 1e-6:
+        if f1 < f2:
+            left, x1, f1 = x1, x2, f2
+            x2 = left + _GOLDEN * (right - left)
+            f2 = bound(x2)
+        else:
+            right, x2, f2 = x2, x1, f1
+            x1 = right - _GOLDEN * (right - left)
+            f1 = bound(x1)
+    best_c = float(0.5 * (left + right))
+    return best_c, replace(dual_bound(phi2(best_c), phi), method="search")
+
+
+class TestSearchOnCoefficients:
+    """The search takes ||f||_1 from f's circle coefficients 1 + c w + w^2, as hp_norm does after reducing f."""
+
+    def test_circle_norm_is_h1_norm_2hom(self, monkeypatch):
+        evaluated = []
+
+        def recorded(coefs, p):
+            evaluated.append(coefs.copy())
+            return _circle_norm(coefs, p)
+
+        monkeypatch.setattr(nehari, "_circle_norm", recorded)
+        search_c2(0.5)
+        assert len(evaluated) > 101  # the scan, then golden-section points
+        assert [coefs[1].real for coefs in evaluated[:101]] == list(np.linspace(0.0, 2.0, 101))
+        for coefs in evaluated:
+            c = float(coefs[1].real)
+            assert np.array_equal(coefs, np.array([1.0, c, 1.0], dtype=complex))
+            value, method, bound, _ = _circle_norm(coefs, 1)
+            est = h1_norm_2hom(phi2(c))
+            assert (value, method) == (est.value, est.method) == (est.value, "exact")
+            # at c = 0 the symbol has no middle term and reduces to 1 + w, whose
+            # antiderivative is cut into fewer arcs: same value, another rounding bound
+            assert bound == est.error_bound or c == 0.0
+
+    def test_search_matches_the_symbol_search(self):
+        rng = np.random.default_rng(211)
+        for a in [0.5, 0.25, *rng.uniform(0.1, 0.5, size=3)]:
+            best_c, report = search_c2(float(a))
+            assert (best_c, report) == symbol_search(float(a))
 
 
 class TestCexFamily:

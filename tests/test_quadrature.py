@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -293,11 +294,54 @@ def binomial_power_h1(m):
 def arc_rule(s, p=1):
     """The arc rule's value and bound on s, as hp_norm reports them for a symbol that is not self-reciprocal."""
     (coarse, fine), _ = _arc_stat(_circle_coefs(_reduce(s)), p)
-    value = fine ** (1 / p)
-    return value, abs(value - coarse ** (1 / p)) + 32 * _EPS * (1 + value)
+    return fine, abs(fine - coarse) + 32 * _EPS * (1 + fine)
 
 
 M6_F = [1, -0.82439, 0.66883, -0.67071, 0.66883, -0.82439, 1]  # a symmetric degree-6 test function
+
+
+class TestArcLargeP:
+    ONE_PLUS_W = make_symbol(1, [((0,), 1.0), ((1,), 1.0)])
+    HALF_W = make_symbol(1, [((0,), 1.0), ((1,), 0.5)])
+
+    @pytest.mark.parametrize("p", [2000, 10**4, 10**6])
+    def test_binomial_reference(self, p):
+        # ||1 + w||_p^p = binom(p, p/2) for even p; |1 + w|^p overflows a double near p = 1024
+        reference = math.exp((math.lgamma(p + 1) - 2 * math.lgamma(p / 2 + 1)) / p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            est = hp_norm(self.ONE_PLUS_W, p)
+        assert est.method == "arc-quadrature"
+        assert abs(est.value - reference) <= est.error_bound + 1e-9 * reference
+
+    def test_zero_free_symbol_at_huge_p(self):
+        # no zero on the circle: the trapezoid rule of log-scaled |1 + w/2|^p converges
+        # geometrically, and 2^16 points resolve the peak's width of about 1e-3
+        p = 10**6
+        logs = p * np.log(fft_circle_abs([1.0, 0.5], 1 << 16))
+        top = logs.max()
+        reference = math.exp((top + math.log(float(np.mean(np.exp(logs - top))))) / p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            est = hp_norm(self.HALF_W, p)
+        assert abs(est.value - reference) <= est.error_bound + 1e-9 * reference
+
+    def test_moderate_p_within_the_unscaled_rule(self):
+        # value and bound of the arc rule before its means were scaled by the node max
+        unscaled = {
+            (1.0, 1.5): (1.3529987270358828, 1.6941106132406123e-14),
+            (1.0, 3.5): (1.5365142139871828, 1.8245062093933363e-14),
+            (1.0, 10): (1.7383613363123431, 1.9679272158955592e-14),
+            (1.0, 400): (1.9839539719985797, 9.774289494913536e-12),
+            (0.5, 1.5): (1.0920467846026967, 1.508693106162224e-14),
+            (0.5, 3.5): (1.1814710791741994, 1.572232889070477e-14),
+            (0.5, 10): (1.3124209828391646, 1.665278391868103e-14),
+            (0.5, 400): (1.4881851496372305, 9.007010386846656e-09),
+        }
+        for (c, p), (value, bound) in unscaled.items():
+            est = hp_norm(self.ONE_PLUS_W if c == 1.0 else self.HALF_W, p)
+            assert est.method == "arc-quadrature"
+            assert abs(est.value - value) <= est.error_bound + bound
 
 
 class TestExactH1:
