@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MAX_BASIS, MAX_CLOSURE, DomainError, check_budget
-from .symbols import FACTOR_RTOL, Symbol, degree, split_factors
+from .symbols import FACTOR_RTOL, Symbol, _root_sum_squares, degree, split_factors
 
 # entries per chunk of the walk: its temporaries stay near 1 MB, so
 # build_matrix at MAX_BASIS peaks at the matrix plus the interpreter
@@ -444,5 +444,5 @@ def operator_norm(s: Symbol) -> NormEstimate:
     return factored(
         s,
         _dense_norm,
-        lambda delta: math.sqrt(math.fsum(math.prod(e + 1 for e in a) * abs(c) ** 2 for a, c in delta.terms())),
+        lambda delta: _root_sum_squares((math.prod(e + 1 for e in a), c) for a, c in delta.terms()),
     )

@@ -22,17 +22,16 @@ at finite p, a polynomial P on the circle, and the grid's algebraic
 convergence at zeros of P on the circle is avoidable: _arc_stat cuts the
 circle at the angles of the roots of P, grades panels geometrically
 toward each cut, and integrates |P|^p by Gauss-Legendre with 16 and 32
-nodes per panel, exact to rounding at small p. Each node set's mean
-is of (|P| / M)^p, M its largest |P|, so a large p does not overflow.
-Its bound is the grid's refinement-difference formula, looser at large
-p, where |P|^p is a peak narrower than the panels. At p = 1 a
-self-reciprocal P (c_k = u conj(c_(m-k)), |u| = 1) needs no nodes at
-all: it is e^{imt/2} times a real trigonometric polynomial, so ||P||_1
-is a sum of antiderivative differences between its roots
-(_reciprocal_h1, method "exact", a rounding bound); the nehari-search
-test functions z1^2 + c z1 z2 + z2^2 are of this kind. A monomial (rank
-0) has ||c z^alpha||_p = |c| at every finite p, also "exact". The spec's
-grid is still validated on these paths (budget, spread) but sets no node
+nodes per panel, exact to rounding at small p. Its bound is the grid's
+refinement-difference formula, looser at large p, where |P|^p is a peak
+narrower than the panels. At p = 1 a self-reciprocal P
+(c_k = u conj(c_(m-k)), |u| = 1) needs no nodes at all: it is e^{imt/2}
+times a real trigonometric polynomial, so ||P||_1 is a sum of
+antiderivative differences between its roots (_reciprocal_h1, method
+"exact", a rounding bound); the nehari-search test functions
+z1^2 + c z1 z2 + z2^2 are of this kind. A monomial (rank 0) has
+||c z^alpha||_p = |c| at every finite p, also "exact". The spec's grid
+is still validated on these paths (budget, spread) but sets no node
 count; p = inf, rank r >= 2 and higher degrees stay on the grid. The
 exact and arc rules for P take its coefficient array (_circle_norm), so
 a caller that already holds one, such as the nehari-search scan, builds
@@ -50,9 +49,13 @@ axis, from a table of 1024 turns times a Taylor step (_turn_phasors, no
 complex exponential), its powers for the axis's exponents by
 multiplication (powers by squaring renormalised to modulus 1), then the
 terms summed into one vector of samples, with no (samples x terms)
-matrix, in chunks of _MC_CHUNK samples whose arrays stay in cache. Its
-sums are of (|phi| / M)^p, M the sample max so far, so a large p does
-not overflow.
+matrix, in chunks of _MC_CHUNK samples whose arrays stay in cache.
+
+Every rule takes its power mean the same way (_power_mean): the tensor
+grid slice by slice, the arc rule per node set, Monte Carlo per chunk,
+each as M mean((|phi| / M)^p)^(1/p) with M the largest |phi| it has
+seen, its totals rescaled whenever a chunk raises M. So a large p
+neither overflows nor loses a chunk, and p = inf is M alone.
 
 Every printed quadrature number comes from hp_norm: h1_norm_2hom
 (homogeneous symbols in at most two variables, which reduce to rank
@@ -217,13 +220,51 @@ def _spread(s: Symbol) -> int:
     return max(max(axis) - min(axis) for axis in zip(*s.support))
 
 
+def _power_mean(parts, p, size, squares=False):
+    """M, mean((v / M)^p) and mean((v / M)^(2p)) over magnitudes v >= 0 given in chunks.
+
+    parts yields (mags, weights): an array of magnitudes, overwritten
+    here, and weights that broadcast against it, or None for weight 1;
+    each mean is its weighted sum divided by size. M is the largest v so
+    far, and a chunk that raises it multiplies the totals by
+    (M_old / M_new)^p and its square first. The norm is M mean^(1/p); at
+    p = inf only M is taken and both means are 1.0, so that formula
+    still gives M. The square mean, for an unweighted sample variance,
+    is summed only if squares is set and is 0.0 otherwise.
+    """
+    top = total = total_sq = 0.0
+    for mags, weights in parts:
+        peak = float(mags.max())
+        if peak > top:
+            if p != math.inf:
+                shrink = (top / peak) ** p
+                total *= shrink
+                total_sq *= shrink * shrink
+            top = peak
+        if p == math.inf or top == 0.0:
+            continue
+        mags /= top
+        mags **= p
+        if weights is not None:
+            mags *= weights
+        total += float(mags.sum())
+        if squares:
+            mags *= mags
+            total_sq += float(mags.sum())
+    if p == math.inf:
+        return top, 1.0, 1.0
+    return top, total / size, total_sq / size
+
+
 def _tensor_stat(s: Symbol, n: int, p):
-    """Mean of |phi|^p over the n^d uniform grid, or the max for p=inf."""
+    """||phi||_p from the n^d uniform grid: its power mean (_power_mean), or its max at p = inf.
+
+    The grid comes from _grid_values, whole or slice by slice, one chunk each.
+    """
     terms = s.terms()
     slices = _grid_values([a for a, _ in terms], np.array([c for _, c in terms]), n)
-    if p == math.inf:
-        return max(float(np.abs(v).max()) for v in slices)
-    return sum(float((np.abs(v) ** p).sum()) for v in slices) / (n**s.dim)
+    top, mean, _ = _power_mean(((np.abs(v), None) for v in slices), p, n**s.dim)
+    return top * mean ** (1.0 / p)
 
 
 def _sup_cushion(s: Symbol, n: int, grid_max: float):
@@ -291,9 +332,9 @@ def _arc_stat(coefs, p):
 
     coefs are P's ascending coefficients (_circle_coefs of a reduced
     symbol of rank <= 1). Each node set, _ARC_NODES and 2 * _ARC_NODES
-    nodes per arc, gives M mean((|P| / M)^p)^(1/p) with M its largest
-    |P|, so a large p does not overflow. Returns the two norms, coarse
-    then fine, and the arc count.
+    nodes per arc, is one chunk of _power_mean, weighted by arc width
+    times Gauss-Legendre weight over 4 pi (the weights sum to 2 per arc).
+    Returns the two norms, coarse then fine, and the arc count.
     """
     desc = coefs[::-1]
     ends = _arc_ends(_circle_roots(coefs), len(coefs) - 1)
@@ -302,8 +343,7 @@ def _arc_stat(coefs, p):
     for n in (_ARC_NODES, 2 * _ARC_NODES):
         x, w = _gauss_legendre(n)
         mags = np.abs(np.polyval(desc, np.exp(1j * (lefts + widths * (0.5 * (x + 1.0))))))
-        top = float(mags.max())
-        mean = float((widths * w * (mags / top) ** p).sum()) / (4.0 * math.pi)
+        top, mean, _ = _power_mean([(mags, widths * w)], p, 4.0 * math.pi)
         norms.append(top * mean ** (1.0 / p))
     return norms, len(ends) - 1
 
@@ -465,10 +505,9 @@ def _mc_stat(s: Symbol, spec: QuadratureSpec, p):
     most 2^20 entries; the stream is row-major, so the chunk size does not
     change the samples.
 
-    At finite p the totals are of (|phi| / M)^p and its square, M the
-    running sample max, rescaled when a chunk raises M, so a large p
-    neither overflows nor loses the samples; the value is M mean^(1/p)
-    and the bound 3 sem value / (p mean), in which the scale cancels.
+    Each chunk's |phi| goes to _power_mean with the square sums; the
+    value is M mean^(1/p) and the bound 3 sem value / (p mean), in which
+    the scale M cancels.
     """
     rng = np.random.Generator(np.random.Philox(spec.seed))
     exponents = [sorted({a[j] for a in s.support} - {0}) for j in range(s.dim)]
@@ -482,55 +521,44 @@ def _mc_stat(s: Symbol, spec: QuadratureSpec, p):
         else:
             constant = c
     chunk = min(_MC_CHUNK, max(1, (1 << 20) // max(1, sum(map(len, exponents)))))
-    total = 0.0
-    total_sq = 0.0
-    scale = 0.0
-    remaining = spec.samples
-    while remaining > 0:
-        m = min(chunk, remaining)
-        x = rng.random((m, s.dim))
-        tables = [np.empty((len(axis), m), dtype=complex) for axis in exponents]
-        for j, axis in enumerate(exponents):
-            if not axis:
-                continue
-            u = _turn_phasors(x[:, j])
-            previous, gap = 0, 0
-            for k, e in enumerate(axis):
-                if e - previous != gap:  # equal gaps reuse the last step
-                    gap = e - previous
-                    step = _unit_power(u, gap)
-                if k:
-                    np.multiply(tables[j][k - 1], step, out=tables[j][k])
-                else:
-                    tables[j][0] = step
-                previous = e
-        values = np.full(m, constant, dtype=complex)
-        term = np.empty(m, dtype=complex)
-        for c, factors in products:
-            (j, k), *rest = factors
-            np.multiply(tables[j][k], c, out=term)
-            for j, k in rest:
-                term *= tables[j][k]
-            values += term
-        mags = np.abs(values)
-        top = float(mags.max())
-        if top > scale:
-            if p != math.inf:
-                shrink = (scale / top) ** p
-                total *= shrink
-                total_sq *= shrink * shrink
-            scale = top
-        if p != math.inf and scale > 0:
-            powered = (mags / scale) ** p
-            total += float(powered.sum())
-            total_sq += float((powered**2).sum())
-        remaining -= m
+
+    def chunks():
+        remaining = spec.samples
+        while remaining > 0:
+            m = min(chunk, remaining)
+            x = rng.random((m, s.dim))
+            tables = [np.empty((len(axis), m), dtype=complex) for axis in exponents]
+            for j, axis in enumerate(exponents):
+                if not axis:
+                    continue
+                u = _turn_phasors(x[:, j])
+                previous, gap = 0, 0
+                for k, e in enumerate(axis):
+                    if e - previous != gap:  # equal gaps reuse the last step
+                        gap = e - previous
+                        step = _unit_power(u, gap)
+                    if k:
+                        np.multiply(tables[j][k - 1], step, out=tables[j][k])
+                    else:
+                        tables[j][0] = step
+                    previous = e
+            values = np.full(m, constant, dtype=complex)
+            term = np.empty(m, dtype=complex)
+            for c, factors in products:
+                (j, k), *rest = factors
+                np.multiply(tables[j][k], c, out=term)
+                for j, k in rest:
+                    term *= tables[j][k]
+                values += term
+            yield np.abs(values), None
+            remaining -= m
+
+    scale, mean, mean_sq = _power_mean(chunks(), p, spec.samples, squares=True)
     if p == math.inf:
         return scale, math.inf
     if scale == 0.0:  # phi vanished at every sample
         return 0.0, 0.0
-    mean = total / spec.samples
-    variance = max(total_sq / spec.samples - mean**2, 0.0)
+    variance = max(mean_sq - mean**2, 0.0)
     value = scale * mean ** (1.0 / p)
     return value, 3.0 * math.sqrt(variance / spec.samples) * value / (p * mean)
 
@@ -573,22 +601,12 @@ def hp_norm(s: Symbol, p, spec: QuadratureSpec | None = None) -> NormEstimate:
         s = _reduce(s)
         rank = s.dim if len(s.support) > 1 else 0
         value, err = _mc_stat(s, spec, p)
-        sampled = f"; d={dim} reduced to r={rank}" if rank < dim else ""
+        draws = f"philox seed={spec.seed} samples={spec.samples}"
+        note = f"{draws}; 3 standard errors, first-order in the 1/p power"
         if p == math.inf:
-            return NormEstimate(
-                value,
-                "monte-carlo",
-                err,
-                f"sample max (lower estimate); philox seed={spec.seed} "
-                f"samples={spec.samples}{sampled}",
-            )
-        return NormEstimate(
-            value,
-            "monte-carlo",
-            err,
-            f"philox seed={spec.seed} samples={spec.samples}; "
-            f"3 standard errors, first-order in the 1/p power{sampled}",
-        )
+            note = f"sample max (lower estimate); {draws}"
+        sampled = f"; d={dim} reduced to r={rank}" if rank < dim else ""
+        return NormEstimate(value, "monte-carlo", err, note + sampled)
     n = spec.points_per_dimension
     est = factored(s, lambda f: _grid_or_arc(f, p, n), lambda delta: math.fsum(abs(c) for _, c in delta.terms()))
     return NormEstimate(est.value, est.method, est.error_bound, f"{est.metadata}, p={p}")
@@ -622,7 +640,7 @@ def _grid_or_arc(s: Symbol, p, n: int) -> NormEstimate:
     if s.dim <= 1 and spread <= _ARC_MAX_DEGREE:
         value, method, err, rule = _circle_norm(_circle_coefs(s), p)
         return NormEstimate(value, method, err, f"{rule}, {where}")
-    coarse, fine = _tensor_stat(s, n, p) ** (1.0 / p), _tensor_stat(s, 2 * n, p) ** (1.0 / p)
+    coarse, fine = _tensor_stat(s, n, p), _tensor_stat(s, 2 * n, p)
     rule = f"tensor-uniform N={n} refined to {2 * n}"
     return NormEstimate(fine, "grid-quadrature", _refined(coarse, fine), f"{rule}, {where}")
 

@@ -37,6 +37,29 @@ def grlex_key(alpha):
     return (sum(alpha), tuple(-e for e in alpha))
 
 
+def _root_sum_squares(pairs) -> float:
+    """sqrt(sum_k w_k |c_k|^2) over (w_k, c_k) pairs with weights w_k >= 0.
+
+    Summed as given (math.fsum) when that is finite. A modulus beyond
+    about 1.34e154 has a square that overflows a double; the sum is then
+    taken of w_k (|c_k| / M)^2, M the largest modulus, and multiplied by
+    M after the square root. DomainError if the result itself exceeds the
+    double range.
+    """
+    pairs = [(w, abs(c)) for w, c in pairs]
+    try:
+        total = math.fsum(w * m**2 for w, m in pairs)
+    except OverflowError:
+        total = math.inf
+    if math.isfinite(total):
+        return math.sqrt(total)
+    top = max(m for _, m in pairs)
+    value = top * math.sqrt(math.fsum(w * (m / top) ** 2 for w, m in pairs))
+    if not math.isfinite(value):
+        raise DomainError(f"the root sum of squares exceeds the double range (largest modulus {top:.3g})")
+    return value
+
+
 def _validated_index(alpha, dim):
     alpha = tuple(alpha)
     if len(alpha) != dim:
@@ -183,7 +206,7 @@ class Symbol:
 
     def h2_norm(self) -> float:
         """sqrt of the sum of squared coefficient moduli (Parseval)."""
-        return math.sqrt(math.fsum(abs(c) ** 2 for c in self._coeffs.values()))
+        return _root_sum_squares((1, c) for c in self._coeffs.values())
 
     def reflect(self) -> "Symbol":
         """Conjugate every coefficient; the support is unchanged.

@@ -132,6 +132,12 @@ def grid_mean_abs_pow(s, n, p):
     return total / n**s.dim
 
 
+def grid_max_abs(s, n):
+    """Plain max of |phi| over the n^d uniform grid."""
+    points = [2 * math.pi * t / n for t in range(n)]
+    return max(abs(eval_direct(s, angles)) for angles in itertools.product(points, repeat=s.dim))
+
+
 def brute_matrix(s, max_degree=None):
     """Operator matrix over the full simplex of indices of degree <= D.
 

@@ -126,6 +126,19 @@ class TestNorm:
         assert json_value == text_value
 
 
+    @pytest.mark.parametrize("command", ["norm", "check-minimal"])
+    def test_huge_coefficients_give_finite_rows(self, capsys, tmp_path, command):
+        # |1e200|^2 overflows a double; the rows must not
+        path = tmp_path / "big.sym"
+        path.write_text("dim 2\n1e200 0.0 : 1 1\n")
+        code, out, _ = run(capsys, command, str(path), "--json")
+        assert code == 0
+        rows = {r["quantity"]: r for r in json.loads(out)["reports"]}
+        assert rows["h2_norm"]["value"] == 1e200
+        numbers = [r[k] for r in rows.values() for k in ("value", "error_bound") if isinstance(r[k], float)]
+        assert len(numbers) >= 4 and all(math.isfinite(x) for x in numbers)
+
+
 class TestCheckMinimal:
     def test_minimal_side(self, capsys, tmp_path):
         path = tmp_path / "q.sym"
@@ -316,6 +329,19 @@ class TestHpNorm:
         assert row["method"] == "arc-quadrature"
         assert all(isinstance(row[k], float) and math.isfinite(row[k]) for k in ("value", "error_bound"))
         assert 1.99 < row["value"] <= 2.0
+
+    def test_tensor_grid_at_large_p_is_finite(self, capsys, tmp_path):
+        # |1 + z1 + z2|^1000 overflows a double near its sup 3
+        path = tmp_path / "t.sym"
+        path.write_text("dim 2\n1.0 0.0 : 0 0\n1.0 0.0 : 1 0\n1.0 0.0 : 0 1\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, _ = run(capsys, "hp-norm", str(path), "1000", "--json")
+        assert code == 0
+        row = {r["quantity"]: r for r in json.loads(out)["reports"]}["hp_norm"]
+        assert row["method"] == "grid-quadrature"
+        assert all(isinstance(row[k], float) and math.isfinite(row[k]) for k in ("value", "error_bound"))
+        assert 2.97 < row["value"] <= 3.0
 
     @pytest.mark.parametrize("as_json", [False, True])
     def test_monte_carlo_sup_has_no_upper_bound(self, capsys, pair_file, as_json):

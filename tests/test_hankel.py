@@ -554,6 +554,16 @@ class TestFactoredNorm:
         for s, metadata in cases:
             assert self.assert_agrees(s).metadata == metadata
 
+    def test_product_beyond_squared_overflow(self):
+        # coefficients near 1e200 leave a fit residual near 1e184, whose square overflows a double
+        rng = np.random.default_rng(419)
+        a, b = rng.uniform(0.5, 2, 3) * 1e100, rng.uniform(0.5, 2, 3) * 1e100
+        terms = [((i, j), a[i] * b[j] * (1 + 1e-16 * rng.standard_normal())) for i in range(3) for j in range(3)]
+        est = self.assert_agrees(make_symbol(2, terms))
+        assert est.metadata.startswith("factored into 2 [active basis 3x3] [active basis 3x3]")
+        assert float(est.metadata.rsplit(" ", 1)[1]) > 1e180
+        assert math.isfinite(est.value) and math.isfinite(est.error_bound)
+
     def test_non_products_are_not_factored(self):
         s = make_symbol(2, [((0, 0), 1), ((1, 0), 1), ((0, 1), 1), ((1, 1), 2)])
         assert self.assert_agrees(s).metadata == "active basis 4x4"

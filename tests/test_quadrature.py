@@ -37,6 +37,7 @@ from helpers import (
     RECIPE_PRODUCT,
     circle_factor,
     embedded_product,
+    grid_max_abs,
     grid_mean_abs_pow,
     hom2_product,
     one_variable_product,
@@ -262,8 +263,8 @@ class TestArcQuadrature:
             for p in every_p:
                 est = hp_norm(s, p, QuadratureSpec(points_per_dimension=n))
                 assert est.method == ("exact" if p in exact else "arc-quadrature")
-                fine = _tensor_stat(reduced, 2 * n, p) ** (1 / p)
-                grid_bound = abs(fine - _tensor_stat(reduced, n, p) ** (1 / p)) + 32 * _EPS * (1 + fine)
+                fine = _tensor_stat(reduced, 2 * n, p)
+                grid_bound = abs(fine - _tensor_stat(reduced, n, p)) + 32 * _EPS * (1 + fine)
                 assert abs(est.value - fine) <= grid_bound + est.error_bound
 
     def test_negligible_leading_coefficient(self):
@@ -342,6 +343,43 @@ class TestArcLargeP:
             est = hp_norm(self.ONE_PLUS_W if c == 1.0 else self.HALF_W, p)
             assert est.method == "arc-quadrature"
             assert abs(est.value - value) <= est.error_bound + bound
+
+
+class TestTensorLargeP:
+    ONE_Z1_Z2 = make_symbol(2, [((0, 0), 1.0), ((1, 0), 1.0), ((0, 1), 1.0)])
+    # ||1 + z1 + z2||_p by the trapezoid rule of (|phi| / 3)^p on 8192^2 points,
+    # rows summed with math.fsum; 2048^2 points give the same digits
+    TRAPEZOID = {400: 2.9539864812680467, 1000: 2.978780757093691, 10**4: 2.9971812203819406}
+
+    @pytest.mark.parametrize("p", [400, 1000, 10**4])
+    def test_trapezoid_reference(self, p):
+        # 3^p overflows a double from p = 646
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            est = hp_norm(self.ONE_Z1_Z2, p)
+        assert est.method == "grid-quadrature" and "N=256 refined to 512" in est.metadata
+        slack = 0.0 if p == 400 else 1e-12
+        assert abs(est.value - self.TRAPEZOID[p]) <= est.error_bound + slack
+
+    def test_huge_p_is_finite(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            est = hp_norm(self.ONE_Z1_Z2, 10**6)
+        assert math.isfinite(est.value) and math.isfinite(est.error_bound)
+        assert 2.99 < est.value <= 3.0
+
+
+class TestTensorStatOracle:
+    """_tensor_stat against plain loops over the grid (helpers), which share no code with it."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_power_mean_and_max(self, dim):
+        rng = np.random.default_rng(223 + dim)
+        for n in (8, 9, 10, 11, 12):
+            s = random_symbol(rng, dim)
+            for p in (1, 2.5, 7):
+                assert _tensor_stat(s, n, p) == pytest.approx(grid_mean_abs_pow(s, n, p) ** (1 / p), rel=1e-12)
+            assert _tensor_stat(s, n, math.inf) == pytest.approx(grid_max_abs(s, n), rel=1e-12)
 
 
 class TestExactH1:
@@ -502,8 +540,8 @@ class TestLatticeReduction:
                         assert fine <= est.value + est.error_bound + 1e-12
                         assert est.value <= fine + cushion + 1e-12
                         continue
-                    value = fine ** (1 / p)
-                    bound = abs(value - coarse ** (1 / p)) + 32 * _EPS * (1 + value)
+                    value = fine
+                    bound = abs(value - coarse) + 32 * _EPS * (1 + value)
                     assert abs(est.value - value) <= est.error_bound + bound
 
     def test_spread_never_grows(self):
@@ -661,8 +699,8 @@ def unfactored(s, p, n):
     fine = _tensor_stat(r, 2 * n, p)
     if p == math.inf:
         return fine, _sup_cushion(r, 2 * n, fine)[0]
-    value = fine ** (1 / p)
-    return value, abs(value - _tensor_stat(r, n, p) ** (1 / p)) + 32 * _EPS * (1 + value)
+    value = fine
+    return value, abs(value - _tensor_stat(r, n, p)) + 32 * _EPS * (1 + value)
 
 
 class TestFactoredHpNorm:

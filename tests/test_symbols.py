@@ -133,6 +133,23 @@ class TestNormsAndParts:
             assert phi2(a).h2_norm() == pytest.approx(math.sqrt(2 + a * a), abs=1e-14)
         assert Symbol.zero(3).h2_norm() == 0.0
 
+    def test_h2_beyond_squared_overflow(self):
+        # |c|^2 overflows a double above about 1.34e154
+        assert make_symbol(2, [((1, 1), 1e200)]).h2_norm() == 1e200
+        s = make_symbol(2, [((0, 0), 1e200), ((1, 0), -1e200j), ((1, 1), 3e199)])
+        assert s.h2_norm() == pytest.approx(1e200 * math.sqrt(2.09), rel=1e-15)
+        with pytest.raises(DomainError):  # the norm itself is beyond the double range
+            make_symbol(1, [((0,), 1.7e308), ((1,), 1.7e308)]).h2_norm()
+
+    def test_h2_below_1e150_is_the_plain_sum(self):
+        rng = np.random.default_rng(17)
+        for _ in range(50):
+            moduli = 10.0 ** rng.uniform(-300, 150, size=int(rng.integers(1, 8)))
+            phases = rng.uniform(0, 2 * math.pi, size=len(moduli))
+            coefs = moduli * np.exp(1j * phases)
+            s = make_symbol(1, [((k,), complex(c)) for k, c in enumerate(coefs)])
+            assert s.h2_norm() == math.sqrt(math.fsum(abs(c) ** 2 for _, c in s.terms()))
+
     def test_h2_multiplicative_on_separate_variables(self):
         rng = np.random.default_rng(11)
         for _ in range(25):
