@@ -439,10 +439,14 @@ def operator_norm(s: Symbol) -> NormEstimate:
     disjoint variables (see factored). The metadata "active basis <n>x<n>"
     names the closure size n. The fit residual delta adds
     ||H_delta|| <= sqrt(sum_alpha prod(alpha_j + 1) |delta_alpha|^2), its
-    Frobenius norm, since alpha fills prod(alpha_j + 1) entries.
+    Frobenius norm, since alpha fills prod(alpha_j + 1) entries. A norm
+    beyond the double range is refused (DomainError).
     """
-    return factored(
+    est = factored(
         s,
         _dense_norm,
         lambda delta: _root_sum_squares((math.prod(e + 1 for e in a), c) for a, c in delta.terms()),
     )
+    if not math.isfinite(est.value):
+        raise DomainError(f"the operator norm exceeds the double range ({est.value})")
+    return est

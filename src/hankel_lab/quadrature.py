@@ -11,11 +11,14 @@ frequencies folded mod N, then one inverse FFT.
 
 Before integrating, hp_norm reduces the torus (_reduce): |phi| depends on
 theta only through the lattice spanned by the differences of its support
-exponents, so a symbol whose lattice has rank r < d is integrated as a
-trigonometric polynomial on T^r, with the same coefficients, exactly; the
-grid's points per dimension then apply per reduced axis. The pair product
-(z1+z2)(z3+z4) becomes (1+u)(1+v) on T^2, z1^3 + z2^3 becomes 1 + w, and a
-monomial a constant. Full-rank symbols are gridded as given.
+exponents, so a symbol whose lattice has rank r is integrated as a
+trigonometric polynomial on T^r in lattice coordinates, with the same
+coefficients, exactly; the grid's points per dimension then apply per
+reduced axis, every axis starting at exponent 0. The pair product
+(z1+z2)(z3+z4) becomes (1+u)(1+v) on T^2, z1^3 + z2^3 becomes 1 + w,
+1 + z1^4 + z2^4 becomes 1 + w1 + w2, and a monomial a constant. At full
+rank the exponents as given are exact coordinates too, and they are kept
+unless the lattice basis gives a narrower spread, so no grid gets wider.
 
 A reduced symbol of rank r <= 1 and degree at most _ARC_MAX_DEGREE is,
 at finite p, a polynomial P on the circle, and the grid's algebraic
@@ -162,9 +165,13 @@ def _reduce(s: Symbol) -> Symbol:
     theta -> B theta maps T^d onto T^r and pushes Haar measure to Haar
     measure, so every H^p norm and the sup of psi equal those of phi. B is
     an echelon basis from Euclid's algorithm on columns, in exact Python
-    ints, then changed so that the axes of c are short; each axis of c is
-    shifted to non-negative exponents. Returns s itself when r = d, and a
-    dim-1 constant when r = 0 (a monomial).
+    ints, then changed so that the axes of c are short. At r = d the
+    exponents as given are coordinates of the same kind (B the identity),
+    and they are kept unless the reduced axes are strictly narrower, the
+    width being the largest max - min over the axes; so the spread never
+    exceeds the input's. Each axis is shifted to start at exponent 0,
+    which multiplies phi by a unimodular monomial. Returns a dim-1
+    constant when r = 0 (a monomial).
     """
     support = s.support
     base = support[0]
@@ -184,8 +191,6 @@ def _reduce(s: Symbol) -> Symbol:
             rows += [r for r in active if not r[j] and any(r)]
             active = [r for r in active if r[j]]
         basis.append((j, active[0]))
-    if len(basis) == s.dim:
-        return s
     if not basis:
         return Symbol(1, [((0,), s.coeff(base))])
     coords = []
@@ -211,13 +216,15 @@ def _reduce(s: Symbol) -> Symbol:
                 q = (2 * dot + norm) // (2 * norm)
                 axes[i] = [x - q * y for x, y in zip(axes[i], axes[k])]
                 changed = True
+    if len(axes) == s.dim:  # the exponents as given are exact coordinates too; keep them unless wider
+        axes = min([list(axis) for axis in zip(*support)], axes, key=lambda a: max(max(x) - min(x) for x in a))
     shifted = [[x - min(axis) for x in axis] for axis in axes]
     return Symbol(len(axes), [(c, s.coeff(alpha)) for c, alpha in zip(zip(*shifted), support)])
 
 
 def _spread(s: Symbol) -> int:
-    """Largest exponent spread max - min over the axes of the support."""
-    return max(max(axis) - min(axis) for axis in zip(*s.support))
+    """Largest exponent spread max - min over the axes of a reduced symbol: its largest exponent."""
+    return max(map(max, s.support))
 
 
 def _power_mean(parts, p, size, squares=False):
@@ -309,11 +316,10 @@ def _arc_ends(roots, degree: int):
 
 
 def _circle_coefs(s: Symbol):
-    """Ascending coefficients of a symbol on T^1, its lowest exponent moved to w^0."""
-    low = min(a[0] for a in s.support)
-    coefs = np.zeros(max(a[0] for a in s.support) - low + 1, dtype=complex)
+    """Ascending coefficients of a reduced symbol on T^1, whose lowest exponent is 0."""
+    coefs = np.zeros(_spread(s) + 1, dtype=complex)
     for a, c in s.terms():
-        coefs[a[0] - low] = c
+        coefs[a[0]] = c
     return coefs
 
 
@@ -571,29 +577,36 @@ def hp_norm(s: Symbol, p, spec: QuadratureSpec | None = None) -> NormEstimate:
     both methods integrate on T^r. Tensor grids are limited to r <= 4; use
     a monte-carlo spec beyond that. The spec's points per dimension apply
     per reduced axis, as does the rule that they exceed the exponent
-    spread for finite p; the metadata then says "d=<d> reduced to r=<r>".
-    Symbols of full rank are evaluated as given. At finite p a reduced
-    symbol of rank r <= 1 and degree <= _ARC_MAX_DEGREE is integrated on
-    arcs split at its roots (method "arc-quadrature", see _arc_stat) after
-    the same checks, so the points per dimension then set no node count;
-    higher degrees use the grid. On that path two cases are exact (method
-    "exact", a rounding bound): p = 1 for a self-reciprocal symbol, by
-    antiderivatives between its roots (_reciprocal_h1), and a monomial
-    (r = 0), whose norm is |c| with bound 0. p = inf returns the grid
-    (or sample) maximum, which is only a lower estimate of the sup; for
-    tensor grids the error bound is a rigorous Bernstein cushion from the
-    axis degrees of the reduced symbol, and a sample max has none (inf).
+    spread for finite p; the metadata says "d=<d> reduced to r=<r>" when
+    r < d. At finite p a reduced symbol of rank r <= 1 and degree <=
+    _ARC_MAX_DEGREE is integrated on arcs split at its roots (method
+    "arc-quadrature", see _arc_stat) after the same checks, so the points
+    per dimension then set no node count; higher degrees use the grid.
+    On that path two cases are exact (method "exact", a rounding bound):
+    p = 1 for a self-reciprocal symbol, by antiderivatives between its
+    roots (_reciprocal_h1), and a monomial (r = 0), whose norm is |c|
+    with bound 0. p = inf returns the grid (or sample) maximum, which is
+    only a lower estimate of the sup; for tensor grids the error bound is
+    a rigorous Bernstein cushion from the axis degrees of the reduced
+    symbol, and a sample max has none (inf).
 
     A tensor-uniform spec on a product in disjoint variables takes the
     product of its factors' norms (hankel.factored), each factor reduced
     and checked on its own; the split is found on s as given, because a
     lattice basis can skew a product's coordinates. The fit residual delta
     adds sum |delta_alpha|. Monte Carlo is not factored.
+
+    Every |phi| is at most S = sum |c_alpha|, so no rule overflows while S
+    is a double; a symbol whose S exceeds the double range is refused
+    (DomainError) before any evaluation.
     """
     if s.is_zero:
         raise DomainError("hp_norm requires a nonzero symbol")
     if p != math.inf and not p >= 1:
         raise DomainError(f"p must be >= 1 or inf, got {p}")
+    with np.errstate(over="ignore"):
+        if not np.isfinite(np.abs([c for _, c in s.terms()]).sum()):
+            raise DomainError("the sum of the coefficient moduli, which bounds |phi|, exceeds the double range")
     if spec is None:
         spec = default_spec(s.dim)
     if spec.method == "monte-carlo":

@@ -9,7 +9,9 @@ which makes concurrent reads safe.
 The canonical ordering of multi-indices is graded lexicographic: lower
 total degree first, and within a degree the earlier variables carry the
 higher powers first, so for d=2 the degree-2 indices come as
-(2,0), (1,1), (0,2).
+(2,0), (1,1), (0,2). A symbol keeps its terms in that order from
+construction on, so equal symbols list them alike whatever order they
+were given in, and every computation that walks them does too.
 """
 
 from __future__ import annotations
@@ -88,7 +90,7 @@ class Symbol:
             if not cmath.isfinite(c):
                 raise DomainError(f"coefficient {c} of multi-index {alpha} is not finite")
         self.dim = dim
-        self._coeffs = {a: c for a, c in coeffs.items() if c != 0}
+        self._coeffs = {a: coeffs[a] for a in sorted(coeffs, key=grlex_key) if coeffs[a] != 0}
 
     # -- constructors ------------------------------------------------------
 
@@ -121,11 +123,11 @@ class Symbol:
     @property
     def support(self):
         """Multi-indices with nonzero coefficient, in graded lex order."""
-        return tuple(sorted(self._coeffs, key=grlex_key))
+        return tuple(self._coeffs)
 
     def terms(self):
         """(alpha, coefficient) pairs in graded lex order."""
-        return [(a, self._coeffs[a]) for a in self.support]
+        return list(self._coeffs.items())
 
     def coeff(self, alpha) -> complex:
         return self._coeffs.get(tuple(alpha), 0j)
@@ -345,7 +347,8 @@ def split_factors(s: Symbol):
     values = list(coeffs.values())
     moduli = list(map(abs, values))
     top = support[max(range(n), key=moduli.__getitem__)]
-    exponents = np.array(support, dtype=np.int64)
+    # exponents from 2^63 up do not fit int64 and stay exact Python ints
+    exponents = np.array(support, dtype=np.int64 if max(map(max, support)) < 1 << 63 else object)
     fits, positions, factors = [], [], []
     for i, group in enumerate(groups):
         scale = 1.0 if i == 0 else coeffs[top]

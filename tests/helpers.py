@@ -71,6 +71,14 @@ def one_variable_product(rng, degrees):
     return embedded_product(len(degrees), [((j,), circle_factor(rng, m)) for j, m in enumerate(degrees)])
 
 
+def permuted_product():
+    """(a_i b_j) on {0,1,2} x {0,1}, unit coefficients, from a term list and from its reverse."""
+    a = [cmath.exp(1j * x) for x in (0.3, 1.1, 2.0)]
+    b = [cmath.exp(1j * x) for x in (0.7, 2.9)]
+    terms = [((i, j), a[i] * b[j]) for i in range(3) for j in range(2)]
+    return Symbol(2, terms), Symbol(2, terms[::-1])
+
+
 def hom2_product(rng, degrees):
     """Product of two-variable homogeneous polynomials with nonzero coefficients, on (z1, z2), (z3, z4), ..."""
     factors = []

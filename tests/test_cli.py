@@ -454,10 +454,50 @@ class TestHpNorm:
 
     def test_under_resolved_grid_is_domain_error(self, capsys, tmp_path):
         path = tmp_path / "big.sym"
-        path.write_text("dim 1\n1.0 0.0 : 100000000000000000000000\n0.5 0.0 : 0\n")
+        path.write_text("dim 1\n1.0 0.0 : 100000000000000000000000\n1.0 0.0 : 1\n0.5 0.0 : 0\n")
         code, _, err = run(capsys, "hp-norm", str(path), "1")
         assert code == 1
         assert "exponent spread" in err
+
+    def test_index_four_lattice_at_four_points(self, capsys, tmp_path):
+        # 1 + z1^4 + z2^4 reduces to 1 + w1 + w2, which N=4 resolves
+        path = tmp_path / "four.sym"
+        path.write_text("dim 2\n1.0 0.0 : 0 0\n1.0 0.0 : 4 0\n1.0 0.0 : 0 4\n")
+        code, out, _ = run(capsys, "hp-norm", str(path), "1", "--grid", "4", "--json")
+        assert code == 0
+        row = {r["quantity"]: r for r in json.loads(out)["reports"]}["hp_norm"]
+        assert abs(row["value"] - 1.5745972) <= row["error_bound"] + 1e-7
+
+    @pytest.mark.parametrize("e", [2**63, 10**23])
+    def test_product_beyond_int64(self, capsys, tmp_path, e):
+        # (1 + z1^e)(1 + z2): its H^2 norm is 2, its Hankel closure is over budget
+        path = tmp_path / "huge.sym"
+        path.write_text(f"dim 2\n1.0 0.0 : 0 0\n1.0 0.0 : {e} 0\n1.0 0.0 : 0 1\n1.0 0.0 : {e} 1\n")
+        code, out, _ = run(capsys, "hp-norm", str(path), "2")
+        assert code == 0
+        assert float(table_value(out, "hp_norm")) == pytest.approx(2.0, abs=1e-12)
+        code, _, err = run(capsys, "norm", str(path))
+        assert code == 1
+        assert err.startswith("error:") and "MAX_CLOSURE" in err
+
+    @pytest.mark.parametrize("args", [["1"], ["2"], ["3.5"], ["inf"], ["2", "--samples", "1000"]])
+    def test_values_beyond_double_range_are_domain_errors(self, capsys, tmp_path, args):
+        path = tmp_path / "big.sym"
+        path.write_text("dim 1\n1e308 0.0 : 0\n1e308 0.0 : 1\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "hp-norm", str(path), *args)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "double range" in err
+
+    def test_norm_beyond_double_range_is_domain_error(self, capsys, tmp_path):
+        path = tmp_path / "big.sym"
+        path.write_text("dim 2\n1e308 0.0 : 0 0\n1e308 0.0 : 1 0\n1e308 0.0 : 0 1\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "norm", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "double range" in err
 
 
 class TestNehariCommands:

@@ -37,6 +37,7 @@ from helpers import (
     hom2_product,
     one_variable_product,
     pair_product,
+    permuted_product,
     perturbed,
     phi2,
     phi3,
@@ -502,6 +503,23 @@ class TestOperatorNorm:
         for _ in range(10):
             s = random_symbol(rng, 2, max_degree=3)
             assert operator_norm(s).value == pytest.approx(brute_norm(s), rel=1e-12, abs=1e-12)
+
+    def test_norm_beyond_double_range_is_refused(self):
+        s = 1e308 * (Symbol.one(2) + z(2, 0) + z(2, 1))  # the largest singular value overflows
+        with pytest.raises(DomainError, match="double range"):
+            operator_norm(s)
+        assert operator_norm(make_symbol(1, [((0,), 1e308), ((1,), 1e308)])).value == pytest.approx(1e308 * ((1 + 5**0.5) / 2))
+
+    @pytest.mark.parametrize("e", [2**63, 10**23])
+    def test_factor_beyond_int64_names_its_budget(self, e):
+        # (1 + z1^e)(1 + z2) splits; the factor 1 + z1^e has e + 1 closure indices
+        s = make_symbol(2, [((0, 0), 1.0), ((e, 0), 1.0), ((0, 1), 1.0), ((e, 1), 1.0)])
+        with pytest.raises(BudgetError, match="MAX_CLOSURE"):
+            operator_norm(s)
+
+    def test_permuted_terms_give_identical_norms(self):
+        s, r = permuted_product()
+        assert operator_norm(s).value == operator_norm(r).value
 
     def test_block_max_identity_spot(self):
         s = phi3(0.7)

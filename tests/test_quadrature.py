@@ -42,6 +42,7 @@ from helpers import (
     hom2_product,
     one_variable_product,
     pair_product,
+    permuted_product,
     perturbed,
     phi2,
     random_symbol,
@@ -149,11 +150,11 @@ class TestHpNorm:
         exponents = sorted((a for a in np.ndindex(*(4,) * 8) if sum(a) <= 3), key=lambda a: (sum(a), a))[:120]
         rng = np.random.default_rng(151)
         wide = make_symbol(8, [(a, complex(*rng.uniform(-1, 1, size=2))) for a in exponents])
-        assert len(wide.support) == 120 and _reduce(wide) is wide
+        assert len(wide.support) == 120 and _reduce(wide) == wide
         # 1000 of the 6^6 exponents below 6 in d=6
         picked = rng.choice(6**6, size=1000, replace=False)
         many = make_symbol(6, [(tuple(map(int, np.unravel_index(i, (6,) * 6))), complex(*rng.normal(size=2))) for i in picked])
-        assert len(many.support) == 1000 and _reduce(many) is many
+        assert len(many.support) == 1000 and _reduce(many) == many
         for s in (wide, many):
             tracemalloc.start()
             try:
@@ -194,23 +195,23 @@ class TestHpNorm:
                 assert sliced == pytest.approx(direct, rel=1e-12)
 
     def test_under_resolved_grid_raises(self):
-        # z^10 + 1 needs more than 10 points per dimension; at 11 p=2 is exact
-        s = make_symbol(1, [((10,), 1.0), ((0,), 1.0)])
+        # 1 + z + z^10 needs more than 10 points per dimension; at 11 p=2 is exact
+        s = make_symbol(1, [((10,), 1.0), ((1,), 1.0), ((0,), 1.0)])
         with pytest.raises(DomainError):
             hp_norm(s, 2, QuadratureSpec(points_per_dimension=10))
         est = hp_norm(s, 2, QuadratureSpec(points_per_dimension=11))
-        assert est.value == pytest.approx(math.sqrt(2), abs=1e-14)
-        # every grid point aliases z1^(10**23) to 1, so p = 1 and 2 would read 1.5
-        huge = make_symbol(1, [((10**23,), 1.0), ((0,), 0.5)])
+        assert est.value == pytest.approx(math.sqrt(3), abs=1e-14)
+        # every grid point aliases z1^(10**23) to 1, so p = 1 and 2 would read 2.5
+        huge = make_symbol(1, [((10**23,), 1.0), ((1,), 1.0), ((0,), 0.5)])
         for p in (1, 2):
             with pytest.raises(DomainError):
                 hp_norm(huge, p, QuadratureSpec())
 
     def test_huge_exponent_sup_has_infinite_cushion(self):
         # the fold must not squeeze exponents through int64
-        huge = make_symbol(1, [((10**23,), 1.0), ((0,), 0.5)])
+        huge = make_symbol(1, [((10**23,), 1.0), ((1,), 1.0), ((0,), 0.5)])
         est = hp_norm(huge, math.inf, QuadratureSpec())
-        assert est.value == 1.5
+        assert est.value == 2.5
         assert est.error_bound == math.inf
 
 
@@ -274,9 +275,9 @@ class TestArcQuadrature:
 
     def test_grid_beyond_arc_degree(self):
         # degree 65 > _ARC_MAX_DEGREE stays on the grid; p = inf always does
-        s = make_symbol(1, [((65,), 1.0), ((0,), 1.0)])
+        s = make_symbol(1, [((65,), 1.0), ((1,), 1.0), ((0,), 1.0)])
         est = hp_norm(s, 2, QuadratureSpec(points_per_dimension=128))
-        assert est.method == "grid-quadrature" and est.value == pytest.approx(math.sqrt(2), abs=1e-14)
+        assert est.method == "grid-quadrature" and est.value == pytest.approx(math.sqrt(3), abs=1e-14)
         assert hp_norm(z(2, 0) + z(2, 1), math.inf).method == "grid-quadrature"
 
 
@@ -503,6 +504,20 @@ def rank_deficient(rng, dim, scale=2):
     ])
 
 
+def full_rank(rng, dim):
+    """Random symbol of 3-8 terms, exponents at most 6, whose exponent differences span a lattice of rank dim."""
+    while True:
+        exponents = rng.integers(0, 7, size=(int(rng.integers(3, 9)), dim))
+        s = make_symbol(dim, [(tuple(map(int, a)), complex(*rng.uniform(-2, 2, size=2))) for a in exponents])
+        diffs = np.array(s.support[1:]) - np.array(s.support[0])
+        if np.linalg.matrix_rank(diffs) == dim:
+            return s
+
+
+def spread(s):
+    return max(max(axis) - min(axis) for axis in zip(*s.support))
+
+
 class TestLatticeReduction:
     def test_pair_product_and_common_factor(self):
         reduced = _reduce(pair_product(2))
@@ -513,14 +528,14 @@ class TestLatticeReduction:
         monomial = make_symbol(3, [((2, 5, 1), -0.5j)])
         assert _reduce(monomial).terms() == [((0,), -0.5j)]
 
-    def test_full_rank_is_untouched(self):
+    def test_full_rank_is_never_wider(self):
         rng = np.random.default_rng(131)
         for dim in (1, 2, 3):
             for _ in range(10):
                 s = random_symbol(rng, dim, max_degree=4, n_terms=6)
                 diffs = np.array(s.support[1:]) - np.array(s.support[0])
                 if len(diffs) and np.linalg.matrix_rank(diffs) == dim:
-                    assert _reduce(s) is s
+                    assert _reduce(s).dim == dim and spread(_reduce(s)) <= spread(s)
                     assert "reduced" not in hp_norm(s, 1, QuadratureSpec(points_per_dimension=16)).metadata
 
     def test_matches_unreduced_grid_within_bounds(self):
@@ -571,6 +586,81 @@ class TestLatticeReduction:
                 s = rank_deficient(rng, dim)
                 est = hp_norm(s, math.inf, QuadratureSpec(points_per_dimension=64))
                 assert operator_norm(s).value <= est.value + est.error_bound + 1e-10
+
+
+class TestFullRankReduction:
+    def test_random_symbols_meet_the_exact_oracles(self):
+        # |phi|^2 and |phi|^4 = |phi^2|^2 are trigonometric polynomials, so the
+        # grid is exact at p = 2 past the spread and at p = 4 past twice it
+        rng = np.random.default_rng(439)
+        changed = narrower = 0
+        for dim in (1, 2, 3):
+            for _ in range(25):
+                s = full_rank(rng, dim)
+                reduced = _reduce(s)
+                assert reduced.dim == dim and len(reduced.support) == len(s.support)
+                assert all(min(axis) == 0 for axis in zip(*reduced.support))
+                assert spread(reduced) <= spread(s)
+                changed += reduced.support != s.support
+                narrower += spread(reduced) < spread(s)
+                spec = QuadratureSpec(points_per_dimension=max(4, 2 * spread(reduced) + 1))
+                assert hp_norm(s, 2, spec).value == pytest.approx(s.h2_norm(), rel=1e-12)
+                assert hp_norm(s, 4, spec).value == pytest.approx((s * s).h2_norm() ** 0.5, rel=1e-12)
+        assert changed >= 40 and narrower >= 15  # most inputs move; 52 and 24 of 75 here
+
+    def test_index_four_lattice_at_four_points(self):
+        # 1 + z1^4 + z2^4 is 1 + w1 + w2 in lattice coordinates: spread 1, not 4
+        s = make_symbol(2, [((0, 0), 1.0), ((4, 0), 1.0), ((0, 4), 1.0)])
+        assert _reduce(s).support == ((0, 0), (1, 0), (0, 1))
+        est = hp_norm(s, 1, QuadratureSpec(points_per_dimension=4))
+        reference = hp_norm(s, 1, QuadratureSpec(points_per_dimension=256))
+        assert reference.value == pytest.approx(1.5745972, abs=1e-7) and reference.error_bound < 1e-7
+        assert abs(est.value - reference.value) <= est.error_bound
+        assert "reduced" not in est.metadata
+        product = s.embed(4) * (z(4, 2) + z(4, 3))
+        assert hp_norm(product, 1, QuadratureSpec(points_per_dimension=4)).metadata.startswith("factored into 2 ")
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_huge_exponent_binomial(self, p):
+        # 0.5 + z^(10^23) is 0.5 + w on T^1
+        s = make_symbol(1, [((0,), 0.5), ((10**23,), 1.0)])
+        expected = math.sqrt(1.25) if p == 2 else float(fft_circle_abs([0.5, 1.0], 1 << 12).mean())
+        est = hp_norm(s, p)
+        assert abs(est.value - expected) <= est.error_bound
+
+    @pytest.mark.parametrize("e", [2**63, 10**23])
+    def test_product_beyond_int64(self, e):
+        # (1 + z1^e)(1 + z2) factors into two copies of 1 + w
+        s = make_symbol(2, [((0, 0), 1.0), ((e, 0), 1.0), ((0, 1), 1.0), ((e, 1), 1.0)])
+        est = hp_norm(s, 2)
+        assert est.metadata.startswith("factored into 2 ")
+        assert abs(est.value - 2.0) <= est.error_bound
+
+    def test_permuted_terms_give_identical_norms(self):
+        s, r = permuted_product()
+        for p in (1, 2, 3.5, math.inf):
+            assert hp_norm(s, p).value == hp_norm(r, p).value
+
+
+class TestDoubleRange:
+    BIG = [
+        make_symbol(1, [((0,), 1e308), ((1,), 1e308)]),
+        make_symbol(2, [((0, 0), 1e308), ((1, 0), 1e308), ((0, 1), 1e308)]),
+    ]
+
+    @pytest.mark.parametrize("s", BIG)
+    @pytest.mark.parametrize("p", [1, 2, 3.5, math.inf])
+    def test_refused_before_evaluation(self, s, p):
+        # a RuntimeWarning from an overflow would fail the test (pytest.ini_options)
+        with pytest.raises(DomainError, match="double range"):
+            hp_norm(s, p)
+        with pytest.raises(DomainError, match="double range"):
+            hp_norm(s, p, QuadratureSpec(method="monte-carlo", samples=1000))
+
+    def test_finite_sum_still_computes(self):
+        s = make_symbol(1, [((0,), 5e307), ((1,), 5e307)])
+        assert hp_norm(s, 2).value == pytest.approx(5e307 * math.sqrt(2), rel=1e-12)
+        assert hp_norm(s, math.inf).value == pytest.approx(1e308, rel=1e-12)
 
 
 class TestHqBasic:
@@ -787,17 +877,17 @@ class TestFactoredHpNorm:
 
     def test_refused_factor_sends_the_whole_symbol(self):
         spec = QuadratureSpec(points_per_dimension=4)
-        # the factor 1 + z1^4 + z2^4 has full rank, so it keeps its spread 4;
-        # the whole reduces to r=3 with spread 1
+        # the factor 1 + z1^4 + z2^4 reduces to 1 + w1 + w2 (spread 1), so it
+        # computes at N=4 on its own, and so does its product with z3 + z4
         factor = [((0, 0), 1.0), ((4, 0), 1.0), ((0, 4), 1.0)]
-        with pytest.raises(DomainError) as err:
-            hp_norm(make_symbol(2, factor), 1, spec)
-        assert str(err.value) == "4 points per dimension do not resolve the exponent spread 4"
+        alone = hp_norm(make_symbol(2, factor), 1, spec)
+        assert alone.metadata == "tensor-uniform N=4 refined to 8, d=2, p=1"
         s = make_symbol(4, [(a + b, 1.0) for a, _ in factor for b in ((1, 0), (0, 1))])  # times z3 + z4
         assert len(split_factors(s)[0]) == 2
         est = hp_norm(s, 1, spec)
-        assert est.value == unfactored(s, 1, 4)[0]
-        assert est.metadata == "tensor-uniform N=4 refined to 8, d=4 reduced to r=3, p=1"
+        assert est.metadata.startswith("factored into 2 [tensor-uniform N=4 refined to 8, d=2] [")
+        assert est.value == alone.value * hp_norm(make_symbol(2, [((1, 0), 1.0), ((0, 1), 1.0)]), 1).value
+        # a factor the grid refuses sends the whole symbol, with the whole's refusal
         with pytest.raises(DomainError) as err:
             hp_norm(one_variable_product(np.random.default_rng(429), [2, 5]), 1, spec)
         assert str(err.value) == "4 points per dimension do not resolve the exponent spread 5"
@@ -891,16 +981,16 @@ class TestMonteCarloPhases:
 
     def test_sparse_symbol_with_more_exponents_than_terms(self):
         s = random_symbol(np.random.default_rng(435), 4, max_degree=1000, n_terms=100)
-        assert len(s.support) == 100 and _reduce(s) is s
+        assert len(s.support) == 100 and _reduce(s).dim == 4
         assert sum(len({a[j] for a in s.support}) for j in range(4)) > len(s.support)
         self.assert_agrees(s, 1.5, 23, 50_000)
 
     @pytest.mark.parametrize("e", [2**40, 10**23])
     def test_huge_exponent_stays_finite(self, e):
-        # full rank, so _reduce keeps the exponent e; u^e by unnormalised
+        # lattice Z^2, so _reduce keeps the exponent e; u^e by unnormalised
         # squaring overflows to nan
-        s = make_symbol(2, [((0, 0), 1.0), ((e, 0), 1.0), ((0, 1), 1.0)])
-        assert _reduce(s) is s
+        s = make_symbol(2, [((0, 0), 1.0), ((1, 0), 1.0), ((e, 0), 1.0), ((0, 1), 1.0)])
+        assert _reduce(s) == s
         est = hp_norm(s, 2, QuadratureSpec(method="monte-carlo", seed=29, samples=100_000))
         assert math.isfinite(est.value) and math.isfinite(est.error_bound)
-        assert abs(est.value - math.sqrt(3)) <= 3 * est.error_bound
+        assert abs(est.value - 2.0) <= 3 * est.error_bound

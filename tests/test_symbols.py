@@ -91,6 +91,15 @@ class TestConstruction:
         assert dominated_by((0, 0), (0, 0))
 
 
+class TestTermOrder:
+    def test_products_do_not_depend_on_the_order_given(self):
+        rng = np.random.default_rng(419)
+        for _ in range(20):
+            f, g = (random_symbol(rng, 2, max_degree=3, n_terms=5) for _ in range(2))
+            shuffled = [Symbol(2, [f.terms()[i] for i in rng.permutation(len(f.terms()))]) for _ in range(2)]
+            assert (shuffled[0] * g).terms() == (shuffled[1] * g).terms()
+
+
 class TestAlgebra:
     def test_add(self):
         assert z(2, 0) + z(2, 1) == make_symbol(2, [((1, 0), 1), ((0, 1), 1)])
@@ -354,6 +363,14 @@ class TestSplitFactors:
                 fitted = math.prod(f.coeff(tuple(alpha[j] for j in group)) for group, f in factors)
                 assert delta.coeff(alpha) == c - fitted
             assert set(delta.support) <= set(s.support)
+
+    @pytest.mark.parametrize("e", [2**63, 10**23])
+    def test_exponents_beyond_int64(self, e):
+        # (1 + z1^e)(1 + z2): numpy reads 2^63 as a float and 10^23 as an object
+        s = make_symbol(2, [((0, 0), 1.0), ((e, 0), 1.0), ((0, 1), 1.0), ((e, 1), 1.0)])
+        factors, delta = split_factors(s)
+        assert factors == [((0,), make_symbol(1, [((0,), 1.0), ((e,), 1.0)])), ((1,), make_symbol(1, [((0,), 1.0), ((1,), 1.0)]))]
+        assert delta.is_zero
 
     def test_monomials_and_zero_do_not_split(self):
         for s in (Symbol.zero(3), z(3, 0) * z(3, 1), Symbol.one(2)):
