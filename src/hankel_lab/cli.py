@@ -225,7 +225,10 @@ def _check_minimal_rows(args, tol):
         _row("gap", verdict.gap, path),
         _row("h2_norm", s.h2_norm(), "closed-form", 0.0),
     ]
-    rows += [_row(f"block_norm_k={k}", norm, "spectral-exact", 1e-12 * norm) for k, norm in verdict.block_norms or []]
+    rows += [
+        _row(f"block_norm_k={k}", norm, "spectral-exact", bound)
+        for (k, norm), bound in zip(verdict.block_norms or [], verdict.block_bounds or [])
+    ]
     if note:
         rows.append(_row("note", note))
     return rows

@@ -30,6 +30,7 @@ whose columns have degree k.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -344,9 +345,9 @@ def spectral_norm(matrix) -> NormEstimate:
     Accepts a HankelMatrix or anything convertible to a 2-d array. LAPACK
     SVD is backward stable, so the relative error is far below the 1e-12
     budget reported here for matrices up to a few thousand rows.
-    operator_norm and classify_homogeneous call it on each block that
-    components yields (126x1 at most for cex_truncation(6), whose closure
-    has 1087 indices), and operator_norm on the whole matrix up to
+    operator_norm and decisive_block_norms call it on component blocks
+    (126x1 at most for cex_truncation(6), whose closure has 1087
+    indices), and operator_norm on the whole matrix up to
     _SPLIT_MIN closure indices; the blocks command hands it whole degree
     blocks from build_blocks.
     """
@@ -422,6 +423,15 @@ def factored(s: Symbol, rule, residual) -> NormEstimate:
     return rule(s)
 
 
+def _frobenius_bound(delta: Symbol) -> float:
+    """||H_delta|| <= sqrt(sum_alpha prod(alpha_j + 1) |delta_alpha|^2).
+
+    The Frobenius norm of H_delta, since alpha fills prod(alpha_j + 1)
+    entries; it bounds the norm of every block of H_delta too.
+    """
+    return _root_sum_squares((math.prod(e + 1 for e in a), c) for a, c in delta.terms())
+
+
 def _dense_norm(s: Symbol) -> NormEstimate:
     closure, walk = _downward_closure(s)
     n = len(closure)
@@ -437,16 +447,105 @@ def operator_norm(s: Symbol) -> NormEstimate:
     dense SVD each, or one SVD of the whole matrix when the closure has at
     most _SPLIT_MIN indices; or that of each factor for a product in
     disjoint variables (see factored). The metadata "active basis <n>x<n>"
-    names the closure size n. The fit residual delta adds
-    ||H_delta|| <= sqrt(sum_alpha prod(alpha_j + 1) |delta_alpha|^2), its
-    Frobenius norm, since alpha fills prod(alpha_j + 1) entries. A norm
-    beyond the double range is refused (DomainError).
+    names the closure size n. The fit residual delta adds its Frobenius
+    bound (_frobenius_bound). A norm beyond the double range is refused
+    (DomainError).
     """
-    est = factored(
-        s,
-        _dense_norm,
-        lambda delta: _root_sum_squares((math.prod(e + 1 for e in a), c) for a, c in delta.terms()),
-    )
+    est = factored(s, _dense_norm, _frobenius_bound)
     if not math.isfinite(est.value):
         raise DomainError(f"the operator norm exceeds the double range ({est.value})")
     return est
+
+
+def _block_norms(s: Symbol, ks: range) -> list:
+    """Norms of the blocks k in ks of an m-homogeneous symbol, in that order.
+
+    Block k is the direct sum of the components whose columns have degree
+    k, so its norm is the largest of theirs. The components of the other
+    degrees are dropped before assembly.
+    """
+    closure, walk = _downward_closure(s)
+    row_part, col_part, count = _split(closure, walk)
+    # |gamma| + |beta| = m on every entry, so a component's columns share one degree
+    first = np.unique(col_part, return_index=True)[1]
+    level = np.array([degree(closure[i]) for i in first.tolist()], dtype=np.int64)
+    keep = (level >= ks.start) & (level < ks.stop)
+    renumber = np.where(keep, np.cumsum(keep) - 1, -1)
+    blocks = _assemble(closure, walk, renumber[row_part], renumber[col_part], int(keep.sum()))
+    norms = [0.0] * len(ks)
+    for k, block in zip(level[keep].tolist(), blocks):
+        norms[k - ks.start] = max(norms[k - ks.start], spectral_norm(block).value)
+    return norms
+
+
+def _factor_blocks(f: Symbol, top: int):
+    """(norms, bounds) of the blocks 0 .. min(top, m) of an m-homogeneous factor.
+
+    Block m - k is block k transposed, so only k <= m/2 take an SVD.
+    """
+    m = f.is_homogeneous()
+    half = _block_norms(f, range(min(top, m // 2) + 1))
+    norms = [half[min(k, m - k)] for k in range(min(top, m) + 1)]
+    return norms, [1e-12 * v for v in norms]
+
+
+def _max_times(a, b, top: int):
+    """(norms, bounds) of the blocks 0 .. top of a product from its two factors'.
+
+    ||B_k(fg)|| = max over i + j = k of ||B_i(f)|| ||B_j(g)||, and each
+    pair's bound is product_error of the factors' bounds.
+    """
+    (na, ea), (nb, eb) = a, b
+    norms, bounds = [], []
+    for k in range(min(top, len(na) + len(nb) - 2) + 1):
+        pairs = range(max(0, k - len(nb) + 1), min(k, len(na) - 1) + 1)
+        norms.append(max(na[i] * nb[k - i] for i in pairs))
+        bounds.append(max(product_error([na[i], nb[k - i]], [ea[i], eb[k - i]]) for i in pairs))
+    return norms, bounds
+
+
+def _factored_blocks(factors, delta, top: int):
+    """The decisive NormEstimates of a product from its factors', or None where factored would refuse."""
+    try:
+        parts = [_factor_blocks(f, top) for _, f in factors]
+    except DomainError:
+        return None
+    norms, bounds = functools.reduce(lambda a, b: _max_times(a, b, top), parts)
+    fit = _frobenius_bound(delta)
+    if fit > FACTOR_RTOL * max(norms[1:]):
+        return None
+    return [NormEstimate(v, "spectral-exact", e + fit) for v, e in zip(norms[1:], bounds[1:])]
+
+
+def decisive_block_norms(s: Symbol) -> list:
+    """Norms of the blocks k = 1 .. floor(m/2) of an m-homogeneous symbol.
+
+    Block k has the degree-k indices as columns and the degree-(m-k) ones
+    as rows. Each norm is the largest among the components whose columns
+    have degree k (_block_norms), with bound 1e-12 times the value; the
+    components of the other degrees are never assembled.
+
+    A product in disjoint variables, phi = f(z_A) g(z_B), has block k equal
+    to the direct sum over i + j = k of B_i(f) (x) B_j(g), so
+    ||B_k(phi)|| = max over i + j = k of ||B_i(f)|| ||B_j(g)||. The factors
+    of split_factors are folded pairwise by this rule, each factor's norms
+    from its own components at k <= m_f/2 (block m_f - k is block k
+    transposed). A block's bound is then the largest product_error of its
+    pairs plus the Frobenius bound on the fit residual delta
+    (_frobenius_bound). As in factored, the whole symbol takes the
+    component path when it does not split, when that residual bound
+    exceeds FACTOR_RTOL times the largest decisive norm, or when a factor
+    is refused (any DomainError, BudgetError included). Returns
+    NormEstimate objects, method "spectral-exact"; for m <= 1 there are none.
+    """
+    m = s.is_homogeneous()
+    if m is None:
+        raise DomainError("decisive_block_norms requires a homogeneous symbol")
+    top = m // 2
+    if top == 0:
+        return []
+    factors, delta = split_factors(s)
+    product = _factored_blocks(factors, delta, top) if len(factors) > 1 else None
+    if product is not None:
+        return product
+    return [NormEstimate(v, "spectral-exact", 1e-12 * v) for v in _block_norms(s, range(1, top + 1))]

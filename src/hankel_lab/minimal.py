@@ -6,6 +6,16 @@ operator splits into blocks by input degree, the block norms for k and
 m-k coincide after coefficient conjugation, and the k=0 block norm is the
 H^2 norm itself, so only the blocks 1 <= k <= floor(m/2) are decisive.
 
+Products follow from their factors. For phi = f(z_A) g(z_B) in disjoint
+variables, H_phi = H_f (x) H_g and ||phi||_2 = ||f||_2 ||g||_2, so phi has
+minimal norm iff f and g do. For m-homogeneous phi, block k is the direct
+sum over i + j = k of B_i(f) (x) B_j(g), so
+||B_k(phi)|| = max over i + j = k of ||B_i(f)|| ||B_j(g)||, and the
+homogeneous path takes its decisive norms from the factors' small blocks
+(hankel.decisive_block_norms). The split is used under the gate of
+hankel.factored: only when the Frobenius bound on the fit residual is at
+most FACTOR_RTOL times the value.
+
 Sums and products of minimal-norm symbols in disjoint variables are again
 minimal-norm (for sums the pieces must vanish at the origin). RecipeExpr
 trees encode such constructions with monomial leaves, the only polynomial
@@ -18,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import MAX_RECIPE_DEPTH, DomainError, ParseError, check_budget
-from .hankel import components, operator_norm, spectral_norm
+from .hankel import decisive_block_norms, operator_norm
 from .symbols import Symbol, degree, format_term, parse_term
 
 
@@ -30,7 +40,8 @@ class MinimalityVerdict:
     H^2 norm for the full check, and (max decisive block norm) minus H^2
     norm for the homogeneous path, where it may be negative. status is
     "minimal" exactly when gap <= tolerance. Verdicts with |gap| within
-    the tolerance carry a "boundary" note.
+    the tolerance carry a "boundary" note. block_bounds holds the error
+    bound of each (k, norm) pair of block_norms, in the same order.
     """
 
     status: str
@@ -38,13 +49,14 @@ class MinimalityVerdict:
     tolerance: float
     block_norms: list = None
     note: str = ""
+    block_bounds: list = None
 
 
-def _verdict(gap, tol, block_norms=None, note=""):
+def _verdict(gap, tol, block_norms=None, note="", block_bounds=None):
     status = "minimal" if gap <= tol else "not-minimal"
     if not note and abs(gap) <= tol:
         note = "boundary"
-    return MinimalityVerdict(status, gap, tol, block_norms, note)
+    return MinimalityVerdict(status, gap, tol, block_norms, note, block_bounds)
 
 
 def _check_classify_args(s, tol):
@@ -64,27 +76,26 @@ def classify(s: Symbol, tol: float = 1e-9) -> MinimalityVerdict:
 def classify_homogeneous(s: Symbol, tol: float = 1e-9) -> MinimalityVerdict:
     """Classify an m-homogeneous symbol from its decisive blocks only.
 
-    Computes the norms of the blocks k = 1 .. floor(m/2), each the largest
-    norm among the components whose columns have degree k; for m <= 1 that
-    range is empty and the symbol is minimal outright. Agrees with
-    classify() on every homogeneous input. Raises BudgetError where
-    hankel.components does.
+    Computes the norms of the blocks k = 1 .. floor(m/2) with
+    hankel.decisive_block_norms: each the largest norm among the components
+    whose columns have degree k, or, for a product in disjoint variables,
+    max over i + j = k of the factors' products ||B_i(f)|| ||B_j(g)||,
+    used only when the Frobenius bound on the fit residual is at most
+    FACTOR_RTOL times the largest decisive norm. For m <= 1 that range is
+    empty and the symbol is minimal outright. Agrees with classify() on
+    every homogeneous input. Raises BudgetError where hankel.components
+    does.
     """
     _check_classify_args(s, tol)
     m = s.is_homogeneous()
     if m is None:
         raise DomainError("classify_homogeneous requires a homogeneous symbol")
     if m < 2:
-        return _verdict(0.0, tol, [], note="no decisive blocks")
-    # |gamma| + |beta| = m on every entry, so the columns of a component
-    # share one degree k, and block k is the direct sum of those components
-    norms = dict.fromkeys(range(1, m // 2 + 1), 0.0)
-    for block in components(s):
-        k = degree(block.column_basis[0])
-        if k in norms:
-            norms[k] = max(norms[k], spectral_norm(block).value)
-    gap = max(norms.values()) - s.h2_norm()
-    return _verdict(gap, tol, list(norms.items()))
+        return _verdict(0.0, tol, [], note="no decisive blocks", block_bounds=[])
+    estimates = decisive_block_norms(s)
+    norms = [(k, e.value) for k, e in enumerate(estimates, start=1)]
+    gap = max(e.value for e in estimates) - s.h2_norm()
+    return _verdict(gap, tol, norms, block_bounds=[e.error_bound for e in estimates])
 
 
 def d1_monomial_test(s: Symbol) -> bool:

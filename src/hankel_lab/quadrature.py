@@ -374,8 +374,16 @@ def _reciprocal_h1(coefs):
     O(|T'| delta^2); taking the cuts as the sign changes of T moved by the
     roots' backward error eta = (m + 2) eps sum |q_k| in sup norm, which
     moves ||T||_1 by at most eta, the cuts cost at most 2 eta in all.
-    Returns (value, bound, arc count).
+
+    The work is done on coefs times 2^-e, e the binary exponent of their
+    largest real or imaginary part, and the value and bound are scaled
+    back: a power of two is exact, so this changes no bit of an ordinary
+    result, and the bound's terms (each near |q_k| (2 pi + m + 3)) stay
+    finite for coefficients near the double range. DomainError if the
+    value itself exceeds it. Returns (value, bound, arc count).
     """
+    shift = math.frexp(float(np.abs(coefs.view(np.float64)).max()))[1]
+    coefs = np.ldexp(coefs.view(np.float64), -shift).view(complex)
     m = len(coefs) - 1
     k = int(np.argmax(np.abs(coefs)))
     if coefs[m - k] == 0:
@@ -405,7 +413,10 @@ def _reciprocal_h1(coefs):
     )
     cuts = 2.0 * (m + 2) * _EPS * size
     err = arcs * per_eval / math.pi + cuts + (arcs + 2) * _EPS * value + residual
-    return value, float(err), arcs
+    try:
+        return math.ldexp(value, shift), math.ldexp(float(err), shift), arcs
+    except OverflowError:
+        raise DomainError("the H^1 norm exceeds the double range") from None
 
 
 def _refined(coarse: float, fine: float) -> float:

@@ -88,6 +88,22 @@ def hom2_product(rng, degrees):
     return embedded_product(2 * len(degrees), factors)
 
 
+def component_block_norms(s):
+    """(k, norm) for k = 1 .. m/2 of an m-homogeneous s: the largest over hankel.components with column degree k.
+
+    Not an oracle: the component path as it assembles every component, to
+    compare the restricted and factored paths with bit for bit.
+    """
+    from hankel_lab import components, degree, spectral_norm
+
+    norms = dict.fromkeys(range(1, s.is_homogeneous() // 2 + 1), 0.0)
+    for block in components(s):
+        k = degree(block.column_basis[0])
+        if k in norms:
+            norms[k] = max(norms[k], spectral_norm(block).value)
+    return list(norms.items())
+
+
 def perturbed(rng, s, eps):
     """s with every coefficient moved by a relative eps, on the same support."""
     return make_symbol(s.dim, [(a, c * (1 + eps * complex(*rng.normal(size=2)))) for a, c in s.terms()])

@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import hankel_lab.cli as cli
+from hankel_lab import format_symbol
 from hankel_lab.cli import main
 from hankel_lab.nehari import cex_truncation
+from helpers import hom2_product
 
 # derandomized: the suite gives the same verdict on every run
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -154,6 +156,17 @@ class TestCheckMinimal:
         assert code == 0
         assert table_value(out, "status") == "not-minimal"
         assert float(table_value(out, "gap")) > 0
+
+    def test_product_block_rows_bound_the_whole_blocks(self, capsys, tmp_path):
+        # a d=4 product: the rows come from the factors' blocks, the blocks command takes whole-block SVDs
+        path = tmp_path / "product.sym"
+        path.write_text(format_symbol(hom2_product(np.random.default_rng(83), (4, 5))))
+        rows = {r["quantity"]: r for r in json.loads(run(capsys, "check-minimal", str(path), "--json")[1])["reports"]}
+        whole = {r["quantity"]: r["value"] for r in json.loads(run(capsys, "blocks", str(path), "--json")[1])["reports"]}
+        for k in range(1, 5):
+            row = rows[f"block_norm_k={k}"]
+            assert abs(row["value"] - whole[f"block_k={k}"]) <= row["error_bound"]
+            assert row["error_bound"] > 1e-12 * row["value"]  # the factors' bounds and the fit, not 1e-12 alone
 
     def test_nan_tolerance_is_domain_error(self, capsys, tmp_path):
         path = tmp_path / "q.sym"
@@ -489,6 +502,16 @@ class TestHpNorm:
             code, out, err = run(capsys, "hp-norm", str(path), *args)
         assert code == 1 and out == ""
         assert err.startswith("error:") and "double range" in err
+
+    def test_exact_h1_near_double_range_computes(self, capsys, tmp_path):
+        path = tmp_path / "big.sym"
+        path.write_text("dim 1\n1e307 0.0 : 0\n1e307 0.0 : 1\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "hp-norm", str(path), "1", "--json")
+        assert (code, err) == (0, "")
+        row = json.loads(out)["reports"][0]
+        assert row["method"] == "exact" and row["value"] == pytest.approx(1e307 * 4 / math.pi, rel=1e-14)
 
     def test_norm_beyond_double_range_is_domain_error(self, capsys, tmp_path):
         path = tmp_path / "big.sym"

@@ -32,6 +32,7 @@ from helpers import (
     RECIPE_PRODUCT,
     brute_norm,
     circle_factor,
+    component_block_norms,
     downward_closure,
     embedded_product,
     hom2_product,
@@ -334,6 +335,33 @@ class TestComponents:
             assert [k for k, _ in verdict.block_norms] == list(range(1, m // 2 + 1))
             for k, norm in verdict.block_norms:
                 assert norm == pytest.approx(spectral_norm(build_block(s, k)).value, rel=1e-12)
+
+    def test_decisive_blocks_are_the_largest_components(self):
+        # symbols that do not split: the restricted assembly gives the components' norms bit for bit
+        rng = np.random.default_rng(617)
+        symbols = [random_symbol(rng, dim, homogeneous=m, n_terms=6) for dim, m in ((2, 7), (3, 6), (4, 4), (3, 9))]
+        symbols += [phi3(0.3), make_symbol(1, [((20000,), 1.0)])]
+        for s in symbols:
+            assert len(split_factors(s)[0]) == 1
+            assert classify_homogeneous(s).block_norms == component_block_norms(s)
+
+    def test_only_the_decisive_components_are_assembled(self, monkeypatch):
+        filled, fill = [], hankel._fill
+        monkeypatch.setattr(hankel, "_fill", lambda *args: filled.append(1) or fill(*args))
+        classify_homogeneous(make_symbol(1, [((20000,), 1.0)]))
+        assert len(filled) == 10000  # blocks 1..10000, not the 20001 components
+
+    def test_refused_factor_takes_the_component_path(self, monkeypatch):
+        s = hom2_product(np.random.default_rng(619), (3, 4))
+        product = classify_homogeneous(s)
+
+        def refused(f, top):
+            raise BudgetError("refused")
+
+        monkeypatch.setattr(hankel, "_factor_blocks", refused)
+        whole = classify_homogeneous(s)
+        assert whole.block_bounds == [1e-12 * norm for _, norm in whole.block_norms]
+        assert [n for _, n in whole.block_norms] == pytest.approx([n for _, n in product.block_norms], rel=1e-12)
 
     def test_codes_beyond_int64(self):
         # the symbol of TestAssembly.test_codes_beyond_int64: codes held as Python ints

@@ -13,14 +13,17 @@ from hankel_lab import (
     Symbol,
     build_recipe,
     classify,
+    build_block,
     classify_homogeneous,
     d1_monomial_test,
     format_recipe,
     make_symbol,
     operator_norm,
     parse_recipe,
+    spectral_norm,
+    split_factors,
 )
-from helpers import brute_norm, pair_product, phi2, phi3, random_symbol, z
+from helpers import brute_norm, component_block_norms, embedded_product, pair_product, phi2, phi3, random_symbol, z
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -97,6 +100,53 @@ class TestClassifyHomogeneous:
         for _ in range(40):
             s = random_symbol(rng, 3, homogeneous=int(rng.integers(1, 5)))
             assert classify_homogeneous(s).status == classify(s).status
+
+
+def homogeneous_product(rng, dims, degrees):
+    """Product of random complex homogeneous factors, factor i of degree degrees[i] on its own dims[i] variables."""
+    starts = np.cumsum([0, *dims])
+    factors = [
+        (tuple(range(a, a + d)), random_symbol(rng, d, homogeneous=m, n_terms=5))
+        for a, d, m in zip(starts, dims, degrees)
+    ]
+    return embedded_product(int(starts[-1]), factors)
+
+
+class TestFactoredBlockNorms:
+    """Homogeneous products classified from their factors' block norms."""
+
+    @pytest.mark.parametrize(
+        "dims, degrees", [((2, 2), (4, 3)), ((2, 3), (5, 2)), ((2, 2, 2), (2, 3, 2)), ((3, 2, 2), (3, 1, 4))]
+    )
+    def test_block_norms_are_whole_block_norms(self, dims, degrees):
+        rng = np.random.default_rng(sum(degrees) + 10 * len(dims))
+        for _ in range(4):
+            s = homogeneous_product(rng, dims, degrees)
+            v = classify_homogeneous(s)
+            assert [k for k, _ in v.block_norms] == list(range(1, sum(degrees) // 2 + 1))
+            for (k, norm), bound in zip(v.block_norms, v.block_bounds):
+                whole = spectral_norm(build_block(s, k)).value
+                assert norm == pytest.approx(whole, rel=1e-12)
+                # the printed bound covers the distance to the whole-block SVD
+                assert abs(norm - whole) <= bound
+                assert bound > 1e-12 * norm  # product_error of two or more factor bounds
+            assert v.status == classify(s).status
+
+    def test_quadratic_products(self):
+        v = classify_homogeneous(embedded_product(4, [((0, 1), phi2(0.5)), ((2, 3), phi2(0.5))]))
+        assert (v.status, v.note) == ("minimal", "boundary")
+        v = classify_homogeneous(embedded_product(4, [((0, 1), phi2(0.6)), ((2, 3), phi2(0.5))]))
+        assert v.status == "not-minimal"
+
+    def test_near_product_takes_the_component_path(self):
+        rng = np.random.default_rng(79)
+        s = homogeneous_product(rng, (2, 2), (4, 3))
+        alpha, c = s.terms()[3]
+        near = make_symbol(4, [(a, c + 1e-6 if a == alpha else b) for a, b in s.terms()])
+        assert len(split_factors(near)[0]) == 2  # the support still splits; the fit gate refuses it
+        v = classify_homogeneous(near)
+        assert v.block_norms == component_block_norms(near)
+        assert v.block_bounds == [1e-12 * norm for _, norm in v.block_norms]
 
 
 class TestThresholds:

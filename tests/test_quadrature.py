@@ -28,6 +28,7 @@ from hankel_lab.quadrature import (
     _TURNS,
     _arc_stat,
     _circle_coefs,
+    _circle_norm,
     _reduce,
     _sup_cushion,
     _tensor_stat,
@@ -661,6 +662,27 @@ class TestDoubleRange:
         s = make_symbol(1, [((0,), 5e307), ((1,), 5e307)])
         assert hp_norm(s, 2).value == pytest.approx(5e307 * math.sqrt(2), rel=1e-12)
         assert hp_norm(s, math.inf).value == pytest.approx(1e308, rel=1e-12)
+
+    @pytest.mark.parametrize("c", [1e307, 5e307])
+    def test_exact_h1_near_the_double_range(self, c):
+        # ||1 + w||_1 = 4/pi; the rounding bound's terms near |c| (2 pi + 8) would overflow unscaled
+        est = hp_norm(make_symbol(1, [((0,), c), ((1,), c)]), 1)
+        assert est.method == "exact"
+        assert est.value == pytest.approx(c * (4 / math.pi), rel=1e-14)
+        assert 0 < est.error_bound < 1e-13 * est.value
+
+    def test_exact_h1_scales_by_powers_of_two_bit_for_bit(self):
+        s = (0.6 - 0.8j) * make_symbol(2, [((2, 0), 1.0), ((1, 1), 0.7), ((0, 2), 1.0)])
+        est = hp_norm(s, 1)
+        assert est.method == "exact"
+        for k in (-900, -3, 5, 1000):
+            scaled = hp_norm(math.ldexp(1.0, k) * s, 1)
+            assert (scaled.value, scaled.error_bound) == (math.ldexp(est.value, k), math.ldexp(est.error_bound, k))
+
+    def test_exact_h1_beyond_the_double_range_is_refused(self):
+        # hp_norm refuses these coefficients first; the exact rule's own guard names the value
+        with pytest.raises(DomainError, match="double range"):
+            _circle_norm(np.array([1.5e308, 1.5e308], dtype=complex), 1)
 
 
 class TestHqBasic:
