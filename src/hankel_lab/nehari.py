@@ -121,12 +121,15 @@ def search_c2(a: float, c_range=(0.0, 2.0)):
     functions f = z1^2 + c z1 z2 + z2^2.
 
     Requires 0 <= a <= 1/2 so the Hankel norm equals the H^2 norm, and a
-    finite c_range. A 101-point scan locates the maximum (and insists it
-    is interior to c_range), then golden-section search refines c to
-    1e-6. Each step takes ||f||_1 from the coefficients f reduces to on
-    the circle, 1 + c w + w^2 (_circle_norm, the rule hp_norm applies to
-    them), with no Symbol. Returns (best c, the dual_bound report at best
-    c, with method "search").
+    c_range whose ends and width are finite doubles. A 101-point scan
+    locates the maximum (and insists it is interior to c_range), then
+    golden-section search refines c to 1e-6, or until the bracket stops
+    shrinking, which it does first where the doubles are spaced wider
+    than 1e-6. ||f||_1 comes from the coefficients f reduces to on the
+    circle, 1 + c w + w^2 (_circle_norm, the rule hp_norm applies to
+    them), with no Symbol: the scan's 101 rows in one stacked call, each
+    golden-section point as one row. Returns (best c, the dual_bound
+    report at best c, with method "search").
     """
     if not 0.0 <= a <= 0.5:
         raise DomainError(
@@ -137,15 +140,22 @@ def search_c2(a: float, c_range=(0.0, 2.0)):
         raise DomainError(f"search interval {c_range} must have finite ends")
     if not lo < hi:
         raise DomainError(f"empty search interval {c_range}")
+    if not math.isfinite(hi - lo):
+        raise DomainError(f"search interval {c_range} is wider than the double range")
     phi = _quadratic_symbol(a)
     hankel = operator_norm(phi)
 
-    def bound(c):
-        h1 = _circle_norm(np.array([1.0, c, 1.0], dtype=complex), 1)[0]
+    def ratio(c, h1):
         return abs(2.0 + a * c) / (hankel.value * h1)
 
+    def bound(c):
+        ((h1, *_),) = _circle_norm(np.array([1.0, c, 1.0], dtype=complex), 1)
+        return ratio(c, h1)
+
     grid = np.linspace(lo, hi, 101)
-    values = [bound(c) for c in grid]
+    rows = np.ones((len(grid), 3), dtype=complex)
+    rows[:, 1] = grid
+    values = [ratio(c, h1) for c, (h1, *_) in zip(grid, _circle_norm(rows, 1))]
     peak = int(np.argmax(values))
     if peak in (0, len(grid) - 1):
         raise DomainError(
@@ -155,7 +165,9 @@ def search_c2(a: float, c_range=(0.0, 2.0)):
     x1 = right - _GOLDEN * (right - left)
     x2 = left + _GOLDEN * (right - left)
     f1, f2 = bound(x1), bound(x2)
-    while right - left > 1e-6:
+    width = math.inf
+    while 1e-6 < right - left < width:  # a width that no longer shrinks is at the doubles' spacing
+        width = right - left
         if f1 < f2:
             left, x1, f1 = x1, x2, f2
             x2 = left + _GOLDEN * (right - left)
@@ -164,7 +176,7 @@ def search_c2(a: float, c_range=(0.0, 2.0)):
             right, x2, f2 = x2, x1, f1
             x1 = right - _GOLDEN * (right - left)
             f1 = bound(x1)
-    best_c = float(0.5 * (left + right))
+    best_c = float(0.5 * left + 0.5 * right)  # the halves are exact, and their sum stays finite
     report = dual_bound(_quadratic_symbol(best_c), phi)
     return best_c, replace(report, method="search")
 

@@ -37,8 +37,12 @@ z1^2 + c z1 z2 + z2^2 are of this kind. A monomial (rank 0) has
 is still validated on these paths (budget, spread) but sets no node
 count; p = inf, rank r >= 2 and higher degrees stay on the grid. The
 exact and arc rules for P take its coefficient array (_circle_norm), so
-a caller that already holds one, such as the nehari-search scan, builds
-no Symbol.
+a caller that already holds one builds no Symbol. They take a stack of
+rows of one degree, shape (k, m + 1), and return one result per row,
+equal (==) to that row's result alone: the exact rule runs on the whole
+stack, its roots from one stacked companion-matrix eigvals call, and
+rows that fail its gate take the arc rule one at a time. hp_norm passes
+one row; the nehari-search scan passes its 101 rows in one call.
 
 On the grid, on the arcs and on the exact paths, a product in disjoint
 variables is the product of its factors' norms (hankel.factored), each
@@ -63,7 +67,8 @@ neither overflows nor loses a chunk, and p = inf is M alone.
 Every printed quadrature number comes from hp_norm: h1_norm_2hom
 (homogeneous symbols in at most two variables, which reduce to rank
 r <= 1) is hp_norm at p=1 with a spec of at least 2^16 points, and the
-nehari-search scan's values from _circle_norm only rank its candidates.
+nehari-search scan's values, from one stacked _circle_norm call and each
+equal to what hp_norm gives its row, only rank its candidates.
 The one number not integrated is hq_norm_basic, the H^q norm of
 (z1+z2)/sqrt(2), which has a closed form (Wallis) evaluated with
 log-gamma.
@@ -165,13 +170,15 @@ def _reduce(s: Symbol) -> Symbol:
     theta -> B theta maps T^d onto T^r and pushes Haar measure to Haar
     measure, so every H^p norm and the sup of psi equal those of phi. B is
     an echelon basis from Euclid's algorithm on columns, in exact Python
-    ints, then changed so that the axes of c are short. At r = d the
+    ints, then changed so that the axes of c are short (pairwise Gauss
+    reduction). Those axes are replaced by narrowed ones (each axis plus
+    or minus another while that shrinks its max - min) only if the spread,
+    the largest max - min over the axes, is strictly smaller. At r = d the
     exponents as given are coordinates of the same kind (B the identity),
-    and they are kept unless the reduced axes are strictly narrower, the
-    width being the largest max - min over the axes; so the spread never
-    exceeds the input's. Each axis is shifted to start at exponent 0,
-    which multiplies phi by a unimodular monomial. Returns a dim-1
-    constant when r = 0 (a monomial).
+    and they are kept unless the reduced axes are strictly narrower; so
+    the spread never exceeds the input's. Each axis is shifted to start at
+    exponent 0, which multiplies phi by a unimodular monomial. Returns a
+    dim-1 constant when r = 0 (a monomial).
     """
     support = s.support
     base = support[0]
@@ -216,8 +223,22 @@ def _reduce(s: Symbol) -> Symbol:
                 q = (2 * dot + norm) // (2 * norm)
                 axes[i] = [x - q * y for x, y in zip(axes[i], axes[k])]
                 changed = True
-    if len(axes) == s.dim:  # the exponents as given are exact coordinates too; keep them unless wider
-        axes = min([list(axis) for axis in zip(*support)], axes, key=lambda a: max(max(x) - min(x) for x in a))
+    # Short axes can still be wide (max - min). narrow adds +-1 times another
+    # axis while that narrows one: unimodular too, and the width of
+    # axes[i] + t axes[k] is convex in t, so steps of one reach its minimum.
+    # Ties go to the earlier candidate: at full rank the exponents as given
+    # (exact coordinates too), then the Gauss axes, then narrow.
+    narrow = [axis[:] for axis in axes]
+    changed = True
+    while changed:
+        changed = False
+        for (i, k), sign in itertools.product(itertools.permutations(range(len(narrow)), 2), (1, -1)):
+            moved = [x + sign * y for x, y in zip(narrow[i], narrow[k])]
+            if max(moved) - min(moved) < max(narrow[i]) - min(narrow[i]):
+                narrow[i] = moved
+                changed = True
+    given = [[list(axis) for axis in zip(*support)]] if len(axes) == s.dim else []
+    axes = min(given + [axes, narrow], key=lambda a: max(max(x) - min(x) for x in a))
     shifted = [[x - min(axis) for x in axis] for axis in axes]
     return Symbol(len(axes), [(c, s.coeff(alpha)) for c, alpha in zip(zip(*shifted), support)])
 
@@ -323,14 +344,36 @@ def _circle_coefs(s: Symbol):
     return coefs
 
 
-def _circle_roots(coefs):
-    """np.roots of the polynomial with these ascending coefficients, trimmed.
+def _circle_roots(rows):
+    """np.roots of each row's polynomial (ascending coefficients), trimmed.
 
     A coefficient below rounding of |P| on the circle moves no root near
     it; dropping it keeps the companion matrix finite (1 + 1e-320 w^2).
+    rows has shape (k, m + 1). As in np.roots, zeros are stripped at both
+    ends: one stripped at the bottom is a root 0, one stripped at the top
+    is no root, and the row's roots are padded with NaN to m at the end.
+    Rows of the same trimmed shape share one stacked companion-matrix
+    eigvals call, which runs the LAPACK routine np.roots runs per matrix.
     """
-    desc = coefs[::-1]
-    return np.roots(np.where(np.abs(desc) >= _EPS * np.abs(desc).max(), desc, 0))
+    desc = rows[:, ::-1]
+    mags = np.abs(desc)
+    desc = np.where(mags >= _EPS * mags.max(axis=1, keepdims=True), desc, 0)
+    nonzero = desc != 0
+    top, bottom = nonzero.argmax(axis=1), nonzero[:, ::-1].argmax(axis=1)
+    m = desc.shape[1] - 1
+    roots = np.full((len(desc), m), np.nan, dtype=complex)
+    shapes = set(zip(top.tolist(), bottom.tolist()))
+    for a, b in shapes:
+        group = (top == a) & (bottom == b) if len(shapes) > 1 else slice(None)
+        size = m - a - b  # degree after stripping
+        if size:
+            p = desc[group, a : m + 1 - b]
+            companion = np.zeros((len(p), size, size), dtype=complex)
+            companion.reshape(len(p), -1)[:, size :: size + 1] = 1.0  # the subdiagonal
+            companion[:, 0, :] = -p[:, 1:] / p[:, :1]
+            roots[group, :size] = np.linalg.eigvals(companion)
+        roots[group, size : size + b] = 0.0
+    return roots
 
 
 def _arc_stat(coefs, p):
@@ -343,7 +386,8 @@ def _arc_stat(coefs, p):
     Returns the two norms, coarse then fine, and the arc count.
     """
     desc = coefs[::-1]
-    ends = _arc_ends(_circle_roots(coefs), len(coefs) - 1)
+    roots = _circle_roots(coefs[None])[0]
+    ends = _arc_ends(roots[~np.isnan(roots)], len(coefs) - 1)
     lefts, widths = ends[:-1, None], np.diff(ends)[:, None]
     norms = []
     for n in (_ARC_NODES, 2 * _ARC_NODES):
@@ -354,8 +398,13 @@ def _arc_stat(coefs, p):
     return norms, len(ends) - 1
 
 
-def _reciprocal_h1(coefs):
-    """||P||_1 by antiderivatives if P is self-reciprocal, else None.
+def _reciprocal_h1(rows):
+    """||P||_1 by antiderivatives for each self-reciprocal row P, else None.
+
+    rows are ascending coefficients, shape (k, m + 1), one polynomial per
+    row (a 1-D array is one row); returns a list of k results, each
+    (value, bound, arc count) or None. Every step below runs on the whole
+    stack, and a row's result does not depend on the other rows.
 
     P = sum_k c_k w^k of degree m is self-reciprocal when
     c_k = u conj(c_(m-k)) for some |u| = 1. u is fitted at the largest
@@ -367,7 +416,10 @@ def _reciprocal_h1(coefs):
     plus the middle coefficient times t for even m. T changes sign only at
     the angles of q's roots on the circle, so cutting [0, 2 pi] at the
     angles of all its roots gives ||P||_1 = (1/2pi) sum over arcs of
-    |S(b) - S(a)|; a cut where T keeps its sign does no harm.
+    |S(b) - S(a)|; a cut where T keeps its sign does no harm. Each row
+    keeps all m + 2 cuts (0, 2 pi and one per root, sorted; a root lost
+    to trimming cuts at 0): a repeated cut adds an exact 0 to the sum, and
+    the arc count is the number of distinct cuts less one.
 
     The bound is rounding only: the S evaluations, the cuts, and the fit
     residual. A cut misplaced by delta from a zero of T costs
@@ -375,48 +427,77 @@ def _reciprocal_h1(coefs):
     roots' backward error eta = (m + 2) eps sum |q_k| in sup norm, which
     moves ||T||_1 by at most eta, the cuts cost at most 2 eta in all.
 
-    The work is done on coefs times 2^-e, e the binary exponent of their
+    The work is done on each row times 2^-e, e the binary exponent of its
     largest real or imaginary part, and the value and bound are scaled
     back: a power of two is exact, so this changes no bit of an ordinary
     result, and the bound's terms (each near |q_k| (2 pi + m + 3)) stay
-    finite for coefficients near the double range. DomainError if the
-    value itself exceeds it. Returns (value, bound, arc count).
+    finite for coefficients near the double range. DomainError if a
+    value itself exceeds it.
     """
-    shift = math.frexp(float(np.abs(coefs.view(np.float64)).max()))[1]
-    coefs = np.ldexp(coefs.view(np.float64), -shift).view(complex)
-    m = len(coefs) - 1
-    k = int(np.argmax(np.abs(coefs)))
-    if coefs[m - k] == 0:
-        return None
-    u = np.exp(1j * (np.angle(coefs[k]) + np.angle(coefs[m - k])))  # no overflow at 1e-320
-    q = 0.5 * (coefs + u * np.conj(coefs[::-1]))
-    residual = math.fsum(np.abs(coefs - q))
-    size = math.fsum(np.abs(q))
-    if residual > FACTOR_RTOL * size:  # the value is at most size, so the gate fails
-        return None
-    a = q * np.conj(np.sqrt(u))
+    parts = np.atleast_2d(rows).view(np.float64)
+    shift = np.frexp(np.abs(parts).max(axis=1))[1]
+    coefs = np.ldexp(parts, -shift[:, None]).view(complex)
+    m = coefs.shape[1] - 1
+    index = np.arange(len(coefs))
+    k = np.abs(coefs).argmax(axis=1)
+    phase = np.angle(coefs)
+    u = np.exp(1j * (phase[index, k] + phase[index, m - k]))  # no overflow at 1e-320
+    q = 0.5 * (coefs + u[:, None] * np.conj(coefs[:, ::-1]))
+    moduli = np.abs(q)
+    residual = [math.fsum(r) for r in np.abs(coefs - q).tolist()]
+    size = [math.fsum(r) for r in moduli.tolist()]
+    # a row with c_(m-k) = 0 has no fit; the value is at most size, so a
+    # row failing the size gate fails the value gate below
+    mirror = coefs[index, m - k].tolist()
+    fit = [i for i in range(len(coefs)) if mirror[i] != 0 and not residual[i] > FACTOR_RTOL * size[i]]
+    results = [None] * len(coefs)
+    if not fit:
+        return results
+    if len(fit) < len(coefs):
+        q, u, moduli = q[fit], u[fit], moduli[fit]
+    spins, weights = _spins(m)
+    a = q * np.conj(np.sqrt(u))[:, None]
+    b = np.divide(a, spins, out=np.zeros(a.shape, dtype=complex), where=spins != 0)
+    middle = np.zeros(len(a)) if m % 2 else a[:, m // 2].real
+    ends = np.zeros((len(a), m + 2))
+    ends[:, 1] = 2.0 * math.pi
+    # fmax turns the NaN of a root lost to trimming into a cut at 0
+    ends[:, 2:] = np.fmax(np.mod(np.angle(_circle_roots(q)), 2.0 * math.pi), 0.0)
+    ends.sort(axis=1)
+    antiderivative = (np.exp(ends[:, :, None] * spins) @ b[:, :, None])[:, :, 0].real + middle[:, None] * ends
+    arcs = (ends[:, 1:] > ends[:, :-1]).sum(axis=1).tolist()
+    steps = np.abs(antiderivative[:, 1:] - antiderivative[:, :-1]).tolist()
+    evals = (moduli * weights).tolist()
+    for j, row in enumerate(fit):
+        value = math.fsum(steps[j]) / (2.0 * math.pi)
+        if residual[row] > FACTOR_RTOL * value:
+            continue
+        n = arcs[j]
+        per_eval = _EPS * (math.fsum(evals[j]) + 6.0 * math.pi * abs(float(middle[j])))
+        cuts = 2.0 * (m + 2) * _EPS * size[row]
+        err = n * per_eval / math.pi + cuts + (n + 2) * _EPS * value + residual[row]
+        try:
+            results[row] = math.ldexp(value, int(shift[row])), math.ldexp(float(err), int(shift[row])), n
+        except OverflowError:
+            raise DomainError("the H^1 norm exceeds the double range") from None
+    return results
+
+
+@lru_cache(maxsize=None)
+def _spins(m: int):
+    """i(k - m/2) for k = 0 .. m, and each k's weight in the exact rule's rounding bound.
+
+    The weight is 2 pi + (m + 3) / |k - m/2| per evaluation of S (the
+    phase, 2 pi |q_k| eps; exp and the dot product, (m + 3) eps |b_k|),
+    and 0 at the middle k = m/2, whose term is the product with t.
+    """
     omega = np.arange(m + 1) - 0.5 * m
     spin = omega != 0
-    b = np.divide(a, 1j * omega, out=np.zeros(m + 1, dtype=complex), where=spin)
-    middle = 0.0 if m % 2 else float(a[m // 2].real)
-    ends = np.unique(np.concatenate([[0.0, 2.0 * math.pi], np.mod(np.angle(_circle_roots(q)), 2.0 * math.pi)]))
-    antiderivative = (np.exp(1j * np.outer(ends, omega)) @ b).real + middle * ends
-    arcs = len(ends) - 1
-    value = math.fsum(np.abs(np.diff(antiderivative))) / (2.0 * math.pi)
-    if residual > FACTOR_RTOL * value:
-        return None
-    # per evaluation of S: the phase omega t (2 pi |q_k| eps), exp and the
-    # dot product ((m + 3) eps |b_k|), and the middle term's product with t
-    per_eval = _EPS * (
-        math.fsum(np.abs(q[spin]) * (2.0 * math.pi + (m + 3) / np.abs(omega[spin])))
-        + 6.0 * math.pi * abs(middle)
-    )
-    cuts = 2.0 * (m + 2) * _EPS * size
-    err = arcs * per_eval / math.pi + cuts + (arcs + 2) * _EPS * value + residual
-    try:
-        return math.ldexp(value, shift), math.ldexp(float(err), shift), arcs
-    except OverflowError:
-        raise DomainError("the H^1 norm exceeds the double range") from None
+    weights = np.zeros(m + 1)
+    weights[spin] = 2.0 * math.pi + (m + 3) / np.abs(omega[spin])
+    spins = 1j * omega
+    spins.flags.writeable = weights.flags.writeable = False  # shared by every caller through the cache
+    return spins, weights
 
 
 def _refined(coarse: float, fine: float) -> float:
@@ -424,22 +505,30 @@ def _refined(coarse: float, fine: float) -> float:
     return abs(fine - coarse) + 32 * _EPS * (1.0 + fine)
 
 
-def _circle_norm(coefs, p):
-    """||P||_p of P = sum_k coefs[k] w^k on the circle, at finite p.
+def _circle_norm(rows, p):
+    """||P||_p of P = sum_k c_k w^k on the circle for each row c, at finite p.
 
-    coefs are ascending and complex, of degree at most _ARC_MAX_DEGREE,
-    not all zero; they are taken as given, with no Symbol, reduction or
-    budget check. At p = 1 a self-reciprocal P is exact (_reciprocal_h1);
-    otherwise the arc rule (_arc_stat) with its refinement bound. Returns
-    (value, method, bound, rule), the rule worded for the metadata.
+    rows are ascending complex coefficients, shape (k, m + 1) (a 1-D
+    array is one row), of degree m at most _ARC_MAX_DEGREE, no row all
+    zero; they are taken as given, with no Symbol, reduction or budget
+    check. At p = 1 the self-reciprocal rows are exact, all in one
+    stacked _reciprocal_h1 call; every other row takes the arc rule
+    (_arc_stat) with its refinement bound, one row at a time. Returns a
+    list of k tuples (value, method, bound, rule), the rule worded for
+    the metadata; a row's tuple does not depend on the other rows.
     """
-    exact = _reciprocal_h1(coefs) if p == 1 else None
-    if exact is not None:
-        value, err, arcs = exact
-        return value, "exact", err, f"self-reciprocal antiderivative on {arcs} arcs cut at the roots"
-    (coarse, fine), arcs = _arc_stat(coefs, p)
-    rule = f"gauss-legendre {_ARC_NODES} refined to {2 * _ARC_NODES} nodes on {arcs} arcs cut at the roots"
-    return fine, "arc-quadrature", _refined(coarse, fine), rule
+    rows = np.atleast_2d(rows)
+    exact = _reciprocal_h1(rows) if p == 1 else [None] * len(rows)
+    results = []
+    for coefs, found in zip(rows, exact):
+        if found is not None:
+            value, err, arcs = found
+            results.append((value, "exact", err, f"self-reciprocal antiderivative on {arcs} arcs cut at the roots"))
+            continue
+        (coarse, fine), arcs = _arc_stat(coefs, p)
+        rule = f"gauss-legendre {_ARC_NODES} refined to {2 * _ARC_NODES} nodes on {arcs} arcs cut at the roots"
+        results.append((fine, "arc-quadrature", _refined(coarse, fine), rule))
+    return results
 
 
 def _unit(z):
@@ -662,7 +751,7 @@ def _grid_or_arc(s: Symbol, p, n: int) -> NormEstimate:
     if rank == 0:
         return NormEstimate(abs(s.coeff(s.support[0])), "exact", 0.0, f"modulus of a monomial, {where}")
     if s.dim <= 1 and spread <= _ARC_MAX_DEGREE:
-        value, method, err, rule = _circle_norm(_circle_coefs(s), p)
+        ((value, method, err, rule),) = _circle_norm(_circle_coefs(s), p)
         return NormEstimate(value, method, err, f"{rule}, {where}")
     coarse, fine = _tensor_stat(s, n, p), _tensor_stat(s, 2 * n, p)
     rule = f"tensor-uniform N={n} refined to {2 * n}"

@@ -141,6 +141,21 @@ class TestSearch:
                 search_c2(0.5, c_range=c_range)
 
 
+    @pytest.mark.parametrize("c_range", [(1e20, 1e21), (-1e300, 1e300), (-1.7e308, -1e308)])
+    def test_intervals_coarser_than_the_tolerance_end(self, c_range):
+        # the doubles near these c are spaced wider than 1e-6: the bracket stops shrinking first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            best_c, report = search_c2(0.5, c_range=c_range)
+        assert c_range[0] <= best_c <= c_range[1]
+        assert report.method == "search" and math.isfinite(report.bound_value)
+
+    def test_interval_wider_than_the_double_range_rejected(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # hi - lo would overflow inside np.linspace
+            with pytest.raises(DomainError, match="wider than the double range"):
+                search_c2(0.5, c_range=(-1e308, 1e308))
+
 def symbol_search(a, c_range=(0.0, 2.0)):
     """search_c2's scan and golden-section search with ||f||_1 from h1_norm_2hom of each f as a Symbol."""
     phi = phi2(a)
@@ -173,25 +188,27 @@ class TestSearchOnCoefficients:
     """The search takes ||f||_1 from f's circle coefficients 1 + c w + w^2, as hp_norm does after reducing f."""
 
     def test_circle_norm_is_h1_norm_2hom(self, monkeypatch):
-        evaluated = []
+        calls = []
 
-        def recorded(coefs, p):
-            evaluated.append(coefs.copy())
-            return _circle_norm(coefs, p)
+        def recorded(rows, p):
+            calls.append(np.atleast_2d(rows).copy())
+            return _circle_norm(rows, p)
 
         monkeypatch.setattr(nehari, "_circle_norm", recorded)
         search_c2(0.5)
-        assert len(evaluated) > 101  # the scan, then golden-section points
-        assert [coefs[1].real for coefs in evaluated[:101]] == list(np.linspace(0.0, 2.0, 101))
-        for coefs in evaluated:
-            c = float(coefs[1].real)
-            assert np.array_equal(coefs, np.array([1.0, c, 1.0], dtype=complex))
-            value, method, bound, _ = _circle_norm(coefs, 1)
-            est = h1_norm_2hom(phi2(c))
-            assert (value, method) == (est.value, est.method) == (est.value, "exact")
-            # at c = 0 the symbol has no middle term and reduces to 1 + w, whose
-            # antiderivative is cut into fewer arcs: same value, another rounding bound
-            assert bound == est.error_bound or c == 0.0
+        # the 101 scan rows arrive in one stacked call, then each golden-section point as one row
+        scan, *golden = calls
+        assert [coefs[1].real for coefs in scan] == list(np.linspace(0.0, 2.0, 101))
+        assert golden and all(len(rows) == 1 for rows in golden)
+        for rows in calls:
+            for coefs, (value, method, bound, _) in zip(rows, _circle_norm(rows, 1)):
+                c = float(coefs[1].real)
+                assert np.array_equal(coefs, np.array([1.0, c, 1.0], dtype=complex))
+                est = h1_norm_2hom(phi2(c))
+                assert (value, method) == (est.value, est.method) == (est.value, "exact")
+                # at c = 0 the symbol has no middle term and reduces to 1 + w, whose
+                # antiderivative is cut into fewer arcs: same value, another rounding bound
+                assert bound == est.error_bound or c == 0.0
 
     def test_search_matches_the_symbol_search(self):
         rng = np.random.default_rng(211)

@@ -29,6 +29,7 @@ from hankel_lab.quadrature import (
     _arc_stat,
     _circle_coefs,
     _circle_norm,
+    _reciprocal_h1,
     _reduce,
     _sup_cushion,
     _tensor_stat,
@@ -457,6 +458,37 @@ class TestExactH1:
                     assert est.method == "arc-quadrature" and eps >= 1e-12
                     assert (est.value, est.error_bound) == (arc_value, arc_bound)
 
+    def test_stacked_rows_equal_single_rows(self):
+        rng = np.random.default_rng(227)
+        stacks = []
+        for m in range(1, 9):
+            rows = []
+            for _ in range(6):
+                half = rng.normal(size=m + 1) + 1j * rng.normal(size=m + 1)
+                rows.append((half + np.conj(half[::-1])) * np.exp(1j * rng.uniform(0, 2 * np.pi)))  # self-reciprocal
+                rows.append(rng.normal(size=m + 1) + 1j * rng.normal(size=m + 1))  # arc rule
+            stacks.append(np.array(rows))
+        # c = 0 (fewer arcs), and rows whose ends are trimmed below rounding, so
+        # that they lose their leading coefficient, stacked with ordinary rows
+        stacks.append(np.array([[1, 0, 1], [1, 1e20, 1], [1e-20, 1, 1e-20], [1, 1, 1], [1, 3, 2]], dtype=complex))
+        stacks.append(np.array([[1e307, 1e307], [1, 1], [1, 2j]], dtype=complex))
+        methods = set()
+        for rows in stacks:
+            exact, norms = _reciprocal_h1(rows), _circle_norm(rows, 1)
+            assert len(exact) == len(norms) == len(rows)
+            for coefs, found, norm in zip(rows, exact, norms):
+                (alone,) = _reciprocal_h1(coefs)
+                assert found == alone
+                assert norm == _circle_norm(coefs, 1)[0] == _circle_norm(coefs[None], 1)[0]
+                methods.add(norm[1])
+        assert methods == {"exact", "arc-quadrature"}
+        trimmed = _circle_norm(stacks[-2], 1)
+        assert [(value, method) for value, method, _, _ in trimmed[1:3]] == [(1e20, "exact"), (1.0, "exact")]
+        assert "on 3 arcs" in trimmed[0][3] and "on 1 arcs" in trimmed[1][3]
+        value, method, bound, _ = _circle_norm(stacks[-1], 1)[0]
+        assert method == "exact" and value == pytest.approx(1e307 * (4 / math.pi), rel=1e-14)
+        assert 0 < bound < 1e-13 * value
+
     def test_random_complex_quadratics_keep_the_arc_rule(self):
         rng = np.random.default_rng(199)
         for _ in range(20):
@@ -572,6 +604,25 @@ class TestLatticeReduction:
         for _ in range(300):
             s = rank_deficient(rng, int(rng.integers(2, 5)), scale=6)
             assert spread(_reduce(s)) <= spread(s)
+
+    def test_pairwise_width_step(self):
+        # Gauss leaves this rank-2 lattice the axes (1,1,0,3,2,4) and (0,1,2,0,1,0),
+        # spread 4; adding twice the second axis to the first gives spread 3
+        support = [(3, 1, 0), (1, 3, 0), (1, 2, 1), (0, 4, 0), (0, 3, 1), (0, 2, 2)]
+        s = make_symbol(3, [(alpha, 1.0 + k) for k, alpha in enumerate(support)])
+        reduced = _reduce(s)
+        assert reduced.dim == 2 and spread(reduced) == 3
+        est = hp_norm(s, 2, QuadratureSpec(points_per_dimension=4))
+        assert est.value == pytest.approx(s.h2_norm(), rel=1e-12)
+        assert "d=3 reduced to r=2" in est.metadata
+        # the narrowed coordinates are exact: p = 2 just past the reduced spread is the H^2 norm
+        rng = np.random.default_rng(151)
+        for _ in range(100):
+            s = rank_deficient(rng, int(rng.integers(3, 5)), scale=6)
+            reduced = _reduce(s)
+            assert spread(reduced) <= spread(s)
+            spec = QuadratureSpec(points_per_dimension=max(4, spread(reduced) + 1))
+            assert hp_norm(s, 2, spec).value == pytest.approx(s.h2_norm(), rel=1e-12)
 
     def test_exponents_beyond_int64(self):
         # the difference lattice is spanned by (10**23, -10**23): 1 + w on T^1
