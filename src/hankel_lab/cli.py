@@ -309,8 +309,8 @@ def cmd_nehari_bound(args):
 
 
 def cmd_nehari_search(args):
-    best_c, report = search_c2(args.a, (args.cmin, args.cmax))
-    rows = [_row("best_c", best_c, "search", 1e-6), *_witness_rows(report)]
+    best_c, step, report = search_c2(args.a, (args.cmin, args.cmax))
+    rows = [_row("best_c", best_c, "search", step), *_witness_rows(report)]
     _render("nehari-search", {"a": args.a, "cmin": args.cmin, "cmax": args.cmax}, rows, args.json)
     return 0
 

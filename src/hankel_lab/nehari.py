@@ -10,7 +10,8 @@ H^1 function f against a symbol phi gives the computable lower bound
 with the pairing taken as the coefficient sum, which is exact for
 polynomials. Two closed-form witness families are provided for even d,
 together with a one-parameter search that tunes the test function for the
-quadratic witness.
+quadratic witness: rounds of 101-point scans, each zoomed in on the last
+one's peak, which rank the candidates by their exact H^1 norms.
 
 The same pairing bound drives the divergence diagnostics: the unit-norm
 symbol assembled from growing blocks of normalized pair sums in fresh
@@ -72,14 +73,23 @@ def dual_bound(f: Symbol, phi: Symbol, spec: QuadratureSpec | None = None) -> Bo
     """Lower bound |<f, phi>| / (||H_phi|| * ||f||_{H^1}).
 
     The Hankel norm is computed from the matrix, not assumed minimal, so
-    the bound is valid for arbitrary polynomial phi.
+    the bound is valid for arbitrary polynomial phi. A pairing beyond the
+    double range is refused (DomainError).
     """
     if f.is_zero or phi.is_zero:
         raise DomainError("dual_bound requires nonzero symbols")
     pair = pairing(f, phi)
+    try:
+        magnitude = abs(pair)
+    except OverflowError:  # finite parts, modulus past the double range
+        magnitude = math.inf
+    if not math.isfinite(magnitude):
+        raise DomainError(f"the pairing <f, phi> exceeds the double range ({pair})")
     hankel = operator_norm(phi)
     h1 = hp_norm(f, 1, spec if spec is not None else default_spec(f.dim))
-    value = abs(pair) / (hankel.value * h1.value)
+    denominator = hankel.value * h1.value
+    # one norm at a time where their product is past the double range
+    value = magnitude / denominator if math.isfinite(denominator) else magnitude / h1.value / hankel.value
     witness = BoundWitness(f, phi, pair, h1, hankel)
     return BoundReport(f.dim, value, "dual-pairing", witness)
 
@@ -109,8 +119,6 @@ def pairsum_witness_lower(d: int) -> BoundReport:
 
 # -- tuned quadratic search --------------------------------------------------
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
 
 def _quadratic_symbol(t: float) -> Symbol:
     return Symbol(2, [((2, 0), 1.0), ((1, 1), t), ((0, 2), 1.0)])
@@ -121,15 +129,18 @@ def search_c2(a: float, c_range=(0.0, 2.0)):
     functions f = z1^2 + c z1 z2 + z2^2.
 
     Requires 0 <= a <= 1/2 so the Hankel norm equals the H^2 norm, and a
-    c_range whose ends and width are finite doubles. A 101-point scan
-    locates the maximum (and insists it is interior to c_range), then
-    golden-section search refines c to 1e-6, or until the bracket stops
-    shrinking, which it does first where the doubles are spaced wider
-    than 1e-6. ||f||_1 comes from the coefficients f reduces to on the
-    circle, 1 + c w + w^2 (_circle_norm, the rule hp_norm applies to
-    them), with no Symbol: the scan's 101 rows in one stacked call, each
-    golden-section point as one row. Returns (best c, the dual_bound
-    report at best c, with method "search").
+    c_range whose ends and width are finite doubles. Each round scores
+    101 evenly spaced c of its bracket, c_range at first, where the peak
+    must be interior; the next bracket is the two grid cells around the
+    peak. The rounds stop once the bracket is at most 1e-6 wide or no
+    longer shrinks, which it does first where the doubles are spaced
+    wider than 1e-6. Candidates rank by |2 + a c| / ||f||_1, as ||H_phi||
+    is the same for all; ||f||_1 comes from the coefficients f reduces to
+    on the circle, 1 + c w + w^2 (_circle_norm, the rule hp_norm applies
+    to them), a round's 101 rows in one stacked call. Returns (best c of
+    any round; the grid step of the round that found it, at least the
+    spacing of the doubles at best c; the dual_bound report at best c,
+    with method "search").
     """
     if not 0.0 <= a <= 0.5:
         raise DomainError(
@@ -142,43 +153,25 @@ def search_c2(a: float, c_range=(0.0, 2.0)):
         raise DomainError(f"empty search interval {c_range}")
     if not math.isfinite(hi - lo):
         raise DomainError(f"search interval {c_range} is wider than the double range")
-    phi = _quadratic_symbol(a)
-    hankel = operator_norm(phi)
-
-    def ratio(c, h1):
-        return abs(2.0 + a * c) / (hankel.value * h1)
-
-    def bound(c):
-        ((h1, *_),) = _circle_norm(np.array([1.0, c, 1.0], dtype=complex), 1)
-        return ratio(c, h1)
-
-    grid = np.linspace(lo, hi, 101)
-    rows = np.ones((len(grid), 3), dtype=complex)
-    rows[:, 1] = grid
-    values = [ratio(c, h1) for c, (h1, *_) in zip(grid, _circle_norm(rows, 1))]
-    peak = int(np.argmax(values))
-    if peak in (0, len(grid) - 1):
-        raise DomainError(
-            f"grid argmax at the boundary of {c_range}; widen the interval"
-        )
-    left, right = grid[peak - 1], grid[peak + 1]
-    x1 = right - _GOLDEN * (right - left)
-    x2 = left + _GOLDEN * (right - left)
-    f1, f2 = bound(x1), bound(x2)
-    width = math.inf
-    while 1e-6 < right - left < width:  # a width that no longer shrinks is at the doubles' spacing
-        width = right - left
-        if f1 < f2:
-            left, x1, f1 = x1, x2, f2
-            x2 = left + _GOLDEN * (right - left)
-            f2 = bound(x2)
-        else:
-            right, x2, f2 = x2, x1, f1
-            x1 = right - _GOLDEN * (right - left)
-            f1 = bound(x1)
-    best_c = float(0.5 * left + 0.5 * right)  # the halves are exact, and their sum stays finite
-    report = dual_bound(_quadratic_symbol(best_c), phi)
-    return best_c, replace(report, method="search")
+    best_score, width = -math.inf, math.inf
+    while True:
+        grid = np.linspace(lo, hi, 101)
+        rows = np.ones((len(grid), 3), dtype=complex)
+        rows[:, 1] = grid
+        scores = [abs(2.0 + a * c) / h1 for c, (h1, *_) in zip(grid, _circle_norm(rows, 1))]
+        peak = int(np.argmax(scores))
+        if width == math.inf and peak in (0, len(grid) - 1):
+            raise DomainError(
+                f"grid argmax at the boundary of {c_range}; widen the interval"
+            )
+        if scores[peak] > best_score:
+            best_score, best_c, step = scores[peak], float(grid[peak]), float(hi - lo) / 100
+        width = hi - lo
+        lo, hi = grid[max(peak - 1, 0)], grid[min(peak + 1, len(grid) - 1)]
+        if not 1e-6 < hi - lo < width:  # a width that no longer shrinks is at the doubles' spacing
+            break
+    report = dual_bound(_quadratic_symbol(best_c), _quadratic_symbol(a))
+    return best_c, max(step, math.ulp(best_c)), replace(report, method="search")
 
 
 # -- divergent dual family ----------------------------------------------------

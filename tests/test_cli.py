@@ -584,6 +584,15 @@ class TestNehariCommands:
         best = float(table_value(out, "best_c"))
         assert 0.8 < best < 0.9
 
+    def test_search_error_bound_is_the_grid_step(self, capsys):
+        # doubles near c in [1e20, 1e21] are 16384 apart; the bound read 1e-06 there
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, _ = run(capsys, "nehari-search", "--a", "0.5", "--cmin", "1e20", "--cmax", "1e21", "--json")
+        assert code == 0
+        best = {r["quantity"]: r for r in json.loads(out)["reports"]}["best_c"]
+        assert best["error_bound"] >= 16384
+
     def test_search_infinite_interval_is_domain_error(self, capsys):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

@@ -29,7 +29,6 @@ from hankel_lab import (
     search_c2,
 )
 import hankel_lab.nehari as nehari
-from hankel_lab.nehari import _GOLDEN
 from hankel_lab.quadrature import _circle_norm
 from helpers import phi2, z
 
@@ -72,6 +71,25 @@ class TestDualBound:
         with pytest.raises(DomainError):
             dual_bound(Symbol.zero(2), z(2, 0), QuadratureSpec())
 
+    def test_denominator_past_the_double_range(self):
+        # ||H_phi|| * ||f||_1 = 1.5 * 1.6e308 overflows, which read 0.0
+        f = make_symbol(2, [((2, 0), 1.6e308), ((0, 2), 1.0)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = dual_bound(f, phi2(0.5))
+        assert report.bound_value == pytest.approx(1.6e308 / 1.5 / 1.6e308, rel=1e-12)
+
+    @pytest.mark.parametrize("lead, phi_lead", [(1e200, 1e200), (1.5e308 + 1.5e308j, 1.0)])
+    def test_pairing_past_the_double_range_rejected(self, lead, phi_lead):
+        # <f, f> = 1e400 + 1 overflows, which read inf and a NaN bound; the
+        # other pairing has finite parts, but its modulus is past the double range
+        f = make_symbol(2, [((2, 0), lead), ((0, 2), 1.0)])
+        phi = make_symbol(2, [((2, 0), phi_lead), ((0, 2), 1.0)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="pairing"):
+                dual_bound(f, phi)
+
     def test_pairing_conjugates_second_argument(self):
         f = make_symbol(1, [((1,), 2j)])
         g = make_symbol(1, [((1,), 1 + 1j)])
@@ -110,7 +128,7 @@ class TestClosedFormBounds:
 
 class TestSearch:
     def test_optimal_c_in_expected_window(self):
-        best_c, report = search_c2(0.5)
+        best_c, _, report = search_c2(0.5)
         assert 0.8 < best_c < 0.9
         assert report.method == "search"
         # the report is the dual bound at best_c with the search's own H^1 norm
@@ -121,7 +139,7 @@ class TestSearch:
         assert report.bound_value == abs(pairing(f, phi)) / (operator_norm(phi).value * h1.value)
 
     def test_search_dominates_fixed_point(self):
-        _, report = search_c2(0.5)
+        _, _, report = search_c2(0.5)
         fixed = dual_bound(phi2(1.0), phi2(0.5), QuadratureSpec(points_per_dimension=1024))
         assert report.bound_value >= fixed.bound_value - 1e-9
 
@@ -146,9 +164,16 @@ class TestSearch:
         # the doubles near these c are spaced wider than 1e-6: the bracket stops shrinking first
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            best_c, report = search_c2(0.5, c_range=c_range)
+            best_c, step, report = search_c2(0.5, c_range=c_range)
         assert c_range[0] <= best_c <= c_range[1]
+        assert step >= math.ulp(best_c)
         assert report.method == "search" and math.isfinite(report.bound_value)
+        # the first round scores c = 0 at 2 / (1.5 * 4/pi); no later round may lose it
+        if c_range == (-1e300, 1e300):
+            assert report.bound_value >= 1.0471975511965976
+        # there 1.5 * ||f||_1 overflows, and the bound (about a / ||H_phi|| = 1/3) must not read 0
+        if c_range == (-1.7e308, -1e308):
+            assert report.bound_value > 0.3
 
     def test_interval_wider_than_the_double_range_rejected(self):
         with warnings.catch_warnings():
@@ -157,31 +182,21 @@ class TestSearch:
                 search_c2(0.5, c_range=(-1e308, 1e308))
 
 def symbol_search(a, c_range=(0.0, 2.0)):
-    """search_c2's scan and golden-section search with ||f||_1 from h1_norm_2hom of each f as a Symbol."""
-    phi = phi2(a)
-    hankel = operator_norm(phi)
-
-    def bound(c):
-        return abs(2.0 + a * c) / (hankel.value * h1_norm_2hom(phi2(c)).value)
-
-    grid = np.linspace(c_range[0], c_range[1], 101)
-    values = [bound(c) for c in grid]
-    peak = int(np.argmax(values))
-    left, right = grid[peak - 1], grid[peak + 1]
-    x1 = right - _GOLDEN * (right - left)
-    x2 = left + _GOLDEN * (right - left)
-    f1, f2 = bound(x1), bound(x2)
-    while right - left > 1e-6:
-        if f1 < f2:
-            left, x1, f1 = x1, x2, f2
-            x2 = left + _GOLDEN * (right - left)
-            f2 = bound(x2)
-        else:
-            right, x2, f2 = x2, x1, f1
-            x1 = right - _GOLDEN * (right - left)
-            f1 = bound(x1)
-    best_c = float(0.5 * (left + right))
-    return best_c, replace(dual_bound(phi2(best_c), phi), method="search")
+    """search_c2's zoomed scan with ||f||_1 from h1_norm_2hom of each f as a Symbol."""
+    lo, hi = c_range
+    best_score, width = -math.inf, math.inf
+    while True:
+        grid = np.linspace(lo, hi, 101)
+        scores = [abs(2.0 + a * c) / h1_norm_2hom(phi2(c)).value for c in grid]
+        peak = int(np.argmax(scores))
+        if scores[peak] > best_score:
+            best_score, best_c, step = scores[peak], float(grid[peak]), float(hi - lo) / 100
+        width = hi - lo
+        lo, hi = grid[max(peak - 1, 0)], grid[min(peak + 1, 100)]
+        if not 1e-6 < hi - lo < width:
+            break
+    report = dual_bound(phi2(best_c), phi2(a))
+    return best_c, max(step, math.ulp(best_c)), replace(report, method="search")
 
 
 class TestSearchOnCoefficients:
@@ -196,10 +211,9 @@ class TestSearchOnCoefficients:
 
         monkeypatch.setattr(nehari, "_circle_norm", recorded)
         search_c2(0.5)
-        # the 101 scan rows arrive in one stacked call, then each golden-section point as one row
-        scan, *golden = calls
-        assert [coefs[1].real for coefs in scan] == list(np.linspace(0.0, 2.0, 101))
-        assert golden and all(len(rows) == 1 for rows in golden)
+        # every round's 101 rows arrive in one stacked call, the first across the whole interval
+        assert len(calls) > 1 and all(rows.shape == (101, 3) for rows in calls)
+        assert [coefs[1].real for coefs in calls[0]] == list(np.linspace(0.0, 2.0, 101))
         for rows in calls:
             for coefs, (value, method, bound, _) in zip(rows, _circle_norm(rows, 1)):
                 c = float(coefs[1].real)
@@ -213,8 +227,7 @@ class TestSearchOnCoefficients:
     def test_search_matches_the_symbol_search(self):
         rng = np.random.default_rng(211)
         for a in [0.5, 0.25, *rng.uniform(0.1, 0.5, size=3)]:
-            best_c, report = search_c2(float(a))
-            assert (best_c, report) == symbol_search(float(a))
+            assert search_c2(float(a)) == symbol_search(float(a))
 
 
 class TestCexFamily:
