@@ -246,7 +246,9 @@ def cmd_blocks(args):
     if m is None:
         raise DomainError("blocks requires a homogeneous symbol")
     blocks = list(enumerate(build_blocks(s, range(m + 1))))
-    estimates = [spectral_norm(block) for _, block in blocks]
+    # entry [gamma, beta] depends on gamma + beta alone, so block m-k is block k transposed
+    half = [spectral_norm(block) for _, block in blocks[: m // 2 + 1]]
+    estimates = [half[min(k, m - k)] for k, _ in blocks]
     rows = [
         {**_estimate_row(f"block_k={k}", est), "shape": f"{block.shape[0]}x{block.shape[1]}"}
         for (k, block), est in zip(blocks, estimates)

@@ -9,9 +9,9 @@ H^1 function f against a symbol phi gives the computable lower bound
 
 with the pairing taken as the coefficient sum, which is exact for
 polynomials. Two closed-form witness families are provided for even d,
-together with a one-parameter search that tunes the test function for the
-quadratic witness: rounds of 101-point scans, each zoomed in on the last
-one's peak, which rank the candidates by their exact H^1 norms.
+together with the tuned test function for the quadratic witness: its one
+parameter c solves theta = a cos(theta) in closed form (search_c2), and
+only the bound at that c is computed.
 
 The same pairing bound drives the divergence diagnostics: the unit-norm
 symbol assembled from growing blocks of normalized pair sums in fresh
@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import MAX_CEX_TRUNC, MAX_GRID_POINTS, MAX_PSI_TRUNC, DomainError, check_budget
 from .hankel import NormEstimate, operator_norm
-from .quadrature import QuadratureSpec, _circle_norm, _grid_values, default_spec, hp_norm, hq_norm_basic
+from .quadrature import QuadratureSpec, _grid_values, default_spec, hp_norm, hq_norm_basic
 from .symbols import Symbol
 
 
@@ -120,27 +120,32 @@ def pairsum_witness_lower(d: int) -> BoundReport:
 # -- tuned quadratic search --------------------------------------------------
 
 
+# Newton from theta = a converges quadratically: a handful of steps reach the
+# doubles' spacing, and the cap only bounds the loop
+_NEWTON_STEPS = 64
+
+
 def _quadratic_symbol(t: float) -> Symbol:
     return Symbol(2, [((2, 0), 1.0), ((1, 1), t), ((0, 2), 1.0)])
 
 
 def search_c2(a: float, c_range=(0.0, 2.0)):
     """Maximize the dual bound for phi = z1^2 + a z1 z2 + z2^2 over test
-    functions f = z1^2 + c z1 z2 + z2^2.
+    functions f = z1^2 + c z1 z2 + z2^2, in closed form.
 
-    Requires 0 <= a <= 1/2 so the Hankel norm equals the H^2 norm, and a
-    c_range whose ends and width are finite doubles. Each round scores
-    101 evenly spaced c of its bracket, c_range at first, where the peak
-    must be interior; the next bracket is the two grid cells around the
-    peak. The rounds stop once the bracket is at most 1e-6 wide or no
-    longer shrinks, which it does first where the doubles are spaced
-    wider than 1e-6. Candidates rank by |2 + a c| / ||f||_1, as ||H_phi||
-    is the same for all; ||f||_1 comes from the coefficients f reduces to
-    on the circle, 1 + c w + w^2 (_circle_norm, the rule hp_norm applies
-    to them), a round's 101 rows in one stacked call. Returns (best c of
-    any round; the grid step of the round that found it, at least the
-    spacing of the doubles at best c; the dual_bound report at best c,
-    with method "search").
+    Requires 0 <= a <= 1/2 so the Hankel norm equals the H^2 norm
+    sqrt(2 + a^2), the same for every c, and a c_range with finite ends.
+    On the torus |f| = |c + 2 cos t|, so ||f||_1 = (2/pi)(c asin(c/2) +
+    sqrt(4 - c^2)) for |c| <= 2 and |c| beyond, and d||f||_1/dc =
+    (2/pi) asin(c/2). The score (2 + a c) / ||f||_1 is then stationary only
+    at c = 2 sin(theta) with theta = a cos(theta), where it equals
+    pi / (2 cos(theta)), its global maximum. theta is found by Newton from
+    theta = a: g(theta) = theta - a cos(theta) is increasing and convex on
+    [0, pi/2] with g(a) >= 0, so the iterates fall monotonically to the
+    only root; they stop when a step no longer falls. An interval that
+    does not hold that c is refused (DomainError), as the score's maximum
+    on it is at an end. Returns (c; 4 ulp of c, a rounding bound; the
+    dual_bound report at c, with method "search").
     """
     if not 0.0 <= a <= 0.5:
         raise DomainError(
@@ -151,27 +156,19 @@ def search_c2(a: float, c_range=(0.0, 2.0)):
         raise DomainError(f"search interval {c_range} must have finite ends")
     if not lo < hi:
         raise DomainError(f"empty search interval {c_range}")
-    if not math.isfinite(hi - lo):
-        raise DomainError(f"search interval {c_range} is wider than the double range")
-    best_score, width = -math.inf, math.inf
-    while True:
-        grid = np.linspace(lo, hi, 101)
-        rows = np.ones((len(grid), 3), dtype=complex)
-        rows[:, 1] = grid
-        scores = [abs(2.0 + a * c) / h1 for c, (h1, *_) in zip(grid, _circle_norm(rows, 1))]
-        peak = int(np.argmax(scores))
-        if width == math.inf and peak in (0, len(grid) - 1):
-            raise DomainError(
-                f"grid argmax at the boundary of {c_range}; widen the interval"
-            )
-        if scores[peak] > best_score:
-            best_score, best_c, step = scores[peak], float(grid[peak]), float(hi - lo) / 100
-        width = hi - lo
-        lo, hi = grid[max(peak - 1, 0)], grid[min(peak + 1, len(grid) - 1)]
-        if not 1e-6 < hi - lo < width:  # a width that no longer shrinks is at the doubles' spacing
+    theta = a
+    for _ in range(_NEWTON_STEPS):
+        below = theta - (theta - a * math.cos(theta)) / (1.0 + a * math.sin(theta))
+        if not below < theta:
             break
+        theta = below
+    best_c = 2.0 * math.sin(theta)
+    if not lo <= best_c <= hi:
+        raise DomainError(
+            f"the optimal c = {best_c!r} lies outside the search interval {c_range}; widen the interval"
+        )
     report = dual_bound(_quadratic_symbol(best_c), _quadratic_symbol(a))
-    return best_c, max(step, math.ulp(best_c)), replace(report, method="search")
+    return best_c, 4.0 * math.ulp(best_c), replace(report, method="search")
 
 
 # -- divergent dual family ----------------------------------------------------

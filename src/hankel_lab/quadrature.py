@@ -42,8 +42,7 @@ rows of one degree, shape (k, m + 1), and return one result per row,
 equal (==) to that row's result alone: the exact rule runs on the whole
 stack, its roots from one stacked companion-matrix eigvals call, and
 rows that fail its gate take the arc rule one at a time. hp_norm passes
-one row; each round of the nehari-search scan passes its 101 rows in one
-call.
+one row.
 
 On the grid, on the arcs and on the exact paths, a product in disjoint
 variables is the product of its factors' norms (hankel.factored), each
@@ -67,12 +66,11 @@ neither overflows nor loses a chunk, and p = inf is M alone.
 
 Every printed quadrature number comes from hp_norm: h1_norm_2hom
 (homogeneous symbols in at most two variables, which reduce to rank
-r <= 1) is hp_norm at p=1 with a spec of at least 2^16 points, and the
-nehari-search scan's values, one stacked _circle_norm call per round and
-each equal to what hp_norm gives its row, only rank its candidates.
-The one number not integrated is hq_norm_basic, the H^q norm of
-(z1+z2)/sqrt(2), which has a closed form (Wallis) evaluated with
-log-gamma.
+r <= 1) is hp_norm at p=1 with a spec of at least 2^16 points. The
+nehari-search coefficient c is a closed form (nehari.search_c2), and the
+H^1 norm it prints is hp_norm's. The one number not integrated is
+hq_norm_basic, the H^q norm of (z1+z2)/sqrt(2), which has a closed form
+(Wallis) evaluated with log-gamma.
 """
 
 from __future__ import annotations

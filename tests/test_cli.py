@@ -286,6 +286,26 @@ class TestBlocks:
         values = {r["quantity"]: r["value"] for r in json.loads(out)["reports"]}
         assert values["operator_norm"] == max(values[f"block_k={k}"] for k in range(77))
 
+    def test_transposed_blocks_print_one_row(self, capsys, tmp_path):
+        # block m-k is block k transposed: one SVD serves both rows
+        rng = np.random.default_rng(40)
+        coefs = rng.normal(size=(41, 2)).tolist()
+        path = tmp_path / "deg40.sym"
+        path.write_text("dim 2\n" + "".join(f"{re!r} {im!r} : {k} {40 - k}\n" for k, (re, im) in enumerate(coefs)))
+        code, out, _ = run(capsys, "blocks", str(path), "--json", "--dump")
+        assert code == 0
+        rows = {r["quantity"]: r for r in json.loads(out)["reports"]}
+        for k in range(41):
+            row, mirror = rows[f"block_k={k}"], rows[f"block_k={40 - k}"]
+            assert {q: row[q] for q in ("value", "method", "error_bound")} == {
+                q: mirror[q] for q in ("value", "method", "error_bound")
+            }
+            assert row["shape"] == "x".join(reversed(mirror["shape"].split("x")))
+            matrix = np.array(row["matrix"]) @ [1.0, 1j]
+            assert np.array_equal(matrix, (np.array(mirror["matrix"]) @ [1.0, 1j]).T)
+            assert row["value"] == pytest.approx(np.linalg.norm(matrix, 2), rel=1e-12)
+        assert rows["operator_norm"]["value"] == max(rows[f"block_k={k}"]["value"] for k in range(41))
+
     def test_zero_symbol_dumps_empty_matrix(self, capsys, tmp_path):
         path = tmp_path / "zero.sym"
         path.write_text("dim 2\n")
@@ -584,14 +604,15 @@ class TestNehariCommands:
         best = float(table_value(out, "best_c"))
         assert 0.8 < best < 0.9
 
-    def test_search_error_bound_is_the_grid_step(self, capsys):
-        # doubles near c in [1e20, 1e21] are 16384 apart; the bound read 1e-06 there
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code, out, _ = run(capsys, "nehari-search", "--a", "0.5", "--cmin", "1e20", "--cmax", "1e21", "--json")
-        assert code == 0
-        best = {r["quantity"]: r for r in json.loads(out)["reports"]}["best_c"]
-        assert best["error_bound"] >= 16384
+    def test_search_interval_without_the_optimum_is_domain_error(self, capsys):
+        # the score decreases across [1e20, 1e21], so its maximum there is the end 1e20
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, "nehari-search", "--a", "0.5", "--cmin", "1e20", "--cmax", "1e21")
+        assert not caught
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: the optimal c = 0.8702617180734189 ")
 
     def test_search_infinite_interval_is_domain_error(self, capsys):
         with warnings.catch_warnings(record=True) as caught:

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from hankel_lab import (
     MAX_CEX_TRUNC,
@@ -28,8 +29,6 @@ from hankel_lab import (
     quadratic_witness_lower,
     search_c2,
 )
-import hankel_lab.nehari as nehari
-from hankel_lab.quadrature import _circle_norm
 from helpers import phi2, z
 
 C2_QUADRATIC = 5 * math.pi / (math.pi + 6 * math.sqrt(3))
@@ -159,30 +158,52 @@ class TestSearch:
                 search_c2(0.5, c_range=c_range)
 
 
-    @pytest.mark.parametrize("c_range", [(1e20, 1e21), (-1e300, 1e300), (-1.7e308, -1e308)])
+    @pytest.mark.parametrize("c_range", [(1e20, 1e21), (-1e300, 1e300), (-1.7e308, -1e308), (-1e308, 1e308)])
     def test_intervals_coarser_than_the_tolerance_end(self, c_range):
-        # the doubles near these c are spaced wider than 1e-6: the bracket stops shrinking first
+        # the doubles near these ends are spaced far wider than c*'s rounding bound:
+        # an interval holding c* returns the default interval's result, the others are refused
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            best_c, step, report = search_c2(0.5, c_range=c_range)
-        assert c_range[0] <= best_c <= c_range[1]
-        assert step >= math.ulp(best_c)
-        assert report.method == "search" and math.isfinite(report.bound_value)
-        # the first round scores c = 0 at 2 / (1.5 * 4/pi); no later round may lose it
-        if c_range == (-1e300, 1e300):
-            assert report.bound_value >= 1.0471975511965976
-        # there 1.5 * ||f||_1 overflows, and the bound (about a / ||H_phi|| = 1/3) must not read 0
-        if c_range == (-1.7e308, -1e308):
-            assert report.bound_value > 0.3
+            if c_range[0] <= 0.87 <= c_range[1]:
+                assert search_c2(0.5, c_range=c_range) == search_c2(0.5)
+            else:
+                # the score is monotone there, so its maximum is at an end, not at c*
+                with pytest.raises(DomainError, match="the optimal c = 0.8702617180734189 lies outside"):
+                    search_c2(0.5, c_range=c_range)
 
-    def test_interval_wider_than_the_double_range_rejected(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # hi - lo would overflow inside np.linspace
-            with pytest.raises(DomainError, match="wider than the double range"):
-                search_c2(0.5, c_range=(-1e308, 1e308))
+    @pytest.mark.parametrize("a", [0.0, 0.005])
+    def test_small_a_on_the_default_interval(self, a):
+        # c* = 2 sin(theta*) is about 2a, inside the interval's first percent
+        best_c, _, report = search_c2(a)
+        assert 0.0 <= best_c <= 2.0 * a
+        if a == 0.0:
+            assert best_c == 0.0
+            assert report.bound_value == pytest.approx(pairsum_witness_lower(2).bound_value, rel=1e-14)
+
+    def test_closed_form_against_brentq(self):
+        rng = np.random.default_rng(283)
+        for a in [0.0, 0.1, 0.25, 0.5, *rng.uniform(0.0, 0.5, size=5)]:
+            a = float(a)
+            theta = brentq(lambda t: t - a * math.cos(t), 0.0, math.pi / 2, xtol=1e-300) if a else 0.0
+            best_c, bound, report = search_c2(a)
+            assert bound == 4 * math.ulp(best_c)
+            assert abs(best_c - 2 * math.sin(theta)) <= bound
+            closed = math.pi / (2 * math.cos(theta) * math.sqrt(2 + a * a))
+            assert report.bound_value == pytest.approx(closed, rel=1e-14)
+
+    @pytest.mark.parametrize("a", [5e-324, 0.5 - 2**-54])
+    def test_newton_ends_at_the_range_ends(self, a):
+        best_c, _, report = search_c2(a)
+        assert 0.0 < best_c < 0.8702617180734190 and math.isfinite(report.bound_value)
+
 
 def symbol_search(a, c_range=(0.0, 2.0)):
-    """search_c2's zoomed scan with ||f||_1 from h1_norm_2hom of each f as a Symbol."""
+    """A zoomed scan, the reference for search_c2's closed form.
+
+    Rounds of 101 evenly spaced c, each on the two grid cells around the
+    last round's peak, scored with ||f||_1 from h1_norm_2hom of each f as a
+    Symbol; returns the best c, its round's grid step and the report.
+    """
     lo, hi = c_range
     best_score, width = -math.inf, math.inf
     while True:
@@ -200,34 +221,25 @@ def symbol_search(a, c_range=(0.0, 2.0)):
 
 
 class TestSearchOnCoefficients:
-    """The search takes ||f||_1 from f's circle coefficients 1 + c w + w^2, as hp_norm does after reducing f."""
+    """The closed form against the exact H^1 rule and against the zoomed scan over Symbols."""
 
-    def test_circle_norm_is_h1_norm_2hom(self, monkeypatch):
-        calls = []
-
-        def recorded(rows, p):
-            calls.append(np.atleast_2d(rows).copy())
-            return _circle_norm(rows, p)
-
-        monkeypatch.setattr(nehari, "_circle_norm", recorded)
-        search_c2(0.5)
-        # every round's 101 rows arrive in one stacked call, the first across the whole interval
-        assert len(calls) > 1 and all(rows.shape == (101, 3) for rows in calls)
-        assert [coefs[1].real for coefs in calls[0]] == list(np.linspace(0.0, 2.0, 101))
-        for rows in calls:
-            for coefs, (value, method, bound, _) in zip(rows, _circle_norm(rows, 1)):
-                c = float(coefs[1].real)
-                assert np.array_equal(coefs, np.array([1.0, c, 1.0], dtype=complex))
-                est = h1_norm_2hom(phi2(c))
-                assert (value, method) == (est.value, est.method) == (est.value, "exact")
-                # at c = 0 the symbol has no middle term and reduces to 1 + w, whose
-                # antiderivative is cut into fewer arcs: same value, another rounding bound
-                assert bound == est.error_bound or c == 0.0
+    def test_circle_norm_is_h1_norm_2hom(self):
+        # |z1^2 + c z1 z2 + z2^2| = |c + 2 cos t| on the torus
+        for c in [*np.linspace(-5.0, 5.0, 1001), -2.0, 2.0]:
+            c = float(c)
+            if abs(c) <= 2.0:
+                closed = 2 / math.pi * (c * math.asin(c / 2) + math.sqrt(4 - c * c))
+            else:
+                closed = abs(c)
+            assert h1_norm_2hom(phi2(c)).value == pytest.approx(closed, rel=1e-13)
 
     def test_search_matches_the_symbol_search(self):
         rng = np.random.default_rng(211)
         for a in [0.5, 0.25, *rng.uniform(0.1, 0.5, size=3)]:
-            assert search_c2(float(a)) == symbol_search(float(a))
+            best_c, _, report = search_c2(float(a))
+            scan_c, scan_step, scan_report = symbol_search(float(a))
+            assert report.bound_value >= scan_report.bound_value * (1 - 1e-15)
+            assert abs(best_c - scan_c) <= scan_step
 
 
 class TestCexFamily:
