@@ -9,7 +9,8 @@ norms on the torus, and evaluate lower bounds for the Nehari constants.
 from . import _threads  # noqa: F401  (HANKEL_LAB_THREADS cap, before numpy loads)
 
 from .errors import BudgetError, DomainError, ParseError
-from .errors import MAX_BASIS, MAX_CEX_TRUNC, MAX_CLOSURE, MAX_GRID_POINTS, MAX_PSI_TRUNC, MAX_RECIPE_DEPTH, MAX_SAMPLES
+from .errors import MAX_1D_GRID_POINTS, MAX_BASIS, MAX_CEX_TRUNC, MAX_CLOSURE, MAX_GRID_POINTS
+from .errors import MAX_PSI_TRUNC, MAX_RECIPE_DEPTH, MAX_SAMPLES
 from .symbols import (
     Symbol,
     degree,
@@ -76,6 +77,7 @@ __all__ = [
     "BudgetError",
     "DomainError",
     "HankelMatrix",
+    "MAX_1D_GRID_POINTS",
     "MAX_BASIS",
     "MAX_CEX_TRUNC",
     "MAX_CLOSURE",

@@ -35,14 +35,10 @@ antiderivative differences between its roots (_reciprocal_h1, method
 z1^2 + c z1 z2 + z2^2 are of this kind. A monomial (rank 0) has
 ||c z^alpha||_p = |c| at every finite p, also "exact". The spec's grid
 is still validated on these paths (budget, spread) but sets no node
-count; p = inf, rank r >= 2 and higher degrees stay on the grid. The
-exact and arc rules for P take its coefficient array (_circle_norm), so
-a caller that already holds one builds no Symbol. They take a stack of
-rows of one degree, shape (k, m + 1), and return one result per row,
-equal (==) to that row's result alone: the exact rule runs on the whole
-stack, its roots from one stacked companion-matrix eigvals call, and
-rows that fail its gate take the arc rule one at a time. hp_norm passes
-one row.
+count; p = inf, rank r >= 2 and higher degrees stay on the grid. Both
+rules take P's ascending coefficients as one row (_circle_coefs), with
+its roots from np.roots (_circle_roots); at p = 1 hp_norm tries the
+exact rule first, and a P that fails its gate takes the arc rule.
 
 On the grid, on the arcs and on the exact paths, a product in disjoint
 variables is the product of its factors' norms (hankel.factored), each
@@ -82,7 +78,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import MAX_GRID_POINTS, MAX_SAMPLES, DomainError, check_budget
+from .errors import MAX_1D_GRID_POINTS, MAX_GRID_POINTS, MAX_SAMPLES, DomainError, check_budget
 from .hankel import NormEstimate, factored
 from .symbols import FACTOR_RTOL, Symbol
 
@@ -140,7 +136,8 @@ def _grid_values(freqs, coefs, n):
     beyond int64; they are folded mod n, which is exact on the grid, and
     the coefficients are scattered into one array for an inverse FFT.
     Yields the whole grid once, or, when d > 1 and n^d exceeds
-    _FULL_GRID_LIMIT, one (d-1)-dimensional slice per first-axis index.
+    _FULL_GRID_LIMIT, one (d-1)-dimensional slice per first-axis index;
+    a d = 1 grid is whole, and its callers hold it to MAX_1D_GRID_POINTS.
     """
     folded = np.asarray(freqs)
     if folded.dtype.kind not in "iu":  # ints beyond int64: fold them exactly
@@ -343,50 +340,29 @@ def _circle_coefs(s: Symbol):
     return coefs
 
 
-def _circle_roots(rows):
-    """np.roots of each row's polynomial (ascending coefficients), trimmed.
+def _circle_roots(coefs):
+    """np.roots of P's ascending coefficients, those below rounding dropped.
 
     A coefficient below rounding of |P| on the circle moves no root near
     it; dropping it keeps the companion matrix finite (1 + 1e-320 w^2).
-    rows has shape (k, m + 1). As in np.roots, zeros are stripped at both
-    ends: one stripped at the bottom is a root 0, one stripped at the top
-    is no root, and the row's roots are padded with NaN to m at the end.
-    Rows of the same trimmed shape share one stacked companion-matrix
-    eigvals call, which runs the LAPACK routine np.roots runs per matrix.
+    As in np.roots, a zero stripped at the bottom is a root 0 and one
+    stripped at the top is no root.
     """
-    desc = rows[:, ::-1]
-    mags = np.abs(desc)
-    desc = np.where(mags >= _EPS * mags.max(axis=1, keepdims=True), desc, 0)
-    nonzero = desc != 0
-    top, bottom = nonzero.argmax(axis=1), nonzero[:, ::-1].argmax(axis=1)
-    m = desc.shape[1] - 1
-    roots = np.full((len(desc), m), np.nan, dtype=complex)
-    shapes = set(zip(top.tolist(), bottom.tolist()))
-    for a, b in shapes:
-        group = (top == a) & (bottom == b) if len(shapes) > 1 else slice(None)
-        size = m - a - b  # degree after stripping
-        if size:
-            p = desc[group, a : m + 1 - b]
-            companion = np.zeros((len(p), size, size), dtype=complex)
-            companion.reshape(len(p), -1)[:, size :: size + 1] = 1.0  # the subdiagonal
-            companion[:, 0, :] = -p[:, 1:] / p[:, :1]
-            roots[group, :size] = np.linalg.eigvals(companion)
-        roots[group, size : size + b] = 0.0
-    return roots
+    mags = np.abs(coefs)
+    return np.roots(np.where(mags >= _EPS * mags.max(), coefs, 0)[::-1])
 
 
 def _arc_stat(coefs, p):
     """||P||_p on T^1 by Gauss-Legendre on arcs split at the roots.
 
-    coefs are P's ascending coefficients (_circle_coefs of a reduced
-    symbol of rank <= 1). Each node set, _ARC_NODES and 2 * _ARC_NODES
-    nodes per arc, is one chunk of _power_mean, weighted by arc width
-    times Gauss-Legendre weight over 4 pi (the weights sum to 2 per arc).
-    Returns the two norms, coarse then fine, and the arc count.
+    coefs are P's ascending coefficients, one row (_circle_coefs of a
+    reduced symbol of rank <= 1). Each node set, _ARC_NODES and
+    2 * _ARC_NODES nodes per arc, is one chunk of _power_mean, weighted by
+    arc width times Gauss-Legendre weight over 4 pi (the weights sum to 2
+    per arc). Returns the two norms, coarse then fine, and the arc count.
     """
     desc = coefs[::-1]
-    roots = _circle_roots(coefs[None])[0]
-    ends = _arc_ends(roots[~np.isnan(roots)], len(coefs) - 1)
+    ends = _arc_ends(_circle_roots(coefs), len(coefs) - 1)
     lefts, widths = ends[:-1, None], np.diff(ends)[:, None]
     norms = []
     for n in (_ARC_NODES, 2 * _ARC_NODES):
@@ -397,28 +373,22 @@ def _arc_stat(coefs, p):
     return norms, len(ends) - 1
 
 
-def _reciprocal_h1(rows):
-    """||P||_1 by antiderivatives for each self-reciprocal row P, else None.
+def _reciprocal_h1(coefs):
+    """||P||_1 by antiderivatives as (value, bound, arc count) if P is self-reciprocal, else None.
 
-    rows are ascending coefficients, shape (k, m + 1), one polynomial per
-    row (a 1-D array is one row); returns a list of k results, each
-    (value, bound, arc count) or None. Every step below runs on the whole
-    stack, and a row's result does not depend on the other rows.
-
-    P = sum_k c_k w^k of degree m is self-reciprocal when
-    c_k = u conj(c_(m-k)) for some |u| = 1. u is fitted at the largest
-    |c_k|, and P is replaced by its projection q = (c + u conj(c reversed)) / 2,
-    which is self-reciprocal exactly; the fit residual sum |c_k - q_k|
-    bounds ||P - q||_1 and must be at most FACTOR_RTOL times the value.
-    With v = sqrt(u), T(t) = conj(v) e^{-imt/2} q(e^{it}) is real, with
-    antiderivative S(t) = Re sum_k (q_k / v) e^{i(k-m/2)t} / (i(k-m/2)),
-    plus the middle coefficient times t for even m. T changes sign only at
-    the angles of q's roots on the circle, so cutting [0, 2 pi] at the
-    angles of all its roots gives ||P||_1 = (1/2pi) sum over arcs of
-    |S(b) - S(a)|; a cut where T keeps its sign does no harm. Each row
-    keeps all m + 2 cuts (0, 2 pi and one per root, sorted; a root lost
-    to trimming cuts at 0): a repeated cut adds an exact 0 to the sum, and
-    the arc count is the number of distinct cuts less one.
+    coefs are P's ascending coefficients, one row. P = sum_k c_k w^k of
+    degree m is self-reciprocal when c_k = u conj(c_(m-k)) for some
+    |u| = 1. u is fitted at the largest |c_k|, and P is replaced by its
+    projection q = (c + u conj(c reversed)) / 2, which is self-reciprocal
+    exactly; the fit residual sum |c_k - q_k| bounds ||P - q||_1 and must
+    be at most FACTOR_RTOL times the value. With v = sqrt(u),
+    T(t) = conj(v) e^{-imt/2} q(e^{it}) is real, with antiderivative
+    S(t) = Re sum_k (q_k / v) e^{i(k-m/2)t} / (i(k-m/2)), plus the middle
+    coefficient times t for even m. T changes sign only at the angles of
+    q's roots on the circle, so cutting [0, 2 pi] at the angles of all its
+    roots gives ||P||_1 = (1/2pi) sum over arcs of |S(b) - S(a)|; a cut
+    where T keeps its sign does no harm. A repeated cut adds an exact 0 to
+    the sum, and the arc count is the number of distinct cuts less one.
 
     The bound is rounding only: the S evaluations, the cuts, and the fit
     residual. A cut misplaced by delta from a zero of T costs
@@ -426,60 +396,45 @@ def _reciprocal_h1(rows):
     roots' backward error eta = (m + 2) eps sum |q_k| in sup norm, which
     moves ||T||_1 by at most eta, the cuts cost at most 2 eta in all.
 
-    The work is done on each row times 2^-e, e the binary exponent of its
-    largest real or imaginary part, and the value and bound are scaled
-    back: a power of two is exact, so this changes no bit of an ordinary
-    result, and the bound's terms (each near |q_k| (2 pi + m + 3)) stay
-    finite for coefficients near the double range. DomainError if a
-    value itself exceeds it.
+    The work is done on P times 2^-e, e the binary exponent of its largest
+    real or imaginary part, and the value and bound are scaled back: a
+    power of two is exact, so this changes no bit of an ordinary result,
+    and the bound's terms (each near |q_k| (2 pi + m + 3)) stay finite for
+    coefficients near the double range. DomainError if a value itself
+    exceeds it.
     """
-    parts = np.atleast_2d(rows).view(np.float64)
-    shift = np.frexp(np.abs(parts).max(axis=1))[1]
-    coefs = np.ldexp(parts, -shift[:, None]).view(complex)
-    m = coefs.shape[1] - 1
-    index = np.arange(len(coefs))
-    k = np.abs(coefs).argmax(axis=1)
-    phase = np.angle(coefs)
-    u = np.exp(1j * (phase[index, k] + phase[index, m - k]))  # no overflow at 1e-320
-    q = 0.5 * (coefs + u[:, None] * np.conj(coefs[:, ::-1]))
+    parts = coefs.view(np.float64)
+    shift = int(np.frexp(np.abs(parts).max())[1])
+    c = np.ldexp(parts, -shift).view(complex)
+    m = len(c) - 1
+    k = int(np.abs(c).argmax())
+    if c[m - k] == 0:  # no mirror coefficient to fit u at
+        return None
+    phase = np.angle(c)
+    u = np.exp(1j * (phase[k] + phase[m - k]))  # no overflow at 1e-320
+    q = 0.5 * (c + u * np.conj(c[::-1]))
     moduli = np.abs(q)
-    residual = [math.fsum(r) for r in np.abs(coefs - q).tolist()]
-    size = [math.fsum(r) for r in moduli.tolist()]
-    # a row with c_(m-k) = 0 has no fit; the value is at most size, so a
-    # row failing the size gate fails the value gate below
-    mirror = coefs[index, m - k].tolist()
-    fit = [i for i in range(len(coefs)) if mirror[i] != 0 and not residual[i] > FACTOR_RTOL * size[i]]
-    results = [None] * len(coefs)
-    if not fit:
-        return results
-    if len(fit) < len(coefs):
-        q, u, moduli = q[fit], u[fit], moduli[fit]
+    residual = math.fsum(np.abs(c - q).tolist())
+    size = math.fsum(moduli.tolist())
+    if residual > FACTOR_RTOL * size:  # the value is at most size, so it would fail the value gate below
+        return None
     spins, weights = _spins(m)
-    a = q * np.conj(np.sqrt(u))[:, None]
-    b = np.divide(a, spins, out=np.zeros(a.shape, dtype=complex), where=spins != 0)
-    middle = np.zeros(len(a)) if m % 2 else a[:, m // 2].real
-    ends = np.zeros((len(a), m + 2))
-    ends[:, 1] = 2.0 * math.pi
-    # fmax turns the NaN of a root lost to trimming into a cut at 0
-    ends[:, 2:] = np.fmax(np.mod(np.angle(_circle_roots(q)), 2.0 * math.pi), 0.0)
-    ends.sort(axis=1)
-    antiderivative = (np.exp(ends[:, :, None] * spins) @ b[:, :, None])[:, :, 0].real + middle[:, None] * ends
-    arcs = (ends[:, 1:] > ends[:, :-1]).sum(axis=1).tolist()
-    steps = np.abs(antiderivative[:, 1:] - antiderivative[:, :-1]).tolist()
-    evals = (moduli * weights).tolist()
-    for j, row in enumerate(fit):
-        value = math.fsum(steps[j]) / (2.0 * math.pi)
-        if residual[row] > FACTOR_RTOL * value:
-            continue
-        n = arcs[j]
-        per_eval = _EPS * (math.fsum(evals[j]) + 6.0 * math.pi * abs(float(middle[j])))
-        cuts = 2.0 * (m + 2) * _EPS * size[row]
-        err = n * per_eval / math.pi + cuts + (n + 2) * _EPS * value + residual[row]
-        try:
-            results[row] = math.ldexp(value, int(shift[row])), math.ldexp(float(err), int(shift[row])), n
-        except OverflowError:
-            raise DomainError("the H^1 norm exceeds the double range") from None
-    return results
+    a = q * np.conj(np.sqrt(u))
+    b = np.divide(a, spins, out=np.zeros(m + 1, dtype=complex), where=spins != 0)
+    middle = 0.0 if m % 2 else float(a[m // 2].real)
+    ends = np.sort(np.concatenate([[0.0, 2.0 * math.pi], np.mod(np.angle(_circle_roots(q)), 2.0 * math.pi)]))
+    antiderivative = (np.exp(ends[:, None] * spins) @ b).real + middle * ends
+    value = math.fsum(np.abs(np.diff(antiderivative)).tolist()) / (2.0 * math.pi)
+    if residual > FACTOR_RTOL * value:
+        return None
+    n = int(np.count_nonzero(np.diff(ends)))
+    per_eval = _EPS * (math.fsum((moduli * weights).tolist()) + 6.0 * math.pi * abs(middle))
+    cuts = 2.0 * (m + 2) * _EPS * size
+    err = n * per_eval / math.pi + cuts + (n + 2) * _EPS * value + residual
+    try:
+        return math.ldexp(value, shift), math.ldexp(err, shift), n
+    except OverflowError:
+        raise DomainError("the H^1 norm exceeds the double range") from None
 
 
 @lru_cache(maxsize=None)
@@ -502,32 +457,6 @@ def _spins(m: int):
 def _refined(coarse: float, fine: float) -> float:
     """Error bound of a rule's refined norm: its distance to the coarse one, plus rounding."""
     return abs(fine - coarse) + 32 * _EPS * (1.0 + fine)
-
-
-def _circle_norm(rows, p):
-    """||P||_p of P = sum_k c_k w^k on the circle for each row c, at finite p.
-
-    rows are ascending complex coefficients, shape (k, m + 1) (a 1-D
-    array is one row), of degree m at most _ARC_MAX_DEGREE, no row all
-    zero; they are taken as given, with no Symbol, reduction or budget
-    check. At p = 1 the self-reciprocal rows are exact, all in one
-    stacked _reciprocal_h1 call; every other row takes the arc rule
-    (_arc_stat) with its refinement bound, one row at a time. Returns a
-    list of k tuples (value, method, bound, rule), the rule worded for
-    the metadata; a row's tuple does not depend on the other rows.
-    """
-    rows = np.atleast_2d(rows)
-    exact = _reciprocal_h1(rows) if p == 1 else [None] * len(rows)
-    results = []
-    for coefs, found in zip(rows, exact):
-        if found is not None:
-            value, err, arcs = found
-            results.append((value, "exact", err, f"self-reciprocal antiderivative on {arcs} arcs cut at the roots"))
-            continue
-        (coarse, fine), arcs = _arc_stat(coefs, p)
-        rule = f"gauss-legendre {_ARC_NODES} refined to {2 * _ARC_NODES} nodes on {arcs} arcs cut at the roots"
-        results.append((fine, "arc-quadrature", _refined(coarse, fine), rule))
-    return results
 
 
 def _unit(z):
@@ -729,7 +658,8 @@ def _grid_or_arc(s: Symbol, p, n: int) -> NormEstimate:
 
     Raises DomainError for a reduced rank above 4 or a spread the grid does
     not resolve at finite p, and BudgetError for a grid above
-    MAX_GRID_POINTS. The metadata names the rule and "d=<d>[ reduced to r=<r>]".
+    MAX_GRID_POINTS or, when one is evaluated on T^1, MAX_1D_GRID_POINTS.
+    The metadata names the rule and "d=<d>[ reduced to r=<r>]".
     """
     dim = s.dim
     s = _reduce(s)
@@ -741,6 +671,8 @@ def _grid_or_arc(s: Symbol, p, n: int) -> NormEstimate:
     spread = _spread(s)
     if p != math.inf and n <= spread:  # frequencies of |phi|^2 would alias onto 0
         raise DomainError(f"{n} points per dimension do not resolve the exponent spread {spread}")
+    if s.dim == 1 and (p == math.inf or spread > _ARC_MAX_DEGREE):  # a grid, held whole
+        check_budget(2 * n, MAX_1D_GRID_POINTS, "one-dimensional grid (MAX_1D_GRID_POINTS)", "points")
     if p == math.inf:
         fine = _tensor_stat(s, 2 * n, p)
         cushion, note = _sup_cushion(s, 2 * n, fine)
@@ -750,8 +682,15 @@ def _grid_or_arc(s: Symbol, p, n: int) -> NormEstimate:
     if rank == 0:
         return NormEstimate(abs(s.coeff(s.support[0])), "exact", 0.0, f"modulus of a monomial, {where}")
     if s.dim <= 1 and spread <= _ARC_MAX_DEGREE:
-        ((value, method, err, rule),) = _circle_norm(_circle_coefs(s), p)
-        return NormEstimate(value, method, err, f"{rule}, {where}")
+        coefs = _circle_coefs(s)
+        found = _reciprocal_h1(coefs) if p == 1 else None
+        if found is not None:
+            value, err, arcs = found
+            rule = f"self-reciprocal antiderivative on {arcs} arcs cut at the roots"
+            return NormEstimate(value, "exact", err, f"{rule}, {where}")
+        (coarse, fine), arcs = _arc_stat(coefs, p)
+        rule = f"gauss-legendre {_ARC_NODES} refined to {2 * _ARC_NODES} nodes on {arcs} arcs cut at the roots"
+        return NormEstimate(fine, "arc-quadrature", _refined(coarse, fine), f"{rule}, {where}")
     coarse, fine = _tensor_stat(s, n, p), _tensor_stat(s, 2 * n, p)
     rule = f"tensor-uniform N={n} refined to {2 * n}"
     return NormEstimate(fine, "grid-quadrature", _refined(coarse, fine), f"{rule}, {where}")

@@ -462,6 +462,33 @@ class TestHpNorm:
         assert out == ""
         assert err == message
 
+    LINE_REFUSED = "error: one-dimensional grid (MAX_1D_GRID_POINTS) exceeds the budget of 8388608 points\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("hp-norm", "{w}", "inf", "--grid", "100000000"),
+            ("hp-norm", "{high}", "1", "--grid", "100000000"),
+            ("psi", "--grid", "100000000"),
+        ],
+        ids=["hp-norm-inf", "hp-norm-high-degree", "psi"],
+    )
+    def test_whole_one_dimensional_grid_is_refused_before_allocation(self, capsys, tmp_path, argv):
+        (tmp_path / "w.sym").write_text("dim 1\n1.0 0.0 : 0\n1.0 0.0 : 1\n")
+        (tmp_path / "high.sym").write_text("dim 1\n1.0 0.0 : 0\n1.0 0.0 : 1\n1.0 0.0 : 65\n")
+        start = time.perf_counter()
+        code, out, err = run(capsys, *(a.format(w=tmp_path / "w.sym", high=tmp_path / "high.sym") for a in argv))
+        assert time.perf_counter() - start < 1.0
+        assert (code, out, err) == (1, "", self.LINE_REFUSED)
+
+    @pytest.mark.parametrize("p, method", [("1", "exact"), ("2", "arc-quadrature")])
+    def test_arc_and_exact_paths_take_no_grid(self, capsys, tmp_path, p, method):
+        path = tmp_path / "w.sym"
+        path.write_text("dim 1\n1.0 0.0 : 0\n1.0 0.0 : 1\n")
+        code, out, _ = run(capsys, "hp-norm", str(path), p, "--grid", "100000000", "--json")
+        assert code == 0
+        assert {r["quantity"]: r for r in json.loads(out)["reports"]}["hp_norm"]["method"] == method
+
     GRID_TOO_SMALL = "error: points_per_dimension must be >= 4\n"
     TOO_FEW_SAMPLES = "error: monte-carlo needs at least 1000 samples\n"
 

@@ -7,6 +7,7 @@ import pytest
 from scipy.optimize import brentq
 
 from hankel_lab import (
+    MAX_1D_GRID_POINTS,
     MAX_CEX_TRUNC,
     BudgetError,
     DomainError,
@@ -223,7 +224,7 @@ def symbol_search(a, c_range=(0.0, 2.0)):
 class TestSearchOnCoefficients:
     """The closed form against the exact H^1 rule and against the zoomed scan over Symbols."""
 
-    def test_circle_norm_is_h1_norm_2hom(self):
+    def test_closed_form_h1_norm_is_h1_norm_2hom(self):
         # |z1^2 + c z1 z2 + z2^2| = |c + 2 cos t| on the torus
         for c in [*np.linspace(-5.0, 5.0, 1001), -2.0, 2.0]:
             c = float(c)
@@ -360,3 +361,8 @@ class TestPsi:
             psi_sup_estimate(10, 8)
         with pytest.raises(DomainError):
             PsiSeries(0)
+
+    def test_whole_difference_grid_is_budgeted(self):
+        # the difference grid is one array, held to MAX_1D_GRID_POINTS before it is built
+        with pytest.raises(BudgetError, match="MAX_1D_GRID_POINTS"):
+            psi_sup_estimate(10, MAX_1D_GRID_POINTS + 1)

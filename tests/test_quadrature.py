@@ -6,6 +6,7 @@ import pytest
 from scipy.special import gamma
 
 from hankel_lab import (
+    MAX_1D_GRID_POINTS,
     MAX_SAMPLES,
     BudgetError,
     DomainError,
@@ -28,7 +29,6 @@ from hankel_lab.quadrature import (
     _TURNS,
     _arc_stat,
     _circle_coefs,
-    _circle_norm,
     _reciprocal_h1,
     _reduce,
     _sup_cushion,
@@ -75,6 +75,32 @@ class TestSpec:
         assert QuadratureSpec(method="monte-carlo", samples=MAX_SAMPLES).samples == MAX_SAMPLES
         with pytest.raises(BudgetError, match="MAX_SAMPLES"):
             QuadratureSpec(method="monte-carlo", samples=MAX_SAMPLES + 1)
+
+
+class TestOneDimensionalGridBudget:
+    """A grid on T^1 is one array, so its refined points are held to MAX_1D_GRID_POINTS before any is built."""
+
+    OVER = QuadratureSpec(points_per_dimension=MAX_1D_GRID_POINTS // 2 + 1)
+    W = make_symbol(1, [((0,), 1.0), ((1,), 1.0)])
+
+    @pytest.mark.parametrize(
+        "s, p",
+        [
+            (W, math.inf),  # the grid max
+            (make_symbol(1, [((3,), 2.0)]), math.inf),  # a monomial's grid max
+            (make_symbol(2, [((3, 0), 1.0), ((0, 3), 1.0)]), math.inf),  # reduces to 1 + w
+            (make_symbol(1, [((0,), 1.0), ((1,), 1.0), ((65,), 1.0)]), 1),  # above _ARC_MAX_DEGREE
+        ],
+        ids=["one-plus-w", "monomial", "reduced", "high-degree"],
+    )
+    def test_grid_paths_are_refused(self, s, p):
+        with pytest.raises(BudgetError, match=r"one-dimensional grid \(MAX_1D_GRID_POINTS\)"):
+            hp_norm(s, p, self.OVER)
+
+    @pytest.mark.parametrize("p, method", [(1, "exact"), (2, "arc-quadrature"), (3.5, "arc-quadrature")])
+    def test_arc_and_exact_paths_evaluate_no_grid(self, p, method):
+        assert hp_norm(self.W, p, self.OVER).method == method
+        assert hp_norm(make_symbol(1, [((3,), 2.0)]), p, self.OVER).value == 2.0
 
 
 class TestHpNorm:
@@ -458,36 +484,30 @@ class TestExactH1:
                     assert est.method == "arc-quadrature" and eps >= 1e-12
                     assert (est.value, est.error_bound) == (arc_value, arc_bound)
 
-    def test_stacked_rows_equal_single_rows(self):
-        rng = np.random.default_rng(227)
-        stacks = []
-        for m in range(1, 9):
-            rows = []
-            for _ in range(6):
-                half = rng.normal(size=m + 1) + 1j * rng.normal(size=m + 1)
-                rows.append((half + np.conj(half[::-1])) * np.exp(1j * rng.uniform(0, 2 * np.pi)))  # self-reciprocal
-                rows.append(rng.normal(size=m + 1) + 1j * rng.normal(size=m + 1))  # arc rule
-            stacks.append(np.array(rows))
-        # c = 0 (fewer arcs), and rows whose ends are trimmed below rounding, so
-        # that they lose their leading coefficient, stacked with ordinary rows
-        stacks.append(np.array([[1, 0, 1], [1, 1e20, 1], [1e-20, 1, 1e-20], [1, 1, 1], [1, 3, 2]], dtype=complex))
-        stacks.append(np.array([[1e307, 1e307], [1, 1], [1, 2j]], dtype=complex))
-        methods = set()
-        for rows in stacks:
-            exact, norms = _reciprocal_h1(rows), _circle_norm(rows, 1)
-            assert len(exact) == len(norms) == len(rows)
-            for coefs, found, norm in zip(rows, exact, norms):
-                (alone,) = _reciprocal_h1(coefs)
-                assert found == alone
-                assert norm == _circle_norm(coefs, 1)[0] == _circle_norm(coefs[None], 1)[0]
-                methods.add(norm[1])
-        assert methods == {"exact", "arc-quadrature"}
-        trimmed = _circle_norm(stacks[-2], 1)
-        assert [(value, method) for value, method, _, _ in trimmed[1:3]] == [(1e20, "exact"), (1.0, "exact")]
-        assert "on 3 arcs" in trimmed[0][3] and "on 1 arcs" in trimmed[1][3]
-        value, method, bound, _ = _circle_norm(stacks[-1], 1)[0]
-        assert method == "exact" and value == pytest.approx(1e307 * (4 / math.pi), rel=1e-14)
-        assert 0 < bound < 1e-13 * value
+    @pytest.mark.parametrize("coefs, value", [([1, 1e20, 1], 1e20), ([1e-20, 1, 1e-20], 1.0)])
+    def test_ends_trimmed_below_rounding_leave_one_arc(self, coefs, value):
+        # both ends drop below eps * max|c|: one root 0, no other cut
+        for est in (
+            hp_norm(make_symbol(1, [((k,), c) for k, c in enumerate(coefs)]), 1),
+            h1_norm_2hom(make_symbol(2, [((2 - k, k), c) for k, c in enumerate(coefs)])),
+        ):
+            assert est.method == "exact" and est.value == value
+            assert "on 1 arcs cut at the roots" in est.metadata
+
+    def test_middle_trimmed_below_rounding_is_cut_at_the_roots_of_one_plus_w_squared(self):
+        # 1 + w^2 alone reduces to 1 + w (two arcs); a 1e-300 middle keeps the exponent 1
+        for est in (
+            hp_norm(make_symbol(1, [((0,), 1.0), ((1,), 1e-300), ((2,), 1.0)]), 1),
+            h1_norm_2hom(phi2(1e-300)),
+        ):
+            assert est.method == "exact" and "on 3 arcs cut at the roots" in est.metadata
+            assert abs(est.value - 4 / math.pi) <= est.error_bound
+
+    def test_exact_h1_of_a_pair_sum_near_the_double_range(self):
+        est = h1_norm_2hom(make_symbol(2, [((1, 0), 1e307), ((0, 1), 1e307)]))
+        assert est.method == "exact"
+        assert est.value == pytest.approx(1e307 * (4 / math.pi), rel=1e-14)
+        assert 0 < est.error_bound < 1e-13 * est.value
 
     def test_random_complex_quadratics_keep_the_arc_rule(self):
         rng = np.random.default_rng(199)
@@ -733,7 +753,7 @@ class TestDoubleRange:
     def test_exact_h1_beyond_the_double_range_is_refused(self):
         # hp_norm refuses these coefficients first; the exact rule's own guard names the value
         with pytest.raises(DomainError, match="double range"):
-            _circle_norm(np.array([1.5e308, 1.5e308], dtype=complex), 1)
+            _reciprocal_h1(np.array([1.5e308, 1.5e308], dtype=complex))
 
 
 class TestHqBasic:
