@@ -10,7 +10,7 @@ from . import _threads  # noqa: F401  (HANKEL_LAB_THREADS cap, before numpy load
 
 from .errors import BudgetError, DomainError, ParseError
 from .errors import MAX_1D_GRID_POINTS, MAX_BASIS, MAX_CEX_TRUNC, MAX_CLOSURE, MAX_GRID_POINTS
-from .errors import MAX_PSI_TRUNC, MAX_RECIPE_DEPTH, MAX_SAMPLES
+from .errors import MAX_PSI_MB, MAX_PSI_TRUNC, MAX_RECIPE_DEPTH, MAX_SAMPLES
 from .symbols import (
     Symbol,
     degree,
@@ -82,6 +82,7 @@ __all__ = [
     "MAX_CEX_TRUNC",
     "MAX_CLOSURE",
     "MAX_GRID_POINTS",
+    "MAX_PSI_MB",
     "MAX_PSI_TRUNC",
     "MAX_RECIPE_DEPTH",
     "MAX_SAMPLES",

@@ -66,23 +66,32 @@ def _jsonable(value):
     return value
 
 
+def _holds_array(value):
+    if isinstance(value, dict):
+        value = value.values()
+    elif not isinstance(value, (list, tuple)):
+        return isinstance(value, np.ndarray)
+    return any(map(_holds_array, value))
+
+
 def _json(value, depth=0):
     """The text of json.dumps(value, indent=2), shifted right by depth levels, in pieces.
 
-    A value without an ndarray is json's own text, with two more spaces per
-    level after each newline (JSON strings hold no raw newline). json
-    refuses an ndarray, so a dict or list holding one is written a level at
-    a time, and the ndarray as its tolist() would be, by _json_array.
+    A scalar's text is the same with or without indent, and without it json
+    writes it with its C encoder. A dict or list without an ndarray is
+    json's own text, with two more spaces per level after each newline
+    (JSON strings hold no raw newline). json refuses an ndarray, so a dict
+    or list holding one is written a level at a time, and the ndarray as
+    its tolist() would be, by _json_array.
     """
     if isinstance(value, np.ndarray):
         yield _json_array(value, depth)
         return
-    try:
+    if not isinstance(value, (dict, list, tuple)):
+        yield json.dumps(value)
+        return
+    if not _holds_array(value):
         text = json.dumps(value, indent=2)
-    except TypeError:
-        if not isinstance(value, (dict, list, tuple)):
-            raise
-    else:
         yield text.replace("\n", "\n" + "  " * depth) if depth else text
         return
     pad = "\n" + "  " * (depth + 1)

@@ -30,9 +30,18 @@ MAX_RECIPE_DEPTH = 200
 # Monte Carlo samples: ten times the CLI default; a 12-term symbol of full
 # rank in T^8 takes about 0.2 s per 10^6 samples (2 vCPU, numpy 2.4.6)
 MAX_SAMPLES = 10**7
-# completion series terms per side: about 4 s and 640 MB at 10^7
+# completion series terms per side: about 2 s and 611 MB at 10^7 (MAX_PSI_MB)
 MAX_PSI_TRUNC = 10**7
-# cex_truncation blocks: 2^(K+1) - 2 terms, 2.3x the build time per block
+# psi's peak memory beyond the interpreter, charged as 66 B per K plus 58 B
+# per grid point. Alone, the 2K + 1 coefficients and frequencies peak at
+# 64 B per K and the whole difference grid at 48 B a point; held together
+# they peak higher (692 MB at K = 4 * 10^6 and 2^23 points, where those
+# slopes give 628), and the charge bounds every peak measured (RSS, 2 vCPU,
+# numpy 2.4.6). K = 10^7 at the default 512 points fits (611 MB), and so
+# does K <= 2.79 * 10^6 at MAX_1D_GRID_POINTS; both budgets at once do not.
+MAX_PSI_MB = 640
+# cex_truncation blocks: 2^(K+1) - 2 terms, 2.3x the build time per block;
+# K = 14 builds in 1.8-2.0 s (2 vCPU, numpy 2.4.6)
 MAX_CEX_TRUNC = 14
 
 

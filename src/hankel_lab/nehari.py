@@ -31,7 +31,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import MAX_1D_GRID_POINTS, MAX_CEX_TRUNC, MAX_GRID_POINTS, MAX_PSI_TRUNC, DomainError, check_budget
+from .errors import (
+    MAX_1D_GRID_POINTS,
+    MAX_CEX_TRUNC,
+    MAX_GRID_POINTS,
+    MAX_PSI_MB,
+    MAX_PSI_TRUNC,
+    DomainError,
+    check_budget,
+)
 from .hankel import NormEstimate, operator_norm
 from .quadrature import QuadratureSpec, _grid_values, default_spec, hp_norm, hq_norm_basic
 from .symbols import Symbol
@@ -275,6 +283,7 @@ def psi_sup_estimate(K: int, grid_n: int = 512) -> NormEstimate:
     check_budget(grid_n, MAX_GRID_POINTS, "tensor grid (MAX_GRID_POINTS)", "points")
     check_budget(grid_n, MAX_1D_GRID_POINTS, "one-dimensional grid (MAX_1D_GRID_POINTS)", "points")
     check_budget(K, MAX_PSI_TRUNC, "completion series truncation (MAX_PSI_TRUNC)", "terms per side")
+    check_budget((66 * K + 58 * grid_n) / 2**20, MAX_PSI_MB, "completion series memory (MAX_PSI_MB)", "MB")
     ks = np.arange(-K, K + 1)
     (values,) = _grid_values(ks[:, None], PsiSeries.coefficient(ks), grid_n)
     envelope = grid_n / (2.0 * math.pi * K)

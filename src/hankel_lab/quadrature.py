@@ -236,7 +236,8 @@ def _reduce(s: Symbol) -> Symbol:
     given = [[list(axis) for axis in zip(*support)]] if len(axes) == s.dim else []
     axes = min(given + [axes, narrow], key=lambda a: max(max(x) - min(x) for x in a))
     shifted = [[x - min(axis) for x in axis] for axis in axes]
-    return Symbol(len(axes), [(c, s.coeff(alpha)) for c, alpha in zip(zip(*shifted), support)])
+    # distinct tuples of integers >= 0: the map from the support is one to one
+    return Symbol._of(len(axes), dict(zip(zip(*shifted), map(s.coeff, support))))
 
 
 def _spread(s: Symbol) -> int:

@@ -20,6 +20,7 @@ import cmath
 import functools
 import itertools
 import math
+import operator
 
 from .errors import DomainError, ParseError
 
@@ -62,6 +63,28 @@ def _root_sum_squares(pairs) -> float:
     return value
 
 
+def _check_dim(dim):
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
+        raise DomainError(f"dimension must be a positive integer, got {dim!r}")
+
+
+def _canonical(coeffs):
+    """coeffs, a dict keyed by distinct exponent tuples, as a symbol stores it.
+
+    The terms come in graded-lex order (one sort of (-degree, alpha),
+    descending, which for distinct keys is the order of grlex_key), exact
+    zeros are dropped, and 0j + c turns a -0.0 part into +0.0, as summing
+    from 0j does. DomainError names the first coefficient that is not
+    finite, which also catches sums and products that overflow.
+    """
+    if not all(map(cmath.isfinite, coeffs.values())):
+        for alpha, c in coeffs.items():
+            if not cmath.isfinite(c):
+                raise DomainError(f"coefficient {0j + c} of multi-index {alpha} is not finite")
+    keys = [a for a, c in coeffs.items() if c != 0]
+    return {a: 0j + coeffs[a] for _, a in sorted(zip(map(operator.neg, map(sum, keys)), keys), reverse=True)}
+
+
 def _validated_index(alpha, dim):
     alpha = tuple(alpha)
     if len(alpha) != dim:
@@ -80,19 +103,28 @@ class Symbol:
     __slots__ = ("dim", "_coeffs")
 
     def __init__(self, dim, terms=()):
-        if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-            raise DomainError(f"dimension must be a positive integer, got {dim!r}")
+        _check_dim(dim)
         coeffs = {}
         for alpha, c in terms:
             alpha = _validated_index(alpha, dim)
             coeffs[alpha] = coeffs.get(alpha, 0j) + complex(c)
-        for alpha, c in coeffs.items():  # also catches sums and products that overflow
-            if not cmath.isfinite(c):
-                raise DomainError(f"coefficient {c} of multi-index {alpha} is not finite")
         self.dim = dim
-        self._coeffs = {a: coeffs[a] for a in sorted(coeffs, key=grlex_key) if coeffs[a] != 0}
+        self._coeffs = _canonical(coeffs)
 
     # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def _of(cls, dim, coeffs) -> "Symbol":
+        """The symbol with coeffs, a dict keyed by exponent tuples that are valid by construction.
+
+        For builders whose keys are distinct tuples of dim integers >= 0
+        already: no index is validated, but the coefficients are checked and
+        ordered as the public constructor does.
+        """
+        self = object.__new__(cls)
+        self.dim = dim
+        self._coeffs = _canonical(coeffs)
+        return self
 
     @classmethod
     def zero(cls, dim) -> "Symbol":
@@ -154,7 +186,7 @@ class Symbol:
 
     def homogeneous_part(self, m) -> "Symbol":
         """Restriction to the terms of total degree m."""
-        return Symbol(self.dim, [(a, c) for a, c in self._coeffs.items() if degree(a) == m])
+        return Symbol._of(self.dim, {a: c for a, c in self._coeffs.items() if degree(a) == m})
 
     # -- algebra -----------------------------------------------------------
 
@@ -169,11 +201,13 @@ class Symbol:
         if not isinstance(other, Symbol):
             return NotImplemented
         self._require_same_dim(other)
-        terms = list(self._coeffs.items()) + list(other._coeffs.items())
-        return Symbol(self.dim, terms)
+        coeffs = dict(self._coeffs)
+        for a, c in other._coeffs.items():
+            coeffs[a] = coeffs.get(a, 0j) + c
+        return Symbol._of(self.dim, coeffs)
 
     def __neg__(self):
-        return Symbol(self.dim, [(a, -c) for a, c in self._coeffs.items()])
+        return Symbol._of(self.dim, {a: -c for a, c in self._coeffs.items()})
 
     def __sub__(self, other):
         if not isinstance(other, Symbol):
@@ -183,13 +217,16 @@ class Symbol:
     def __mul__(self, other):
         if isinstance(other, Symbol):
             self._require_same_dim(other)
-            terms = []
+            coeffs = {}  # the products summed in the order the terms come
+            get = coeffs.get
             for a, ca in self._coeffs.items():
                 for b, cb in other._coeffs.items():
-                    terms.append((tuple(x + y for x, y in zip(a, b)), ca * cb))
-            return Symbol(self.dim, terms)
+                    key = tuple(map(operator.add, a, b))
+                    coeffs[key] = get(key, 0j) + ca * cb
+            return Symbol._of(self.dim, coeffs)
         if isinstance(other, (int, float, complex)):
-            return Symbol(self.dim, [(a, c * other) for a, c in self._coeffs.items()])
+            # complex(): a numpy scalar's product is a numpy scalar
+            return Symbol._of(self.dim, {a: complex(c * other) for a, c in self._coeffs.items()})
         return NotImplemented
 
     def __rmul__(self, other):
@@ -215,7 +252,7 @@ class Symbol:
 
         On the torus this realises z -> conj(phi(conj(z))).
         """
-        return Symbol(self.dim, [(a, c.conjugate()) for a, c in self._coeffs.items()])
+        return Symbol._of(self.dim, {a: c.conjugate() for a, c in self._coeffs.items()})
 
     def evaluate(self, angles) -> complex:
         """Value at the torus point (e^{i t_1}, ..., e^{i t_d})."""
@@ -234,7 +271,8 @@ class Symbol:
         if new_dim < self.dim:
             raise DomainError(f"cannot embed dimension {self.dim} into {new_dim}")
         pad = (0,) * (new_dim - self.dim)
-        return Symbol(new_dim, [(a + pad, c) for a, c in self._coeffs.items()])
+        _check_dim(new_dim)
+        return Symbol._of(new_dim, {a + pad: c for a, c in self._coeffs.items()})
 
     # -- rendering ---------------------------------------------------------
 
@@ -368,7 +406,7 @@ def split_factors(s: Symbol):
             fit.append(coeffs[tuple(alpha)] / scale)
         fits.append(np.array(fit))
         positions.append(position)
-        factors.append((tuple(group), Symbol(len(group), zip(keys, fit))))
+        factors.append((tuple(group), Symbol._of(len(group), dict(zip(keys, fit)))))
     # The support is the product of the projections, so a term's fitted value
     # is the product of one coefficient from each factor, gathered per factor.
     # The products are Python's complex products, written out in real
@@ -396,6 +434,13 @@ def split_factors(s: Symbol):
 # with repr() so the writer/parser round-trip is bit-identical. A term line
 # is also the body of a recipe leaf (mono <re> <im> : <e1> ... <ed>), so
 # parse_term and format_term serve both formats.
+#
+# parse_symbol reads format_symbol's own layout in bulk: the header on the
+# first line, then only term lines of d + 3 tokens with ':' the third, finite
+# coefficients, exponents >= 0 and no index twice. Any other file (a
+# comment, a blank line, another token count, a value float() or int()
+# refuses, a repeated index) is read line by line through parse_term, which
+# sums repeated indices in file order and names the line of each error.
 
 
 def format_term(alpha, c) -> str:
@@ -436,9 +481,50 @@ def format_symbol(s: Symbol) -> str:
 
 
 def parse_symbol(text: str) -> Symbol:
+    lines = text.splitlines()
+    s = _read_layout(lines)
+    return s if s is not None else _read_lines(lines)
+
+
+def _read_layout(lines):
+    """The symbol of lines in format_symbol's layout, read in bulk; None if they depart from it.
+
+    Every coefficient, exponent and key goes through the builtins that
+    parse_term calls, mapped over the whole file at once. A file this
+    declines is read line by line, which reports what is wrong and where.
+    """
+    head = lines[0].split() if lines else []
+    if len(head) != 2 or head[0] != "dim":
+        return None
+    try:
+        dim = int(head[1])
+    except ValueError:
+        return None
+    width = dim + 3
+    rows = list(map(str.split, lines[1:]))
+    if dim < 1 or not rows or any(map(width.__ne__, map(len, rows))):
+        return None
+    tokens = list(itertools.chain.from_iterable(rows))
+    if tokens[2::width].count(":") != len(rows):
+        return None
+    try:
+        coeffs = list(map(complex, map(float, tokens[0::width]), map(float, tokens[1::width])))
+        exponents = list(map(int, itertools.compress(tokens, itertools.cycle([False] * 3 + [True] * dim))))
+    except ValueError:
+        return None
+    if not all(map(cmath.isfinite, coeffs)) or min(exponents) < 0:
+        return None
+    terms = dict(zip(zip(*[iter(exponents)] * dim), coeffs))
+    if len(terms) != len(rows):  # a repeated index: summed in file order, line by line
+        return None
+    return Symbol._of(dim, terms)
+
+
+def _read_lines(lines):
+    """The symbol of lines in the full grammar, one line at a time."""
     dim = None
     terms = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

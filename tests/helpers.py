@@ -8,10 +8,12 @@ simplex matrices, and plain trapezoid loops.
 import cmath
 import itertools
 import math
+import struct
 
 import numpy as np
 
-from hankel_lab import Symbol, grlex_key, make_symbol
+from hankel_lab import DomainError, ParseError, Symbol, grlex_key, make_symbol
+from hankel_lab.symbols import parse_term
 
 
 def z(dim, j):
@@ -187,3 +189,40 @@ def brute_norm(s, max_degree=None):
     if mat.size == 0:
         return 0.0
     return float(np.linalg.svd(mat, compute_uv=False)[0])
+
+
+def read_by_lines(text):
+    """A symbol file read one line at a time: each term through parse_term, all through Symbol.
+
+    The reference for parse_symbol, whatever path it takes: the same
+    terms, summed in file order, or the same ParseError at the same line.
+    """
+    dim, terms = None, []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if dim is None:
+            parts = line.split()
+            if len(parts) != 2 or parts[0] != "dim":
+                raise ParseError(f"expected 'dim <d>', got {line!r}", line=lineno)
+            try:
+                dim = int(parts[1])
+            except ValueError:
+                raise ParseError(f"bad dimension {parts[1]!r}", line=lineno) from None
+            if dim < 1:
+                raise ParseError(f"dimension must be >= 1, got {dim}", line=lineno)
+            continue
+        terms.append(parse_term(line, lineno, dim))
+    if dim is None:
+        raise ParseError("missing 'dim <d>' header")
+    return Symbol(dim, terms)
+
+
+def symbol_outcome(read, text):
+    """What read(text) gives: the dimension and terms, coefficients as bytes (so -0.0 and 0.0 differ), or the error."""
+    try:
+        s = read(text)
+    except (ParseError, DomainError) as exc:
+        return type(exc).__name__, str(exc)
+    return s.dim, [(alpha, struct.pack("<dd", c.real, c.imag)) for alpha, c in s.terms()]

@@ -481,6 +481,15 @@ class TestHpNorm:
         assert time.perf_counter() - start < 1.0
         assert (code, out, err) == (1, "", self.LINE_REFUSED)
 
+    def test_psi_at_both_budgets_is_refused_before_allocation(self, capsys):
+        # each of --trunc and --grid is at its own budget; together they would peak near 1 GB
+        start = time.perf_counter()
+        code, out, err = run(capsys, "psi", "--trunc", "10000000", "--grid", "8388608")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (1, "")
+        assert err == "error: completion series memory (MAX_PSI_MB) exceeds the budget of 640 MB\n"
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("p, method", [("1", "exact"), ("2", "arc-quadrature")])
     def test_arc_and_exact_paths_take_no_grid(self, capsys, tmp_path, p, method):
         path = tmp_path / "w.sym"

@@ -9,6 +9,8 @@ from scipy.optimize import brentq
 from hankel_lab import (
     MAX_1D_GRID_POINTS,
     MAX_CEX_TRUNC,
+    MAX_PSI_MB,
+    MAX_PSI_TRUNC,
     BudgetError,
     DomainError,
     PsiSeries,
@@ -361,6 +363,21 @@ class TestPsi:
             psi_sup_estimate(10, 8)
         with pytest.raises(DomainError):
             PsiSeries(0)
+
+    def test_memory_budget_admits_each_budget_alone_but_not_both(self, monkeypatch):
+        class Allocated(Exception):
+            pass
+
+        def allocate(*args, **kwargs):
+            raise Allocated
+
+        # stop at the first array, so that an admitted call costs nothing
+        monkeypatch.setattr(np, "arange", allocate)
+        for K, grid_n in [(MAX_PSI_TRUNC, 512), (10, MAX_1D_GRID_POINTS)]:
+            with pytest.raises(Allocated):
+                psi_sup_estimate(K, grid_n)
+        with pytest.raises(BudgetError, match=rf"completion series memory \(MAX_PSI_MB\) exceeds the budget of {MAX_PSI_MB} MB"):
+            psi_sup_estimate(MAX_PSI_TRUNC, MAX_1D_GRID_POINTS)
 
     def test_whole_difference_grid_is_budgeted(self):
         # the difference grid is one array, held to MAX_1D_GRID_POINTS before it is built

@@ -11,6 +11,7 @@ from hankel_lab import (
     build_recipe,
     cex_truncation,
     format_symbol,
+    grlex_key,
     make_symbol,
     parse_recipe,
     parse_symbol,
@@ -28,6 +29,8 @@ from helpers import (
     phi2,
     phi3,
     random_symbol,
+    read_by_lines,
+    symbol_outcome,
     z,
 )
 
@@ -289,6 +292,164 @@ class TestTextFormat:
     def test_missing_header(self):
         with pytest.raises(ParseError):
             parse_symbol("# nothing here\n")
+
+
+BIG = 2**63
+
+
+class TestBulkReader:
+    """parse_symbol against a one-line-at-a-time reference: the same terms, bit for bit, or the same error."""
+
+    def assert_as_reference(self, text):
+        got = symbol_outcome(parse_symbol, text)
+        assert got == symbol_outcome(read_by_lines, text)
+        return got
+
+    def test_format_symbol_layout(self):
+        rng = np.random.default_rng(31)
+        for dim in (1, 2, 3, 7):
+            for _ in range(5):
+                self.assert_as_reference(format_symbol(random_symbol(rng, dim)))
+        signed_zeros = make_symbol(2, [((1, 0), complex(-0.0, 1.0)), ((0, 1), complex(2.5, -0.0)), ((0, 0), -1e-300)])
+        self.assert_as_reference(format_symbol(signed_zeros))
+        self.assert_as_reference("dim 2\n")
+        self.assert_as_reference("dim 1000000000\n")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "# heading\ndim 2\n1.0 0.0 : 1 0\n",
+            "dim 2\n\n1.0 0.0 : 1 0\n",
+            "dim 2\n1.0 0.0 : 1 0\n# trailing\n",
+            "dim 2\r\n1.0 0.0 : 1 0\r\n0.5 -0.0 : 0 1\r\n",
+            "dim\t2\n1.0\t0.0\t:\t1\t0\n",
+            "  dim 2  \n  1.0 0.0 : 1 0  \n",
+        ],
+        ids=["comment", "blank", "trailing-comment", "crlf", "tabs", "padding"],
+    )
+    def test_comments_blanks_line_ends_and_spacing(self, text):
+        dim, terms = self.assert_as_reference(text)
+        assert dim == 2 and terms[0][0] == (1, 0)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "dim 1\n1.0 0.0 : 2\n0.5 0.0 : 2\n",
+            "dim 2\n1.0 -0.0 : 1 0\n-1.0 -0.0 : 1 0\n0.5 0.5 : 0 1\n",
+            "dim 1\n-0.0 1.0 : 1\n-0.0 -1.0 : 1\n",
+            "dim 1\n1.0 -0.0 : 1\n-1.0 2.0 : 1\n3.0 0.0 : 0\n",
+            "dim 1\n1e308 0.0 : 1\n1e308 0.0 : 1\n",
+        ],
+        ids=["sum", "cancel-to-zero", "cancel-signed-zero", "partial-cancel", "sum-overflows"],
+    )
+    def test_duplicate_terms_are_summed_in_file_order(self, text):
+        self.assert_as_reference(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            f"dim 2\n1.0 0.0 : {BIG} 0\n2.0 0.0 : 0 {BIG + 1}\n3.0 0.0 : {2**64} {2**70}\n",
+            "dim 2\n1.0 0.0 : +1 0\n2.0 0.0 : 0 1_0\n1.5 0.0 : 0 10\n",
+            "dim 1\n1_0.5 +2 : 3\n",
+        ],
+        ids=["beyond-int64", "plus-and-underscore", "underscore-float"],
+    )
+    def test_integer_and_float_spellings(self, text):
+        assert self.assert_as_reference(text)[0] in (1, 2)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "dim 2\n1.0 0.0 : 1 0\nnan 0.0 : 0 1\n",
+            "dim 2\n1.0 0.0 : 1 0\n0.0 inf : 0 1\n",
+            "dim 2\n-inf 0.0 : 1 0\n",
+            "dim 2\n1.0 0.0 : 1 -1\n",
+            "dim 2\n1.0 0.0 : 1 0\n1.0 0.0 1 0 7\n",
+            "dim 2\n1.0 0.0 : 1\n",
+            "dim 2\n1.0 0.0 : 1 0 0\n",
+            "dim 2\n1 0 : 1 2 3\n4 : 5 6\n",
+            "dim 2\n1: 0 : 1 2\n",
+            "dim 2\n1.0 0.0 : 1 x\n",
+            "dim 0\n",
+            "dim two\n1.0 0.0 : 1 0\n",
+            "dim 2 3\n",
+            "",
+        ],
+        ids=[
+            "nan", "inf", "minus-inf", "negative-exponent", "missing-colon", "too-few-exponents",
+            "too-many-exponents", "tokens-shifted-between-lines", "colon-in-a-coefficient", "bad-exponent",
+            "dim-zero", "bad-dim", "long-header", "empty",
+        ],
+    )
+    def test_errors_match_the_line_reader(self, text):
+        assert self.assert_as_reference(text)[0] == "ParseError"
+
+
+class TestTrustedBuilders:
+    """Symbols that the algebra builds from valid parts, against the public constructor."""
+
+    SIGNED = make_symbol(
+        2,
+        [((0, 0), complex(1.0, 0.0)), ((1, 0), complex(0.0, 2.0)), ((0, 1), complex(-3.0, 0.0)), ((2, 0), 0.5)],
+    )
+
+    def test_negation_scaling_and_reflection_write_no_negative_zero(self):
+        s = self.SIGNED
+        for built, reference in [
+            (-s, Symbol(2, [(a, -c) for a, c in s.terms()])),
+            (s * -1, Symbol(2, [(a, c * -1) for a, c in s.terms()])),
+            (s.reflect(), Symbol(2, [(a, c.conjugate()) for a, c in s.terms()])),
+        ]:
+            assert "-0.0" not in format_symbol(reference)
+            assert format_symbol(built) == format_symbol(reference)
+
+    @pytest.mark.parametrize("dim, shift", [(1, 40), (3, 7), (4, BIG), (90, 3)])
+    def test_support_is_in_grlex_order(self, dim, shift):
+        rng = np.random.default_rng(dim)
+        for _ in range(5):
+            small = {tuple(rng.integers(0, 3, size=dim).tolist()) for _ in range(30)}
+            support = small | {tuple(e + shift if e else 0 for e in a) for a in small}
+            s = Symbol(dim, [(a, 1.0 + k) for k, a in enumerate(support)])
+            assert s.support == tuple(sorted(support, key=grlex_key))
+            for built in (s + s, s * s, -s, s.reflect(), s * 0.5, s.embed(dim + 1), s.homogeneous_part(2)):
+                assert built.support == tuple(sorted(built.support, key=grlex_key))
+
+    def test_overflow_message_is_the_constructors(self):
+        big = Symbol(1, [((0,), 1e308), ((1,), -1e308)])
+        for built, terms in [
+            (lambda: big + big, big.terms() + big.terms()),
+            (lambda: big * big, [((a[0] + b[0],), ca * cb) for a, ca in big.terms() for b, cb in big.terms()]),
+            (lambda: big * 10, [(a, c * 10) for a, c in big.terms()]),
+        ]:
+            with pytest.raises(DomainError) as got:
+                built()
+            with pytest.raises(DomainError) as reference:
+                Symbol(1, terms)
+            assert str(got.value) == str(reference.value)
+
+    @pytest.mark.parametrize("K", range(1, 9))
+    def test_cex_truncation_matches_the_public_constructor(self, K):
+        dim = K * (K + 1)
+
+        def mul(f, g):
+            return Symbol(dim, [(tuple(map(sum, zip(a, b))), ca * cb) for a, ca in f.terms() for b, cb in g.terms()])
+
+        def scale(f, x):
+            return Symbol(dim, [(a, c * x) for a, c in f.terms()])
+
+        def unit(j):
+            return tuple(int(i == j) for i in range(dim))
+
+        total = Symbol(dim)
+        for k in range(1, K + 1):
+            block = Symbol.one(dim)
+            for j in range((k - 1) * k // 2 + 1, k * (k + 1) // 2 + 1):
+                pair = Symbol(dim, [(unit(2 * j - 2), 1.0), (unit(2 * j - 1), 1.0)])
+                block = mul(block, scale(pair, 1.0 / math.sqrt(2.0)))
+            total = Symbol(dim, total.terms() + scale(block, 1.0 / k).terms())
+        reference = scale(total, math.sqrt(6.0) / math.pi)
+        got = cex_truncation(K)
+        assert symbol_outcome(lambda _: got, None) == symbol_outcome(lambda _: reference, None)
 
 
 class TestSplitFactors:

@@ -23,6 +23,7 @@ from hankel_lab import (
     parse_symbol,
 )
 from hankel_lab.symbols import format_term, parse_term
+from helpers import read_by_lines, symbol_outcome
 
 # derandomized: the suite gives the same verdict on every run
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -109,3 +110,42 @@ def test_recipe_text_ends_in_value_or_typed_error(text):
         build_recipe(parse_recipe(text))
     except (ParseError, DomainError):
         pass
+
+
+# Files close to format_symbol's layout, which parse_symbol reads in bulk:
+# mostly well-formed term lines, small exponents (so that terms repeat),
+# and now and then a token, a line or a line end that sends the file to the
+# line-by-line reader.
+GOOD_REALS = st.one_of(reals.map(repr), st.sampled_from(["-0.0", "0.0", "1", "+2", "1_0.5", "1e308"]))
+BAD_REALS = st.sampled_from(["nan", "inf", "-inf", "x", ":", "#1"])
+GOOD_EXPONENTS = st.one_of(st.integers(0, 2).map(str), st.sampled_from([str(2**63), str(2**64 + 1), "+1", "1_0"]))
+BAD_EXPONENTS = st.sampled_from(["-1", "x", ":", "1.0"])
+
+
+@st.composite
+def near_layout(draw):
+    def pick(good, bad):
+        return draw(bad) if draw(st.integers(0, 15)) == 0 else draw(good)
+
+    dim = draw(st.integers(1, 3))
+    lines = [f"dim {dim}"]
+    for _ in range(draw(st.integers(0, 6))):
+        tokens = [pick(GOOD_REALS, BAD_REALS), pick(GOOD_REALS, BAD_REALS), ":"]
+        tokens += [pick(GOOD_EXPONENTS, BAD_EXPONENTS) for _ in range(dim)]
+        edit = draw(st.integers(0, 20))
+        if edit == 0:
+            del tokens[draw(st.integers(0, len(tokens) - 1))]
+        elif edit == 1:
+            tokens.insert(draw(st.integers(0, len(tokens))), draw(GOOD_EXPONENTS))
+        elif edit == 2:
+            tokens = ["#"] + tokens
+        elif edit == 3:
+            tokens = []
+        lines.append(draw(st.sampled_from([" ", "\t", "  "])).join(tokens))
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines) + "\n"
+
+
+@SETTINGS
+@given(near_layout())
+def test_symbol_reader_matches_line_by_line_reference(text):
+    assert symbol_outcome(parse_symbol, text) == symbol_outcome(read_by_lines, text)
