@@ -14,18 +14,21 @@ hence the operator is fully represented on the downward closure of the
 support (all indices componentwise below some supported index). Everything
 outside that finite block is identically zero.
 
-The closure and the nonzero entries come from one enumeration of the boxes
+The closure and the nonzero entries come from one listing of the boxes
 {gamma <= alpha} of the support indices alpha (_downward_closure): the
 closure is the union of the boxes, and each gamma in a box gives the entry
-at row gamma and column alpha - gamma. Every matrix here is the walk over
-those entries scattered into zero blocks (_assemble): the whole matrix on
-the closure (build_matrix), the degree blocks of a homogeneous symbol
-(build_blocks), or the connected components (components). Joining row
-gamma to column beta on every entry splits the closure into components,
-each with its own row and column basis; the operator is the direct sum of
-their blocks, so its norm is the largest block norm, and the degree-k
-block of an m-homogeneous symbol is the direct sum of the components
-whose columns have degree k.
+at row gamma and column alpha - gamma. A listing that fits in one chunk of
+_PAIRS entries is kept and replayed by every walk over the entries; a
+longer one is listed again for each walk. Every matrix here is that walk
+scattered into zeros: the whole matrix on the closure directly into one
+n x n array (_matrix: build_matrix, and operator_norm up to _SPLIT_MIN
+closure indices), and the degree blocks of a homogeneous symbol
+(build_blocks) or the connected components (components) into zero blocks
+(_assemble). Joining row gamma to column beta on every entry splits the
+closure into components, each with its own row and column basis; the
+operator is the direct sum of their blocks, so its norm is the largest
+block norm, and the degree-k block of an m-homogeneous symbol is the
+direct sum of the components whose columns have degree k.
 """
 
 from __future__ import annotations
@@ -44,10 +47,11 @@ from .symbols import FACTOR_RTOL, Symbol, _root_sum_squares, degree, split_facto
 _PAIRS = 1 << 14
 # Up to this many closure indices operator_norm takes the whole matrix as
 # one block and runs no union-find: splitting costs 0.1-0.3 ms of numpy
-# calls, more than the SVDs it saves (2 vCPU, numpy 2.4, best of 7: a
-# 45-index closure in 9 components, 0.49 ms whole and 0.69 ms split; 66
-# indices in 11, 0.88 ms whole and 0.77 ms split; 120 in 15, 4.8 ms whole
-# and 0.8 ms split).
+# calls, more than the SVDs it saves (2 vCPU, numpy 2.4.6, best of 21, the
+# full homogeneous symbols of degree m in d=2: m=8, a 45-index closure in 9
+# components, 0.23 ms whole and 0.32 ms split; m=9, 55 in 10, 0.33 and
+# 0.34 ms; m=10, 66 in 11, 0.46 and 0.38 ms; m=14, 120 in 15, 2.96 and
+# 0.53 ms).
 _SPLIT_MIN = 64
 
 
@@ -134,13 +138,15 @@ def _downward_closure(s: Symbol):
 
     Returns (closure, walk). The closure is the distinct codes of the boxes
     (radix M_j + 1 on axis j, M_j the largest exponent there; Python ints
-    from 2^63) in graded lex order. walk() lists the boxes again and yields
-    (rows, cols, values) some _PAIRS entries at a time: the closure
-    positions of row gamma, found by one search among those codes, and of
-    column alpha - gamma, the mirror of gamma in its box, and the value
-    conj(phihat(alpha)). BudgetError is raised before any box is listed if
-    one exceeds MAX_CLOSURE or all exceed MAX_BASIS**2 entries, and as soon
-    as the merged codes exceed MAX_CLOSURE.
+    from 2^63) in graded lex order. walk() yields (rows, cols, values) some
+    _PAIRS entries at a time: the closure positions of row gamma, found by
+    one search among those codes, and of column alpha - gamma, the mirror
+    of gamma in its box, and the value conj(phihat(alpha)). The boxes are
+    listed once when they fit in one chunk, which every walk replays, and
+    listed again by each walk when they do not. BudgetError is raised
+    before any box is listed if one exceeds MAX_CLOSURE or all exceed
+    MAX_BASIS**2 entries, and as soon as the merged codes exceed
+    MAX_CLOSURE.
     """
     terms = s.terms()
     boxes = [math.prod(e + 1 for e in alpha) for alpha, _ in terms]
@@ -150,12 +156,14 @@ def _downward_closure(s: Symbol):
     top = radices.max(axis=0, initial=1).tolist()
     weights = [math.prod(top[j + 1:]) for j in range(s.dim)]
     dtype = object if math.prod(top) >= 1 << 63 else np.int64
-    codes = np.zeros(0, dtype=dtype)
-    for _, gamma, _ in _boxes(radices, weights, dtype):
-        # sorted runs, the codes so far and each box: a stable sort merges them
-        merged = np.sort(np.concatenate([codes, gamma]), kind="stable")
-        codes = merged[np.append(True, merged[1:] != merged[:-1])]
+    codes, chunks = np.zeros(0, dtype=dtype), 0
+    for chunk in _boxes(radices, weights, dtype):
+        codes = np.unique(np.concatenate([codes, chunk[1]]))
         check_budget(len(codes), MAX_CLOSURE, "closure (MAX_CLOSURE)", "monomials")
+        chunks += 1
+    # a listing of one chunk is kept for the walk; a longer one is listed
+    # again, so no more than one chunk is held at a time
+    listing = [chunk] if chunks == 1 else None
     digits = np.array([codes // w % t for w, t in zip(weights, top)], dtype=np.int64).T
     # codes ascend in lexicographic order, so graded lex is by degree, then by descending code
     order = np.lexsort((-np.arange(len(codes)), digits.sum(axis=1)))
@@ -164,7 +172,7 @@ def _downward_closure(s: Symbol):
     values = np.conj(np.array([c for _, c in terms]))
 
     def walk():
-        for owner, gamma, box in _boxes(radices, weights, dtype):
+        for owner, gamma, box in listing or _boxes(radices, weights, dtype):
             rows = at[np.searchsorted(codes, gamma)]
             mirror = np.repeat(2 * np.cumsum(box) - box - 1, box) - np.arange(len(gamma))
             yield rows, rows[mirror], values[owner]
@@ -231,6 +239,19 @@ def _assemble(closure, walk, row_part, col_part, count):
         yield _fill(closure, rows, cols, flat[starts[b]:ends[b]].reshape(len(rows), len(cols)))
 
 
+def _matrix(closure, walk):
+    """The whole matrix on closure, the walk scattered into an n x n zero array.
+
+    Over MAX_BASIS**2 entries is BudgetError, before the array is made.
+    """
+    n = len(closure)
+    check_budget(n * n, MAX_BASIS**2, "matrix (MAX_BASIS**2)", "entries")
+    matrix = np.zeros((n, n), dtype=complex)
+    for rows, cols, values in walk():
+        matrix[rows, cols] = values
+    return matrix
+
+
 def _join(label, u, v):
     """Merge the sets of u[i] and v[i] for every i.
 
@@ -270,11 +291,6 @@ def _split(closure, walk):
     return part[:n], part[n:], len(roots)
 
 
-def _whole(closure):
-    """The parts of the whole matrix on closure, one block."""
-    return np.zeros(len(closure), dtype=np.int64), np.zeros(len(closure), dtype=np.int64), 1
-
-
 def components(s: Symbol):
     """The blocks of the connected components of the operator's matrix.
 
@@ -298,7 +314,7 @@ def build_matrix(s: Symbol) -> HankelMatrix:
     empty matrix. Raises BudgetError above MAX_BASIS columns.
     """
     closure, walk = _downward_closure(s)
-    return next(_assemble(closure, walk, *_whole(closure)))
+    return HankelMatrix(closure, closure, _matrix(closure, walk))
 
 
 def build_blocks(s: Symbol, ks):
@@ -429,13 +445,14 @@ def _frobenius_bound(delta: Symbol) -> float:
     The Frobenius norm of H_delta, since alpha fills prod(alpha_j + 1)
     entries; it bounds the norm of every block of H_delta too.
     """
-    return _root_sum_squares((math.prod(e + 1 for e in a), c) for a, c in delta.terms())
+    terms = delta.terms()
+    return _root_sum_squares([math.prod(map((1).__add__, a)) for a, _ in terms], [c for _, c in terms])
 
 
 def _dense_norm(s: Symbol) -> NormEstimate:
     closure, walk = _downward_closure(s)
     n = len(closure)
-    blocks = _assemble(closure, walk, *(_split(closure, walk) if n > _SPLIT_MIN else _whole(closure)))
+    blocks = _assemble(closure, walk, *_split(closure, walk)) if n > _SPLIT_MIN else [_matrix(closure, walk)]
     value = max((spectral_norm(block).value for block in blocks), default=0.0)
     return NormEstimate(value, "spectral-exact", 1e-12 * value, f"active basis {n}x{n}")
 

@@ -107,22 +107,35 @@ def _require_even(d):
         raise DomainError(f"bound is stated for even d >= 2, got {d!r}")
 
 
+def _power_bound(d, base, exponent, method) -> BoundReport:
+    """The bound base ** exponent in dimension d; DomainError past the double range."""
+    try:
+        value = base**exponent
+    except OverflowError:
+        raise DomainError(f"the {method} lower bound for d={d} exceeds the double range") from None
+    return BoundReport(d, value, method)
+
+
 def quadratic_witness_lower(d: int) -> BoundReport:
     """C_d >= (5 pi / (pi + 6 sqrt(3)))^(d/2) for even d.
 
     The base case is the dual bound with f = z1^2 + z1 z2 + z2^2 and
     phi = z1^2 + z1 z2 / 2 + z2^2; products of translated copies multiply
-    the bound across pairs of variables.
+    the bound across pairs of variables. From d = 9530 on the value exceeds
+    the double range and is refused (DomainError).
     """
     _require_even(d)
-    base = 5.0 * math.pi / (math.pi + 6.0 * math.sqrt(3.0))
-    return BoundReport(d, base ** (d / 2), "quadratic-witness")
+    return _power_bound(d, 5.0 * math.pi / (math.pi + 6.0 * math.sqrt(3.0)), d / 2, "quadratic-witness")
 
 
 def pairsum_witness_lower(d: int) -> BoundReport:
-    """C_d >= (pi^2 / 8)^(d/4) for even d, from the symbol z1 + z2."""
+    """C_d >= (pi^2 / 8)^(d/4) for even d, from the symbol z1 + z2.
+
+    From d = 13520 on the value exceeds the double range and is refused
+    (DomainError).
+    """
     _require_even(d)
-    return BoundReport(d, (math.pi**2 / 8.0) ** (d / 4), "pairsum-witness")
+    return _power_bound(d, math.pi**2 / 8.0, d / 4, "pairsum-witness")
 
 
 # -- tuned quadratic search --------------------------------------------------

@@ -40,8 +40,8 @@ def grlex_key(alpha):
     return (sum(alpha), tuple(-e for e in alpha))
 
 
-def _root_sum_squares(pairs) -> float:
-    """sqrt(sum_k w_k |c_k|^2) over (w_k, c_k) pairs with weights w_k >= 0.
+def _root_sum_squares(weights, coefs) -> float:
+    """sqrt(sum_k w_k |c_k|^2) over weights w_k >= 0 and coefficients c_k.
 
     Summed as given (math.fsum) when that is finite. A modulus beyond
     about 1.34e154 has a square that overflows a double; the sum is then
@@ -49,15 +49,16 @@ def _root_sum_squares(pairs) -> float:
     M after the square root. DomainError if the result itself exceeds the
     double range.
     """
-    pairs = [(w, abs(c)) for w, c in pairs]
+    weights, moduli = list(weights), list(map(abs, coefs))
     try:
-        total = math.fsum(w * m**2 for w, m in pairs)
-    except OverflowError:
+        total = math.fsum(map(operator.mul, weights, map(operator.mul, moduli, moduli)))
+    except OverflowError:  # finite terms whose sum overflows
         total = math.inf
     if math.isfinite(total):
         return math.sqrt(total)
-    top = max(m for _, m in pairs)
-    value = top * math.sqrt(math.fsum(w * (m / top) ** 2 for w, m in pairs))
+    top = max(moduli)
+    scaled = [m / top for m in moduli]
+    value = top * math.sqrt(math.fsum(map(operator.mul, weights, map(operator.mul, scaled, scaled))))
     if not math.isfinite(value):
         raise DomainError(f"the root sum of squares exceeds the double range (largest modulus {top:.3g})")
     return value
@@ -177,7 +178,7 @@ class Symbol:
 
     def is_homogeneous(self):
         """The common total degree m, or None. The zero symbol reports 0."""
-        degrees = {degree(a) for a in self._coeffs}
+        degrees = set(map(sum, self._coeffs))
         if not degrees:
             return 0
         if len(degrees) == 1:
@@ -245,7 +246,7 @@ class Symbol:
 
     def h2_norm(self) -> float:
         """sqrt of the sum of squared coefficient moduli (Parseval)."""
-        return _root_sum_squares((1, c) for c in self._coeffs.values())
+        return _root_sum_squares([1] * len(self._coeffs), self._coeffs.values())
 
     def reflect(self) -> "Symbol":
         """Conjugate every coefficient; the support is unchanged.
@@ -348,6 +349,7 @@ def split_factors(s: Symbol):
 
     def root(j):
         while parent[j] != j:
+            parent[j] = parent[parent[j]]  # path halving
             j = parent[j]
         return j
 
@@ -365,16 +367,20 @@ def split_factors(s: Symbol):
         return len(set(zip(*(columns[j] for j in group))))
 
     n = len(support)
-    groups, merged = [], []
-    for group in components.values():
-        rest = tuple(j for j in moving if j not in group)
-        if projected(tuple(group)) * projected(rest) == n:
-            groups.append(group)
-        else:
-            merged += group
-    if merged:
-        groups.append(sorted(merged))
-    groups.sort()
+    groups = sorted(components.values())
+    # a support that is the product of the components' projections is also
+    # the product of each one's and the rest's, so every component splits off
+    if math.prod(projected(tuple(g)) for g in groups) != n:
+        groups, merged = [], []
+        for group in components.values():
+            rest = tuple(j for j in moving if j not in group)
+            if projected(tuple(group)) * projected(rest) == n:
+                groups.append(group)
+            else:
+                merged += group
+        if merged:
+            groups.append(sorted(merged))
+        groups.sort()
     if len(groups) < 2 or math.prod(projected(tuple(g)) for g in groups) != n:
         return whole
     groups[0] = sorted(groups[0] + [j for j in range(d) if sizes[j] == 1])
@@ -386,7 +392,7 @@ def split_factors(s: Symbol):
     moduli = list(map(abs, values))
     top = support[max(range(n), key=moduli.__getitem__)]
     # exponents from 2^63 up do not fit int64 and stay exact Python ints
-    exponents = np.array(support, dtype=np.int64 if max(map(max, support)) < 1 << 63 else object)
+    exponents = np.array(columns, dtype=np.int64 if max(map(max, columns)) < 1 << 63 else object).T
     fits, positions, factors = [], [], []
     for i, group in enumerate(groups):
         scale = 1.0 if i == 0 else coeffs[top]

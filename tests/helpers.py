@@ -111,6 +111,108 @@ def perturbed(rng, s, eps):
     return make_symbol(s.dim, [(a, c * (1 + eps * complex(*rng.normal(size=2)))) for a, c in s.terms()])
 
 
+def split_factors_reference(s):
+    """split_factors as first written: the reference that faster versions must match bit for bit.
+
+    Every candidate group takes its own "splits off the rest" test before
+    the product of all groups is checked, root walks its chain without
+    compressing it, and the exponent array comes from the support's tuples.
+    """
+    d = s.dim
+    support = list(s._coeffs)
+    whole = ([(tuple(range(d)), s)], Symbol.zero(d))
+    if len(support) < 2:
+        return whole
+    columns = list(zip(*support))
+    sizes = [len(set(column)) for column in columns]
+    moving = [j for j in range(d) if sizes[j] > 1]
+    parent = {j: j for j in moving}
+
+    def root(j):
+        while parent[j] != j:
+            j = parent[j]
+        return j
+
+    for i, j in itertools.combinations(moving, 2):
+        ri, rj = root(i), root(j)
+        if ri != rj and len(set(zip(columns[i], columns[j]))) != sizes[i] * sizes[j]:
+            parent[ri] = rj
+    components = {}
+    for j in moving:
+        components.setdefault(root(j), []).append(j)
+
+    def projected(group):
+        return len(set(zip(*(columns[j] for j in group))))
+
+    n = len(support)
+    groups, merged = [], []
+    for group in components.values():
+        rest = tuple(j for j in moving if j not in group)
+        if projected(tuple(group)) * projected(rest) == n:
+            groups.append(group)
+        else:
+            merged += group
+    if merged:
+        groups.append(sorted(merged))
+    groups.sort()
+    if len(groups) < 2 or math.prod(projected(tuple(g)) for g in groups) != n:
+        return whole
+    groups[0] = sorted(groups[0] + [j for j in range(d) if sizes[j] == 1])
+
+    coeffs = s._coeffs
+    values = list(coeffs.values())
+    moduli = list(map(abs, values))
+    top = support[max(range(n), key=moduli.__getitem__)]
+    exponents = np.array(support, dtype=np.int64 if max(map(max, support)) < 1 << 63 else object)
+    fits, positions, factors = [], [], []
+    for i, group in enumerate(groups):
+        scale = 1.0 if i == 0 else coeffs[top]
+        block = exponents[:, group]
+        order = np.lexsort(block.T)
+        first = np.ones(n, dtype=bool)
+        first[1:] = (block[order[1:]] != block[order[:-1]]).any(axis=1)
+        position = np.empty(n, dtype=np.int64)
+        position[order] = np.cumsum(first) - 1
+        keys = [tuple(a) for a in block[order[first]].tolist()]
+        fit = []
+        for a in keys:
+            alpha = list(top)
+            for j, e in zip(group, a):
+                alpha[j] = e
+            fit.append(coeffs[tuple(alpha)] / scale)
+        fits.append(np.array(fit))
+        positions.append(position)
+        factors.append((tuple(group), Symbol._of(len(group), dict(zip(keys, fit)))))
+    re, im = fits[0].real[positions[0]], fits[0].imag[positions[0]]
+    for fit, position in zip(fits[1:], positions[1:]):
+        fit_re, fit_im = fit.real[position], fit.imag[position]
+        re, im = re * fit_re - im * fit_im, re * fit_im + im * fit_re
+    residual = np.array(values) - (re + 1j * im)
+    if np.isfinite(residual).all():
+        delta = Symbol.__new__(Symbol)
+        delta.dim = d
+        delta._coeffs = {a: c for a, c in zip(support, residual.tolist()) if c != 0}
+    else:
+        delta = Symbol(d, zip(support, residual.tolist()))
+    return factors, delta
+
+
+def root_sum_squares_reference(pairs):
+    """symbols._root_sum_squares as first written, over (weight, coefficient) pairs."""
+    pairs = [(w, abs(c)) for w, c in pairs]
+    try:
+        total = math.fsum(w * m**2 for w, m in pairs)
+    except OverflowError:
+        total = math.inf
+    if math.isfinite(total):
+        return math.sqrt(total)
+    top = max(m for _, m in pairs)
+    value = top * math.sqrt(math.fsum(w * (m / top) ** 2 for w, m in pairs))
+    if not math.isfinite(value):
+        raise DomainError(f"the root sum of squares exceeds the double range (largest modulus {top:.3g})")
+    return value
+
+
 def downward_closure(support):
     """Brute-force closure: the union of the boxes {gamma <= alpha}, sorted by grlex_key."""
     closed = set()

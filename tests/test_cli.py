@@ -593,6 +593,18 @@ class TestNehariCommands:
         assert code == 1
         assert "even" in err
 
+    def test_bounds_past_the_double_range_are_refused(self, capsys):
+        code, out, err = run(capsys, "nehari-bound", "--d", "9528", "--json")
+        assert (code, err) == (0, "")
+        values = [row["value"] for row in json.loads(out)["reports"]]
+        assert len(values) == 2 and all(math.isfinite(v) for v in values)
+        # from 9530 the quadratic bound, the larger, is past the double range;
+        # the pair-sum bound follows from 13520
+        for d in (9530, 13518, 13520):
+            code, out, err = run(capsys, "nehari-bound", "--d", str(d))
+            assert (code, out) == (1, "")
+            assert err == f"error: the quadratic-witness lower bound for d={d} exceeds the double range\n"
+
     def test_dual_bound_from_files(self, capsys, tmp_path):
         f_path = tmp_path / "f.sym"
         f_path.write_text(quadratic(1.0))

@@ -236,6 +236,61 @@ class TestAssembly:
             assert block.entries.tobytes() == single.entries.tobytes()
 
 
+def chunked_results(s):
+    """What the closure and its walks give for s, as exact values: bases, walk, matrix, components, norms."""
+    closure, walk = hankel._downward_closure(s)
+    rows, cols, values = (np.concatenate(parts) for parts in zip(*walk()))
+    matrix = build_matrix(s)
+    results = [
+        active_bases(s),
+        (closure, rows.tolist(), cols.tolist(), values.tobytes()),
+        (matrix.column_basis, matrix.row_basis, matrix.entries.tobytes()),
+        [(b.column_basis, b.row_basis, b.entries.tobytes()) for b in components(s)],
+        operator_norm(s),
+    ]
+    if s.is_homogeneous() is not None:
+        results.append(hankel.decisive_block_norms(s))
+    return results
+
+
+class TestChunking:
+    """A listing kept as one chunk and one listed again, chunk by chunk, for every walk agree."""
+
+    @staticmethod
+    def symbols():
+        rng = np.random.default_rng(71)
+        out = [random_symbol(rng, dim, max_degree=4, n_terms=6) for dim in (1, 2, 3, 4)]
+        out += [random_symbol(rng, dim, homogeneous=m, n_terms=6) for dim, m in ((2, 6), (3, 4), (4, 3))]
+        out += [cex_truncation(K) for K in range(3, 7)]
+        # radix 3 on the first of 70 axes and 2 on the rest: codes pass 2^70 and are Python ints
+        out += [z(70, 0) * sum((z(70, j) for j in range(1, 70)), (0.5 - 1j) * z(70, 0))]
+        return out
+
+    def test_one_chunk_and_many_agree(self, monkeypatch):
+        symbols = self.symbols()
+        listed, boxes = [], hankel._boxes
+
+        def counted(*args):
+            listed.append(1)
+            yield from boxes(*args)
+
+        monkeypatch.setattr(hankel, "_boxes", counted)
+        expected = []
+        for s in symbols:
+            del listed[:]
+            closure, walk = hankel._downward_closure(s)
+            list(walk()), list(walk())
+            assert len(listed) == 1  # every listing here is one chunk, kept for both walks
+            expected.append(chunked_results(s))
+        for pairs in (1, 7):
+            monkeypatch.setattr(hankel, "_PAIRS", pairs)
+            del listed[:]
+            closure, walk = hankel._downward_closure(symbols[-1])
+            list(walk()), list(walk())
+            assert len(listed) == 3  # several chunks: listed again for each walk
+            assert [chunked_results(s) for s in symbols] == expected
+
+
 def connected_parts(s):
     """Oracle for components: breadth-first search over the entry rule on the closure."""
     closure = sorted(active_bases(s)[0])

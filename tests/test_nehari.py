@@ -127,6 +127,17 @@ class TestClosedFormBounds:
         assert quadratic_witness_lower(4).method == "quadratic-witness"
         assert pairsum_witness_lower(4).method == "pairsum-witness"
 
+    @pytest.mark.parametrize(
+        "bound, last, method",
+        [(quadratic_witness_lower, 9528, "quadratic-witness"), (pairsum_witness_lower, 13518, "pairsum-witness")],
+    )
+    def test_past_the_double_range_refused(self, bound, last, method):
+        # the last even d whose bound is a double, and the next
+        assert math.isfinite(bound(last).bound_value) and bound(last).bound_value > 1e308
+        with pytest.raises(DomainError) as err:
+            bound(last + 2)
+        assert str(err.value) == f"the {method} lower bound for d={last + 2} exceeds the double range"
+
 
 class TestSearch:
     def test_optimal_c_in_expected_window(self):

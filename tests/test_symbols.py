@@ -18,7 +18,9 @@ from hankel_lab import (
     separate_variables,
     split_factors,
 )
+from hankel_lab.symbols import _root_sum_squares
 from helpers import (
+    circle_factor,
     embedded_product,
     eval_direct,
     grid_mean_abs_pow,
@@ -29,7 +31,10 @@ from helpers import (
     phi2,
     phi3,
     random_symbol,
+    perturbed,
     read_by_lines,
+    root_sum_squares_reference,
+    split_factors_reference,
     symbol_outcome,
     z,
 )
@@ -532,6 +537,64 @@ class TestSplitFactors:
         factors, delta = split_factors(s)
         assert factors == [((0,), make_symbol(1, [((0,), 1.0), ((e,), 1.0)])), ((1,), make_symbol(1, [((0,), 1.0), ((1,), 1.0)]))]
         assert delta.is_zero
+
+    def test_matches_the_reference(self):
+        # the same groups, factor coefficients and delta, bit for bit, as split_factors first written
+        rng = np.random.default_rng(419)
+        one = Symbol.one
+        symbols = [one_variable_product(rng, degrees) for degrees in ([4], [3, 2], [2, 3, 1], [3, 2, 2, 1])]
+        symbols += [hom2_product(rng, degrees) for degrees in ([2], [2, 3], [1, 2, 2])]
+        for groups in ([(0, 1)], [(0,), (1, 2)], [(0, 2), (1,), (3, 4)], [(0,), (1,), (2, 3), (4,)]):
+            factors = [(g, random_symbol(rng, len(g), max_degree=3, n_terms=4)) for g in groups]
+            symbols.append(embedded_product(5, factors))
+        # the parity support on z1, z2, z3 does not split, so the product test fails and
+        # each group takes its own; (1 + z4) and (1 + 2 z5) still split off
+        parity = make_symbol(5, [((0, 0, 0, 0, 0), 1), ((1, 1, 0, 0, 0), 1j), ((1, 0, 1, 0, 0), 2), ((0, 1, 1, 0, 0), -1)])
+        symbols += [parity, parity * (one(5) + z(5, 3)), parity * (one(5) + z(5, 3)) * (one(5) - 2 * z(5, 4))]
+        symbols += [z(4, 0) * z(4, 0) * (one(4) + z(4, 1)) * (one(4) + 3 * z(4, 2))]
+        symbols += [cex_truncation(K) for K in range(3, 7)]
+        for e in (2**63, 10**23, 2**70):
+            big = [((0,), make_symbol(1, [((0,), 1.0), ((e,), 0.5j), ((e + 1,), -2.0)])), ((1,), circle_factor(rng, 2))]
+            symbols.append(embedded_product(3, big + [((2,), make_symbol(1, [((1,), 1.5), ((3 * e,), 1j)]))]))
+        symbols += [perturbed(rng, s, 1e-9) for s in symbols[:12]]
+        symbols += [make_symbol(2, [((0, 0), 1), ((1, 0), 1), ((0, 1), 1), ((1, 1), 2)])]
+
+        def outcome(split):
+            factors, delta = split
+            exact = [(variables, symbol_outcome(lambda _: f, None)) for variables, f in factors]
+            return exact, symbol_outcome(lambda _: delta, None)
+
+        splits = 0
+        for s in symbols:
+            assert outcome(split_factors(s)) == outcome(split_factors_reference(s))
+            splits += len(split_factors(s)[0]) > 1
+        assert splits >= 20
+
+    def test_root_sum_squares_matches_the_reference(self):
+        # the map(mul) sums against the (w, m**2) generator first written, in both branches and refused
+        rng = np.random.default_rng(421)
+        cases = [([], [])]
+        for exponent in (0, -200, 100, 153, 154, 160, 200, 300):
+            coefs = [complex(*rng.normal(size=2)) * 10.0**exponent for _ in range(12)]
+            cases.append(([int(w) for w in rng.integers(1, 1000, size=12)], coefs))
+        for _ in range(40):  # moduli spread over 1e160-1e300
+            coefs = [complex(*rng.normal(size=2)) * 10.0 ** rng.uniform(160, 300) for _ in range(8)]
+            cases.append(([int(w) for w in rng.integers(1, 50, size=8)], coefs))
+        # refused; a weight past the double range; finite squares whose sum overflows inside fsum
+        cases += [([1] * 4, [1e308, 1e308j, -1e308, 1e308]), ([10**300, 1], [1e10, 1.0]), ([1, 1], [1.2e154, 1.2e154j])]
+
+        def outcome(rss, *args):
+            try:
+                return rss(*args).hex()
+            except DomainError as err:
+                return str(err)
+
+        seen = set()
+        for weights, coefs in cases:
+            got = outcome(_root_sum_squares, weights, coefs)
+            assert got == outcome(root_sum_squares_reference, zip(weights, coefs))
+            seen.add(got.startswith("the root sum"))
+        assert seen == {True, False}
 
     def test_monomials_and_zero_do_not_split(self):
         for s in (Symbol.zero(3), z(3, 0) * z(3, 1), Symbol.one(2)):
