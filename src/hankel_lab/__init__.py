@@ -14,7 +14,6 @@ from .errors import MAX_PSI_MB, MAX_PSI_TRUNC, MAX_RECIPE_DEPTH, MAX_SAMPLES
 from .symbols import (
     Symbol,
     degree,
-    dominated_by,
     format_symbol,
     grlex_key,
     make_symbol,
@@ -107,7 +106,6 @@ __all__ = [
     "d1_monomial_test",
     "default_spec",
     "degree",
-    "dominated_by",
     "dual_bound",
     "format_recipe",
     "format_symbol",

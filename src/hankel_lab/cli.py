@@ -21,7 +21,7 @@ from numpy.linalg import LinAlgError
 
 from . import _threads  # noqa: F401  (thread cap must precede numpy-heavy work)
 from .errors import BudgetError, DomainError, ParseError
-from .hankel import build_block, build_blocks, float_texts, operator_norm, spectral_norm
+from .hankel import build_blocks, decisive_block_norms, float_texts, operator_norm, spectral_norm
 from .minimal import build_recipe, classify, classify_homogeneous, parse_recipe
 from .nehari import (
     PsiSeries,
@@ -320,9 +320,9 @@ def cmd_nehari_bound(args):
 
 
 def cmd_nehari_search(args):
-    best_c, step, report = search_c2(args.a, (args.cmin, args.cmax))
+    best_c, step, report = search_c2(args.a)
     rows = [_row("best_c", best_c, "search", step), *_witness_rows(report)]
-    _render("nehari-search", {"a": args.a, "cmin": args.cmin, "cmax": args.cmax}, rows, args.json)
+    _render("nehari-search", {"a": args.a}, rows, args.json)
     return 0
 
 
@@ -393,7 +393,7 @@ def _reproduce_rows():
     quadratic_half = Symbol(2, [((2, 0), 1.0), ((1, 1), 0.5), ((0, 2), 1.0)])
     add(
         "quadratic_block1_at_half",
-        spectral_norm(build_block(quadratic_half, 1)).value,
+        decisive_block_norms(quadratic_half)[0].value,
         1.5,
         1e-10,
     )
@@ -403,7 +403,7 @@ def _reproduce_rows():
     cubic = Symbol(2, [((3, 0), 1.0), ((2, 1), b), ((1, 2), b), ((0, 3), 1.0)])
     add(
         "cubic_block1_gram_at_threshold",
-        spectral_norm(build_block(cubic, 1)).value ** 2,
+        decisive_block_norms(cubic)[0].value ** 2,
         1.0 + 2.0 * b + 3.0 * b * b,
         1e-10,
     )
@@ -507,8 +507,6 @@ def _build_parser():
 
     p = sub.add_parser("nehari-search", help="tune the quadratic test function over c")
     p.add_argument("--a", type=float, required=True, help="middle coefficient of the symbol (0 <= a <= 1/2)")
-    p.add_argument("--cmin", type=float, default=0.0)
-    p.add_argument("--cmax", type=float, default=2.0)
     common(p)
     p.set_defaults(func=cmd_nehari_search)
 

@@ -25,6 +25,7 @@ disjointness structurally so the resulting symbol is certified minimal.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import MAX_RECIPE_DEPTH, DomainError, ParseError, check_budget
@@ -64,6 +65,8 @@ def _check_classify_args(s, tol):
         raise DomainError("cannot classify the zero symbol")
     if not tol >= 1e-12:  # also refuses NaN
         raise DomainError(f"tolerance must be >= 1e-12, got {tol}")
+    if tol == math.inf:  # every gap would be within it
+        raise DomainError(f"tolerance must be finite, got {tol}")
 
 
 def classify(s: Symbol, tol: float = 1e-9) -> MinimalityVerdict:

@@ -150,12 +150,12 @@ def _quadratic_symbol(t: float) -> Symbol:
     return Symbol(2, [((2, 0), 1.0), ((1, 1), t), ((0, 2), 1.0)])
 
 
-def search_c2(a: float, c_range=(0.0, 2.0)):
+def search_c2(a: float):
     """Maximize the dual bound for phi = z1^2 + a z1 z2 + z2^2 over test
     functions f = z1^2 + c z1 z2 + z2^2, in closed form.
 
     Requires 0 <= a <= 1/2 so the Hankel norm equals the H^2 norm
-    sqrt(2 + a^2), the same for every c, and a c_range with finite ends.
+    sqrt(2 + a^2), the same for every c.
     On the torus |f| = |c + 2 cos t|, so ||f||_1 = (2/pi)(c asin(c/2) +
     sqrt(4 - c^2)) for |c| <= 2 and |c| beyond, and d||f||_1/dc =
     (2/pi) asin(c/2). The score (2 + a c) / ||f||_1 is then stationary only
@@ -163,20 +163,14 @@ def search_c2(a: float, c_range=(0.0, 2.0)):
     pi / (2 cos(theta)), its global maximum. theta is found by Newton from
     theta = a: g(theta) = theta - a cos(theta) is increasing and convex on
     [0, pi/2] with g(a) >= 0, so the iterates fall monotonically to the
-    only root; they stop when a step no longer falls. An interval that
-    does not hold that c is refused (DomainError), as the score's maximum
-    on it is at an end. Returns (c; 4 ulp of c, a rounding bound; the
-    dual_bound report at c, with method "search").
+    only root; they stop when a step no longer falls. For 0 <= a <= 1/2
+    that c lies in [0, 0.8702617]. Returns (c; 4 ulp of c, a rounding
+    bound; the dual_bound report at c, with method "search").
     """
     if not 0.0 <= a <= 0.5:
         raise DomainError(
             f"search requires 0 <= a <= 1/2 (minimal-norm regime), got {a}"
         )
-    lo, hi = float(c_range[0]), float(c_range[1])
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise DomainError(f"search interval {c_range} must have finite ends")
-    if not lo < hi:
-        raise DomainError(f"empty search interval {c_range}")
     theta = a
     for _ in range(_NEWTON_STEPS):
         below = theta - (theta - a * math.cos(theta)) / (1.0 + a * math.sin(theta))
@@ -184,10 +178,6 @@ def search_c2(a: float, c_range=(0.0, 2.0)):
             break
         theta = below
     best_c = 2.0 * math.sin(theta)
-    if not lo <= best_c <= hi:
-        raise DomainError(
-            f"the optimal c = {best_c!r} lies outside the search interval {c_range}; widen the interval"
-        )
     report = dual_bound(_quadratic_symbol(best_c), _quadratic_symbol(a))
     return best_c, 4.0 * math.ulp(best_c), replace(report, method="search")
 

@@ -33,12 +33,13 @@ times a real trigonometric polynomial, so ||P||_1 is a sum of
 antiderivative differences between its roots (_reciprocal_h1, method
 "exact", a rounding bound); the nehari-search test functions
 z1^2 + c z1 z2 + z2^2 are of this kind. A monomial (rank 0) has
-||c z^alpha||_p = |c| at every finite p, also "exact". The spec's grid
-is still validated on these paths (budget, spread) but sets no node
-count; p = inf, rank r >= 2 and higher degrees stay on the grid. Both
-rules take P's ascending coefficients as one row (_circle_coefs), with
-its roots from np.roots (_circle_roots); at p = 1 hp_norm tries the
-exact rule first, and a P that fails its gate takes the arc rule.
+||c z^alpha||_p = |c| at every finite p, also "exact". These paths read
+no grid, so the spec's points per dimension, the grid budgets and the
+spread check do not apply to them; p = inf, rank r >= 2 and higher
+degrees stay on the grid, where they do. Both rules take P's ascending
+coefficients as one row (_circle_coefs), with its roots from np.roots
+(_circle_roots); at p = 1 hp_norm tries the exact rule first, and a P
+that fails its gate takes the arc rule.
 
 On the grid, on the arcs and on the exact paths, a product in disjoint
 variables is the product of its factors' norms (hankel.factored), each
@@ -62,7 +63,7 @@ neither overflows nor loses a chunk, and p = inf is M alone.
 
 Every printed quadrature number comes from hp_norm: h1_norm_2hom
 (homogeneous symbols in at most two variables, which reduce to rank
-r <= 1) is hp_norm at p=1 with a spec of at least 2^16 points. The
+r <= 1) is hp_norm at p=1 with 2^16 points per dimension. The
 nehari-search coefficient c is a closed form (nehari.search_c2), and the
 H^1 norm it prints is hp_norm's. The one number not integrated is
 hq_norm_basic, the H^q norm of (z1+z2)/sqrt(2), which has a closed form
@@ -609,9 +610,10 @@ def hp_norm(s: Symbol, p, spec: QuadratureSpec | None = None) -> NormEstimate:
     spread for finite p; the metadata says "d=<d> reduced to r=<r>" when
     r < d. At finite p a reduced symbol of rank r <= 1 and degree <=
     _ARC_MAX_DEGREE is integrated on arcs split at its roots (method
-    "arc-quadrature", see _arc_stat) after the same checks, so the points
-    per dimension then set no node count; higher degrees use the grid.
-    On that path two cases are exact (method "exact", a rounding bound):
+    "arc-quadrature", see _arc_stat), which reads no grid: the points per
+    dimension, the grid budgets and the spread check do not apply there;
+    higher degrees use the grid. On that path two cases are exact (method
+    "exact", a rounding bound):
     p = 1 for a self-reciprocal symbol, by antiderivatives between its
     roots (_reciprocal_h1), and a monomial (r = 0), whose norm is |c|
     with bound 0. p = inf returns the grid (or sample) maximum, which is
@@ -655,34 +657,24 @@ def hp_norm(s: Symbol, p, spec: QuadratureSpec | None = None) -> NormEstimate:
 
 
 def _grid_or_arc(s: Symbol, p, n: int) -> NormEstimate:
-    """||s||_p exactly, on the arcs or on the tensor grid after reduction, with its checks.
+    """||s||_p exactly, on the arcs or on the tensor grid after reduction.
 
-    Raises DomainError for a reduced rank above 4 or a spread the grid does
-    not resolve at finite p, and BudgetError for a grid above
-    MAX_GRID_POINTS or, when one is evaluated on T^1, MAX_1D_GRID_POINTS.
+    At finite p a monomial is exact and a reduced rank r <= 1 up to degree
+    _ARC_MAX_DEGREE takes the exact or the arc rule; these read no n. Only
+    the grid path checks n: it raises DomainError for a reduced rank above
+    4, BudgetError for a grid above MAX_GRID_POINTS, DomainError for a
+    spread the grid does not resolve at finite p, and BudgetError for a
+    grid on T^1, held whole, above MAX_1D_GRID_POINTS, in that order.
     The metadata names the rule and "d=<d>[ reduced to r=<r>]".
     """
     dim = s.dim
     s = _reduce(s)
     rank = s.dim if len(s.support) > 1 else 0
     where = f"d={dim} reduced to r={rank}" if rank < dim else f"d={dim}"
-    if rank > 4:
-        raise DomainError(f"tensor-uniform is limited to rank <= 4, got rank {rank}; use monte-carlo")
-    check_budget((2 * n) ** s.dim, MAX_GRID_POINTS, "tensor grid (MAX_GRID_POINTS)", "points")
     spread = _spread(s)
-    if p != math.inf and n <= spread:  # frequencies of |phi|^2 would alias onto 0
-        raise DomainError(f"{n} points per dimension do not resolve the exponent spread {spread}")
-    if s.dim == 1 and (p == math.inf or spread > _ARC_MAX_DEGREE):  # a grid, held whole
-        check_budget(2 * n, MAX_1D_GRID_POINTS, "one-dimensional grid (MAX_1D_GRID_POINTS)", "points")
-    if p == math.inf:
-        fine = _tensor_stat(s, 2 * n, p)
-        cushion, note = _sup_cushion(s, 2 * n, fine)
-        return NormEstimate(
-            fine, "grid-quadrature", cushion, f"grid max on {2 * n}^{s.dim} (lower estimate); {note}, {where}"
-        )
-    if rank == 0:
+    if p != math.inf and rank == 0:
         return NormEstimate(abs(s.coeff(s.support[0])), "exact", 0.0, f"modulus of a monomial, {where}")
-    if s.dim <= 1 and spread <= _ARC_MAX_DEGREE:
+    if p != math.inf and s.dim == 1 and spread <= _ARC_MAX_DEGREE:
         coefs = _circle_coefs(s)
         found = _reciprocal_h1(coefs) if p == 1 else None
         if found is not None:
@@ -692,6 +684,19 @@ def _grid_or_arc(s: Symbol, p, n: int) -> NormEstimate:
         (coarse, fine), arcs = _arc_stat(coefs, p)
         rule = f"gauss-legendre {_ARC_NODES} refined to {2 * _ARC_NODES} nodes on {arcs} arcs cut at the roots"
         return NormEstimate(fine, "arc-quadrature", _refined(coarse, fine), f"{rule}, {where}")
+    if rank > 4:
+        raise DomainError(f"tensor-uniform is limited to rank <= 4, got rank {rank}; use monte-carlo")
+    check_budget((2 * n) ** s.dim, MAX_GRID_POINTS, "tensor grid (MAX_GRID_POINTS)", "points")
+    if p != math.inf and n <= spread:  # frequencies of |phi|^2 would alias onto 0
+        raise DomainError(f"{n} points per dimension do not resolve the exponent spread {spread}")
+    if s.dim == 1:  # a grid on T^1, held whole
+        check_budget(2 * n, MAX_1D_GRID_POINTS, "one-dimensional grid (MAX_1D_GRID_POINTS)", "points")
+    if p == math.inf:
+        fine = _tensor_stat(s, 2 * n, p)
+        cushion, note = _sup_cushion(s, 2 * n, fine)
+        return NormEstimate(
+            fine, "grid-quadrature", cushion, f"grid max on {2 * n}^{s.dim} (lower estimate); {note}, {where}"
+        )
     coarse, fine = _tensor_stat(s, n, p), _tensor_stat(s, 2 * n, p)
     rule = f"tensor-uniform N={n} refined to {2 * n}"
     return NormEstimate(fine, "grid-quadrature", _refined(coarse, fine), f"{rule}, {where}")
@@ -756,17 +761,16 @@ def hq_inverse_intermediate(q: float) -> float:
     return (1.0 + q / 2.0) ** (1.0 / q) / math.sqrt(2.0)
 
 
-def h1_norm_2hom(s: Symbol, spec: QuadratureSpec | None = None) -> NormEstimate:
+def h1_norm_2hom(s: Symbol) -> NormEstimate:
     """H^1 norm of a homogeneous symbol in at most two active variables.
 
     Homogeneity makes |phi| a function of the difference of the two
     angles alone, so the symbol reduces to rank r <= 1 in any dimension;
-    this is hp_norm at p=1 with a spec of at least 2^16 points (or the
-    spec's count if larger), with its budget and spread checks. Up to
-    degree _ARC_MAX_DEGREE the value does not depend on that count: it is
-    exact (rounding bound) for a self-reciprocal symbol, such as
-    z1^2 + c z1 z2 + z2^2 with c real, and from the arc rule (refinement
-    bound) otherwise; the 2^16 floor sets the grid only above that degree.
+    this is hp_norm at p=1 with 2^16 points per dimension. Up to degree
+    _ARC_MAX_DEGREE no grid is read: the value is exact (rounding bound)
+    for a self-reciprocal symbol, such as z1^2 + c z1 z2 + z2^2 with c
+    real, and from the arc rule (refinement bound) otherwise. Above that
+    degree the 2^16-point grid runs, with its budget and spread checks.
     """
     if s.is_zero:
         raise DomainError("h1_norm_2hom requires a nonzero symbol")
@@ -777,5 +781,4 @@ def h1_norm_2hom(s: Symbol, spec: QuadratureSpec | None = None) -> NormEstimate:
         raise DomainError(
             f"h1_norm_2hom needs at most 2 active variables, got {len(active)}"
         )
-    n = max(1 << 16, spec.points_per_dimension if spec is not None else 0)
-    return hp_norm(s, 1, QuadratureSpec(points_per_dimension=n))
+    return hp_norm(s, 1, QuadratureSpec(points_per_dimension=1 << 16))

@@ -30,11 +30,6 @@ def degree(alpha) -> int:
     return sum(alpha)
 
 
-def dominated_by(beta, alpha) -> bool:
-    """Componentwise comparison beta <= alpha."""
-    return all(b <= a for b, a in zip(beta, alpha))
-
-
 def grlex_key(alpha):
     """Sort key realising the graded lexicographic order."""
     return (sum(alpha), tuple(-e for e in alpha))

@@ -176,6 +176,12 @@ class TestCheckMinimal:
         assert out == ""
         assert err == "error: tolerance must be >= 1e-12, got nan\n"
 
+    def test_infinite_tolerance_is_domain_error(self, capsys, tmp_path):
+        path = tmp_path / "q.sym"
+        path.write_text(quadratic(0.9))  # gap 0.224: inf must not call it minimal
+        code, out, err = run(capsys, "check-minimal", str(path), "--tol", "inf")
+        assert (code, out, err) == (1, "", "error: tolerance must be finite, got inf\n")
+
     @pytest.mark.parametrize(
         "leaf",
         ["(mono 1.0 0.0 : 0 -1)", "(mono 1.0 oops : 0 1)", "(mono inf 0.0 : 0 1)", "(mono 1.0 0.0 : )"],
@@ -437,7 +443,7 @@ class TestHpNorm:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (("hp-norm", "{d1}", "1", "--grid", "10000000000"), GRID_REFUSED),
+            (("hp-norm", "{d2}", "1", "--grid", "10000000000"), GRID_REFUSED),
             (("hp-norm", "{d1}", "inf", "--grid", "10000000000"), GRID_REFUSED),
             (("psi", "--grid", "10000000000"), GRID_REFUSED),
             (
@@ -455,8 +461,10 @@ class TestHpNorm:
     def test_oversized_grid_is_refused_before_allocation(self, capsys, tmp_path, argv, message):
         path = tmp_path / "d1.sym"
         path.write_text("dim 1\n1.0 0.0 : 0\n0.5 0.0 : 1\n")
+        rank2 = tmp_path / "d2.sym"  # 1 + z1 + z2 has rank 2, so it takes the grid
+        rank2.write_text("dim 2\n1.0 0.0 : 0 0\n1.0 0.0 : 1 0\n1.0 0.0 : 0 1\n")
         start = time.perf_counter()
-        code, out, err = run(capsys, *(a.format(d1=path) for a in argv))
+        code, out, err = run(capsys, *(a.format(d1=path, d2=rank2) for a in argv))
         assert time.perf_counter() - start < 1.0
         assert code == 1
         assert out == ""
@@ -497,6 +505,23 @@ class TestHpNorm:
         code, out, _ = run(capsys, "hp-norm", str(path), p, "--grid", "100000000", "--json")
         assert code == 0
         assert {r["quantity"]: r for r in json.loads(out)["reports"]}["hp_norm"]["method"] == method
+
+    @pytest.mark.parametrize(
+        "text, p",
+        [("dim 1\n1.0 0.0 : 0\n0.5 0.0 : 1\n", "1"), ("dim 1\n1.0 0.0 : 0\n1.0 0.0 : 1\n1.0 0.0 : 10\n", "2")],
+        ids=["one-plus-half-w", "spread-10"],
+    )
+    @pytest.mark.parametrize("grid", ["4", "10", "10000000000"])
+    def test_arc_rule_answers_at_any_grid(self, capsys, tmp_path, text, p, grid):
+        # the grid budgets and the spread check bind only where a grid runs
+        path = tmp_path / "s.sym"
+        path.write_text(text)
+        code, out, _ = run(capsys, "hp-norm", str(path), p, "--json")
+        assert code == 0
+        plain = {r["quantity"]: r for r in json.loads(out)["reports"]}["hp_norm"]
+        code, out, err = run(capsys, "hp-norm", str(path), p, "--grid", grid, "--json")
+        assert (code, err) == (0, "")
+        assert {r["quantity"]: r for r in json.loads(out)["reports"]}["hp_norm"] == plain
 
     GRID_TOO_SMALL = "error: points_per_dimension must be >= 4\n"
     TOO_FEW_SAMPLES = "error: monte-carlo needs at least 1000 samples\n"
@@ -652,24 +677,6 @@ class TestNehariCommands:
         best = float(table_value(out, "best_c"))
         assert 0.8 < best < 0.9
 
-    def test_search_interval_without_the_optimum_is_domain_error(self, capsys):
-        # the score decreases across [1e20, 1e21], so its maximum there is the end 1e20
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code, out, err = run(capsys, "nehari-search", "--a", "0.5", "--cmin", "1e20", "--cmax", "1e21")
-        assert not caught
-        assert code == 1
-        assert out == ""
-        assert err.count("\n") == 1 and err.startswith("error: the optimal c = 0.8702617180734189 ")
-
-    def test_search_infinite_interval_is_domain_error(self, capsys):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code, out, err = run(capsys, "nehari-search", "--a", "0.5", "--cmax", "inf")
-        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-        assert code == 1
-        assert out == ""
-        assert err == "error: search interval (0.0, inf) must have finite ends\n"
 
 
 class TestCexPsi:

@@ -58,6 +58,13 @@ class TestClassify:
             with pytest.raises(DomainError, match="tolerance must be >= 1e-12, got nan"):
                 check(phi2(0.2), tol=math.nan)
 
+    def test_infinite_tolerance_rejected(self):
+        # every gap is within an infinite tolerance: phi2(0.9) has gap 0.224 and is not minimal
+        for check in (classify, classify_homogeneous):
+            assert check(phi2(0.9)).status == "not-minimal"
+            with pytest.raises(DomainError, match="tolerance must be finite, got inf"):
+                check(phi2(0.9), tol=math.inf)
+
     def test_gap_never_below_minus_tol(self):
         rng = np.random.default_rng(53)
         for _ in range(30):

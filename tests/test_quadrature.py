@@ -1,4 +1,5 @@
 import math
+import time
 import warnings
 
 import numpy as np
@@ -101,6 +102,62 @@ class TestOneDimensionalGridBudget:
     def test_arc_and_exact_paths_evaluate_no_grid(self, p, method):
         assert hp_norm(self.W, p, self.OVER).method == method
         assert hp_norm(make_symbol(1, [((3,), 2.0)]), p, self.OVER).value == 2.0
+
+
+class TestGridChecksOnlyOnTheGrid:
+    """The monomial, exact and arc rules read no grid; the grid path keeps its checks and their order."""
+
+    @pytest.mark.parametrize(
+        "s, p, method",
+        [
+            (make_symbol(3, [((2, 5, 1), -0.5j)]), 2, "exact"),  # a monomial
+            (phi2(1.0), 1, "exact"),  # self-reciprocal
+            (make_symbol(1, [((0,), 1.0), ((1,), 0.5)]), 1, "arc-quadrature"),
+            (make_symbol(1, [((0,), 1.0), ((1,), 1.0), ((10,), 1.0)]), 2, "arc-quadrature"),  # spread 10
+            (make_symbol(1, [((0,), 1.0), ((1,), 1.0), ((64,), 1.0)]), 3.5, "arc-quadrature"),  # _ARC_MAX_DEGREE
+            (one_variable_product(np.random.default_rng(429), [2, 5]), 1, "arc-quadrature"),  # factored
+        ],
+        ids=["monomial", "exact", "arc", "arc-spread-10", "arc-degree-64", "factored-arcs"],
+    )
+    def test_gridless_rules_ignore_the_grid(self, s, p, method):
+        start = time.perf_counter()
+        estimates = [hp_norm(s, p, QuadratureSpec(points_per_dimension=n)) for n in (4, 256, 10**10)]
+        assert time.perf_counter() - start < 1.0
+        assert estimates[0].method == method
+        assert estimates[1:] == estimates[:-1]
+
+    GRID = "tensor grid (MAX_GRID_POINTS) exceeds the budget of 268435456 points"
+
+    @pytest.mark.parametrize(
+        "s, p, n, message",
+        [
+            # rank first: rank 5 at a grid over MAX_GRID_POINTS
+            (
+                make_symbol(5, [((0,) * 5, 1.0)] + [(tuple(int(i == j) for i in range(5)), 1.0) for j in range(5)]),
+                1, 10**10, "tensor-uniform is limited to rank <= 4, got rank 5; use monte-carlo",
+            ),
+            (make_symbol(2, [((0, 0), 1.0), ((1, 0), 1.0), ((0, 1), 1.0)]), 1, 10**10, GRID),  # rank 2
+            # MAX_GRID_POINTS before the spread: 200^4 points, spread 200 at N = 100
+            (
+                make_symbol(4, [((0,) * 4, 1.0), ((200, 0, 0, 0), 1.0), ((0, 1, 0, 0), 1.0),
+                                ((0, 0, 1, 0), 1.0), ((0, 0, 0, 1), 1.0), ((1, 0, 0, 0), 1.0)]),
+                1, 100, GRID,
+            ),
+            # spread 100, above _ARC_MAX_DEGREE, at N = 100
+            (make_symbol(1, [((0,), 1.0), ((1,), 1.0), ((100,), 1.0)]), 2, 100,
+             "100 points per dimension do not resolve the exponent spread 100"),
+            # the spread before MAX_1D_GRID_POINTS (TestOneDimensionalGridBudget): 2N = 2 * 10^8 is over it
+            (make_symbol(1, [((0,), 1.0), ((1,), 1.0), ((10**23,), 1.0)]), 1, 10**8,
+             "100000000 points per dimension do not resolve the exponent spread 100000000000000000000000"),
+        ],
+        ids=["rank", "budget", "budget-before-spread", "spread", "spread-before-line"],
+    )
+    def test_grid_path_keeps_its_refusals(self, s, p, n, message):
+        start = time.perf_counter()
+        with pytest.raises(DomainError) as err:
+            hp_norm(s, p, QuadratureSpec(points_per_dimension=n))
+        assert time.perf_counter() - start < 1.0
+        assert str(err.value) == message
 
 
 class TestHpNorm:
@@ -223,12 +280,14 @@ class TestHpNorm:
                 assert sliced == pytest.approx(direct, rel=1e-12)
 
     def test_under_resolved_grid_raises(self):
-        # 1 + z + z^10 needs more than 10 points per dimension; at 11 p=2 is exact
-        s = make_symbol(1, [((10,), 1.0), ((1,), 1.0), ((0,), 1.0)])
+        # 1 + z1 + z2 + z2^10 (rank 2, so on the grid) needs more than 10 points
+        # per dimension; at 11 p=2 is exact
+        s = make_symbol(2, [((0, 10), 1.0), ((1, 0), 1.0), ((0, 1), 1.0), ((0, 0), 1.0)])
         with pytest.raises(DomainError):
             hp_norm(s, 2, QuadratureSpec(points_per_dimension=10))
         est = hp_norm(s, 2, QuadratureSpec(points_per_dimension=11))
-        assert est.value == pytest.approx(math.sqrt(3), abs=1e-14)
+        assert est.method == "grid-quadrature"
+        assert est.value == pytest.approx(2.0, abs=1e-14)
         # every grid point aliases z1^(10**23) to 1, so p = 1 and 2 would read 2.5
         huge = make_symbol(1, [((10**23,), 1.0), ((1,), 1.0), ((0,), 0.5)])
         for p in (1, 2):
@@ -845,14 +904,14 @@ class TestH1Reduction:
         tight = make_symbol(2, [((1 << 17, 0), 1.0), (((1 << 17) - 1, 1), 1.0), ((0, 1 << 17), 1.0)])
         with pytest.raises(DomainError, match="spread 131072"):
             h1_norm_2hom(tight)
-        est = h1_norm_2hom(s, QuadratureSpec(points_per_dimension=(1 << 17) + 1))
+        est = hp_norm(s, 1, QuadratureSpec(points_per_dimension=(1 << 17) + 1))
         assert est.value == pytest.approx(4 / math.pi, abs=1e-8)
         edge = make_symbol(2, [(((1 << 16) - 1, 0), 1.0), ((0, (1 << 16) - 1), 1.0)])
         assert h1_norm_2hom(edge).value == pytest.approx(4 / math.pi, abs=1e-8)
         # the largest reduced spread the default grid resolves, checked against a finer grid
         S = (1 << 16) - 1
         edge = make_symbol(2, [((S, 0), 1.0), ((S - 1, 1), 1.0), ((0, S), 1.0)])
-        est, fine = h1_norm_2hom(edge), h1_norm_2hom(edge, QuadratureSpec(points_per_dimension=1 << 18))
+        est, fine = h1_norm_2hom(edge), hp_norm(edge, 1, QuadratureSpec(points_per_dimension=1 << 18))
         assert abs(est.value - fine.value) <= est.error_bound + fine.error_bound
 
     def test_any_dimension(self):
@@ -980,10 +1039,24 @@ class TestFactoredHpNorm:
         est = hp_norm(s, 1, spec)
         assert est.metadata.startswith("factored into 2 [tensor-uniform N=4 refined to 8, d=2] [")
         assert est.value == alone.value * hp_norm(make_symbol(2, [((1, 0), 1.0), ((0, 1), 1.0)]), 1).value
-        # a factor the grid refuses sends the whole symbol, with the whole's refusal
+        # a factor the grid refuses sends the whole symbol, with the whole's refusal:
+        # 1 + z1 + z2 + z2^5 has rank 2 and spread 5, so N=4 refuses it on the grid
+        refused = [((0, 0), 1.0), ((1, 0), 1.0), ((0, 1), 1.0), ((0, 5), 1.0)]
         with pytest.raises(DomainError) as err:
-            hp_norm(one_variable_product(np.random.default_rng(429), [2, 5]), 1, spec)
+            hp_norm(make_symbol(2, refused), 1, spec)
         assert str(err.value) == "4 points per dimension do not resolve the exponent spread 5"
+        for other, message in (
+            ([((1, 0, 0), 1.0), ((0, 1, 0), 1.0)], "4 points per dimension do not resolve the exponent spread 5"),
+            (  # 1 + z3 + z4 + z5 computes at N=4 on its own; the whole has rank 5
+                [((0, 0, 0), 1.0), ((1, 0, 0), 1.0), ((0, 1, 0), 1.0), ((0, 0, 1), 1.0)],
+                "tensor-uniform is limited to rank <= 4, got rank 5; use monte-carlo",
+            ),
+        ):
+            s = make_symbol(5, [(a + b, 1.0) for a, _ in refused for b, _ in other])
+            assert len(split_factors(s)[0]) == 2
+            with pytest.raises(DomainError) as err:
+                hp_norm(s, 1, spec)
+            assert str(err.value) == message
         rank5_sum = make_symbol(5, [((0,) * 5, 1.0)] + [(tuple(int(i == j) for i in range(5)), 1.0) for j in range(5)])
         with pytest.raises(DomainError) as err:
             hp_norm(rank5_sum, 1, QuadratureSpec(points_per_dimension=16))

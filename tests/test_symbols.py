@@ -91,13 +91,6 @@ class TestConstruction:
                             ((1, 1), 1), ((0, 2), 1), ((0, 0), 1)])
         assert s.support == ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
 
-    def test_componentwise_comparison(self):
-        from hankel_lab import dominated_by
-
-        assert dominated_by((1, 0), (2, 1))
-        assert not dominated_by((1, 2), (2, 1))
-        assert dominated_by((0, 0), (0, 0))
-
 
 class TestTermOrder:
     def test_products_do_not_depend_on_the_order_given(self):
