@@ -396,7 +396,7 @@ def product_error(values, errors):
 
 def _coarsest(methods):
     """The least precise of several quadrature rules: a product is only as exact as its coarsest factor."""
-    return next(m for m in ("grid-quadrature", "arc-quadrature") if m in methods)
+    return next(m for m in ("monte-carlo", "grid-quadrature", "arc-quadrature") if m in methods)
 
 
 def factored(s: Symbol, rule, residual) -> NormEstimate:
@@ -409,7 +409,7 @@ def factored(s: Symbol, rule, residual) -> NormEstimate:
     The factors' bounds combine as prod(v_i + e_i) - prod(v_i)
     (product_error), and residual(delta), a bound on the norm of delta,
     is added. The method is the factors' common one, or the coarsest of
-    theirs where they differ (grid, then arc, then exact), and the metadata reads
+    theirs where they differ (monte-carlo, grid, arc, exact), and the metadata reads
     "factored into <k> [<factor metadata>] ..., fit residual bound <r>".
 
     The whole symbol goes through rule instead when it does not split, when

@@ -34,20 +34,21 @@ antiderivative differences between its roots (_reciprocal_h1, method
 "exact", a rounding bound); the nehari-search test functions
 z1^2 + c z1 z2 + z2^2 are of this kind. A monomial (rank 0) has
 ||c z^alpha||_p = |c| at every finite p, also "exact". These paths read
-no grid, so the spec's points per dimension, the grid budgets and the
-spread check do not apply to them; p = inf, rank r >= 2 and higher
-degrees stay on the grid, where they do. Both rules take P's ascending
-coefficients as one row (_circle_coefs), with its roots from np.roots
-(_circle_roots); at p = 1 hp_norm tries the exact rule first, and a P
-that fails its gate takes the arc rule.
+no spec setting, so the points per dimension, the samples, the grid
+budgets and the spread check do not apply to them; p = inf, rank r >= 2
+and higher degrees take the grid, where they do, or the sampler. Both
+rules take P's ascending coefficients as one row (_circle_coefs), with
+its roots from np.roots (_circle_roots); at p = 1 hp_norm tries the
+exact rule first, and a P that fails its gate takes the arc rule.
 
-On the grid, on the arcs and on the exact paths, a product in disjoint
-variables is the product of its factors' norms (hankel.factored), each
-factor reduced, checked and integrated on its own.
+For every spec, a product in disjoint variables is the product of its
+factors' norms (hankel.factored), each factor reduced, checked and
+integrated on its own by one rule dispatch (_grid_or_arc).
 
 Monte Carlo sampling (counter-based Philox generator, explicit seed) is
-available for any dimension, samples the same reduced torus T^r, is not
-factored, and is the required path when the reduced rank exceeds 4.
+available for any dimension, samples the same reduced torus T^r, and is
+the required path when the reduced rank exceeds 4; under a monte-carlo
+spec it takes every piece that no exact or arc rule takes.
 _mc_stat evaluates phi per axis: one phasor e^{i theta_j} per sample and
 axis, from a table of 1024 turns times a Taylor step (_turn_phasors, no
 complex exponential), its powers for the axis's exponents by
@@ -104,7 +105,7 @@ class QuadratureSpec:
     """How to integrate on the torus.
 
     points_per_dimension applies to the tensor-uniform grid; seed and
-    samples apply to monte-carlo.
+    samples to monte-carlo, on the pieces that no exact or arc rule takes.
     """
 
     points_per_dimension: int = 256
@@ -604,28 +605,26 @@ def hp_norm(s: Symbol, p, spec: QuadratureSpec | None = None) -> NormEstimate:
 
     The symbol is first reduced to T^r, r the rank of its
     exponent-difference lattice (see _reduce), in any dimension d, and
-    both methods integrate on T^r. Tensor grids are limited to r <= 4; use
-    a monte-carlo spec beyond that. The spec's points per dimension apply
-    per reduced axis, as does the rule that they exceed the exponent
-    spread for finite p; the metadata says "d=<d> reduced to r=<r>" when
-    r < d. At finite p a reduced symbol of rank r <= 1 and degree <=
+    every rule integrates on T^r; the metadata says "d=<d> reduced to
+    r=<r>" when r < d. At finite p a monomial (r = 0) is exact, |c| with
+    bound 0, and a reduced symbol of rank r <= 1 and degree <=
     _ARC_MAX_DEGREE is integrated on arcs split at its roots (method
-    "arc-quadrature", see _arc_stat), which reads no grid: the points per
-    dimension, the grid budgets and the spread check do not apply there;
-    higher degrees use the grid. On that path two cases are exact (method
-    "exact", a rounding bound):
-    p = 1 for a self-reciprocal symbol, by antiderivatives between its
-    roots (_reciprocal_h1), and a monomial (r = 0), whose norm is |c|
-    with bound 0. p = inf returns the grid (or sample) maximum, which is
-    only a lower estimate of the sup; for tensor grids the error bound is
-    a rigorous Bernstein cushion from the axis degrees of the reduced
-    symbol, and a sample max has none (inf).
+    "arc-quadrature", see _arc_stat), or exactly at p = 1 when
+    self-reciprocal, by antiderivatives between its roots (_reciprocal_h1,
+    method "exact", a rounding bound). These rules read no spec setting.
+    Any other symbol is sampled under a monte-carlo spec and otherwise
+    takes the tensor grid, limited to r <= 4, whose points per dimension
+    apply per reduced axis, as does the rule that they exceed the exponent
+    spread for finite p. p = inf returns the grid (or sample) maximum,
+    which is only a lower estimate of the sup; for tensor grids the error
+    bound is a rigorous Bernstein cushion from the axis degrees of the
+    reduced symbol, and a sample max has none (inf).
 
-    A tensor-uniform spec on a product in disjoint variables takes the
-    product of its factors' norms (hankel.factored), each factor reduced
-    and checked on its own; the split is found on s as given, because a
-    lattice basis can skew a product's coordinates. The fit residual delta
-    adds sum |delta_alpha|. Monte Carlo is not factored.
+    Under either spec a product in disjoint variables is the product of its
+    factors' norms (hankel.factored), each reduced and integrated on its own
+    by the rules above, so only factors they leave are sampled; the split is
+    found on s as given, since a lattice basis can skew a product's
+    coordinates. The fit residual delta adds sum |delta_alpha|.
 
     Every |phi| is at most S = sum |c_alpha|, so no rule overflows while S
     is a double; a symbol whose S exceeds the double range is refused
@@ -640,32 +639,21 @@ def hp_norm(s: Symbol, p, spec: QuadratureSpec | None = None) -> NormEstimate:
             raise DomainError("the sum of the coefficient moduli, which bounds |phi|, exceeds the double range")
     if spec is None:
         spec = default_spec(s.dim)
-    if spec.method == "monte-carlo":
-        dim = s.dim
-        s = _reduce(s)
-        rank = s.dim if len(s.support) > 1 else 0
-        value, err = _mc_stat(s, spec, p)
-        draws = f"philox seed={spec.seed} samples={spec.samples}"
-        note = f"{draws}; 3 standard errors, first-order in the 1/p power"
-        if p == math.inf:
-            note = f"sample max (lower estimate); {draws}"
-        sampled = f"; d={dim} reduced to r={rank}" if rank < dim else ""
-        return NormEstimate(value, "monte-carlo", err, note + sampled)
-    n = spec.points_per_dimension
-    est = factored(s, lambda f: _grid_or_arc(f, p, n), lambda delta: math.fsum(abs(c) for _, c in delta.terms()))
+    est = factored(s, lambda f: _grid_or_arc(f, p, spec), lambda delta: math.fsum(abs(c) for _, c in delta.terms()))
     return NormEstimate(est.value, est.method, est.error_bound, f"{est.metadata}, p={p}")
 
 
-def _grid_or_arc(s: Symbol, p, n: int) -> NormEstimate:
-    """||s||_p exactly, on the arcs or on the tensor grid after reduction.
+def _grid_or_arc(s: Symbol, p, spec: QuadratureSpec) -> NormEstimate:
+    """||s||_p exactly, on the arcs, by sampling or on the tensor grid after reduction.
 
     At finite p a monomial is exact and a reduced rank r <= 1 up to degree
-    _ARC_MAX_DEGREE takes the exact or the arc rule; these read no n. Only
-    the grid path checks n: it raises DomainError for a reduced rank above
-    4, BudgetError for a grid above MAX_GRID_POINTS, DomainError for a
-    spread the grid does not resolve at finite p, and BudgetError for a
-    grid on T^1, held whole, above MAX_1D_GRID_POINTS, in that order.
-    The metadata names the rule and "d=<d>[ reduced to r=<r>]".
+    _ARC_MAX_DEGREE takes the exact or the arc rule, reading no spec
+    setting; a monte-carlo spec samples the rest (_mc_stat). Only the grid
+    path checks its n points per dimension: DomainError for a reduced rank
+    above 4, BudgetError for a grid above MAX_GRID_POINTS, DomainError for
+    a spread the grid does not resolve at finite p, and BudgetError for a
+    grid on T^1, held whole, above MAX_1D_GRID_POINTS, in that order. The
+    metadata names the rule and "d=<d>[ reduced to r=<r>]".
     """
     dim = s.dim
     s = _reduce(s)
@@ -684,6 +672,14 @@ def _grid_or_arc(s: Symbol, p, n: int) -> NormEstimate:
         (coarse, fine), arcs = _arc_stat(coefs, p)
         rule = f"gauss-legendre {_ARC_NODES} refined to {2 * _ARC_NODES} nodes on {arcs} arcs cut at the roots"
         return NormEstimate(fine, "arc-quadrature", _refined(coarse, fine), f"{rule}, {where}")
+    if spec.method == "monte-carlo":
+        value, err = _mc_stat(s, spec, p)
+        draws = f"philox seed={spec.seed} samples={spec.samples}"
+        note = f"{draws}; 3 standard errors, first-order in the 1/p power"
+        if p == math.inf:
+            note = f"sample max (lower estimate); {draws}"
+        return NormEstimate(value, "monte-carlo", err, f"{note}; {where}" if rank < dim else note)
+    n = spec.points_per_dimension
     if rank > 4:
         raise DomainError(f"tensor-uniform is limited to rank <= 4, got rank {rank}; use monte-carlo")
     check_budget((2 * n) ** s.dim, MAX_GRID_POINTS, "tensor grid (MAX_GRID_POINTS)", "points")

@@ -619,6 +619,16 @@ class TestOperatorNorm:
             assert left == pytest.approx(right, abs=1e-10)
 
 
+class TestCoarsest:
+    def test_the_least_precise_rule_names_a_product(self):
+        for methods, coarsest in (
+            ({"exact", "monte-carlo"}, "monte-carlo"),
+            ({"arc-quadrature", "monte-carlo"}, "monte-carlo"),
+            ({"grid-quadrature", "arc-quadrature"}, "grid-quadrature"),
+        ):
+            assert hankel._coarsest(methods) == coarsest
+
+
 class TestFactoredNorm:
     def assert_agrees(self, s):
         """operator_norm against the dense SVD of the whole matrix, within both stated bounds."""

@@ -30,6 +30,7 @@ from hankel_lab.quadrature import (
     _TURNS,
     _arc_stat,
     _circle_coefs,
+    _mc_stat,
     _reciprocal_h1,
     _reduce,
     _sup_cushion,
@@ -212,7 +213,7 @@ class TestHpNorm:
         assert "d=5 reduced to r=1" in est.metadata
 
     def test_monte_carlo_deterministic(self):
-        s = z(2, 0) + z(2, 1)
+        s = make_symbol(2, [((0, 0), 1.0), ((1, 0), 1.0), ((0, 1), 1.0)])  # 1 + z1 + z2, rank 2: sampled
         spec = QuadratureSpec(method="monte-carlo", seed=42, samples=50_000)
         first = hp_norm(s, 1, spec)
         second = hp_norm(s, 1, spec)
@@ -225,7 +226,7 @@ class TestHpNorm:
         # a sample max is only a lower estimate of the sup, 2 here
         est = hp_norm(z(2, 0) + z(2, 1), math.inf, QuadratureSpec(method="monte-carlo", seed=1, samples=20_000))
         assert est.method == "monte-carlo" and est.error_bound == math.inf
-        assert est.metadata == "sample max (lower estimate); philox seed=1 samples=20000; d=2 reduced to r=1"
+        assert est.metadata == "sample max (lower estimate); philox seed=1 samples=20000; d=2 reduced to r=1, p=inf"
         assert 1.99 < est.value <= 2.0 + 1e-15
 
     def test_monte_carlo_memory_bounded_by_terms(self):
@@ -601,7 +602,8 @@ class TestMonomials:
     def test_sup_and_monte_carlo_unchanged(self):
         s = make_symbol(2, [((1, 1), 2.0)])
         assert hp_norm(s, math.inf).method == "grid-quadrature"
-        assert hp_norm(s, 1, QuadratureSpec(method="monte-carlo", samples=1000)).method == "monte-carlo"
+        # a monte-carlo spec samples only what no exact rule takes
+        assert hp_norm(s, 1, QuadratureSpec(method="monte-carlo", samples=1000)).method == "exact"
 
 
 def rank_deficient(rng, dim, scale=2):
@@ -1007,12 +1009,6 @@ class TestFactoredHpNorm:
             elif eps == 1e-6:  # above the constant: the whole grid
                 assert "factored" not in est.metadata
 
-    def test_monte_carlo_is_not_factored(self):
-        s = one_variable_product(np.random.default_rng(425), [1, 2, 1, 1])
-        est = hp_norm(s, 2, QuadratureSpec(method="monte-carlo", seed=3, samples=20_000))
-        assert est.method == "monte-carlo" and "factored" not in est.metadata
-        assert abs(est.value - s.h2_norm()) <= est.error_bound
-
     def test_products_over_the_whole_budget_compute(self):
         # rank 5 is over the grid's rank limit and 258^4 over MAX_GRID_POINTS;
         # each one-variable factor takes the arc rule
@@ -1063,6 +1059,72 @@ class TestFactoredHpNorm:
         assert str(err.value) == "tensor-uniform is limited to rank <= 4, got rank 5; use monte-carlo"
 
 
+class TestFactoredMonteCarlo:
+    """A monte-carlo spec factors too, and samples only the factors that no exact or arc rule takes."""
+
+    PAIR = [((0, 0), 1.0), ((1, 0), 1.0), ((0, 1), 1.0)]  # 1 + z1 + z2, rank 2
+
+    @pytest.mark.parametrize("p", [1, 2, 3.5])
+    def test_rank_one_factors_take_their_rules(self, p):
+        # [1, 2, 1] in d = 6, 7, 8, as the benchmark's Monte Carlo ops
+        for dim in (6, 7, 8):
+            s = one_variable_product(np.random.default_rng(439 + dim), [1, 2, 1] + [0] * (dim - 3))
+            grid = hp_norm(s, p)
+            runs = [
+                hp_norm(s, p, QuadratureSpec(method="monte-carlo", seed=seed, samples=samples))
+                for seed, samples in ((1, 1000), (2, 100_000))
+            ]
+            for est in runs:
+                assert est.method != "monte-carlo" and "philox" not in est.metadata
+                assert est.metadata.startswith("factored into 3 ")
+                assert abs(est.value - grid.value) <= est.error_bound + grid.error_bound
+            assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("p", [1, 3.5])
+    def test_only_the_rank_two_factor_is_sampled(self, p):
+        for other, second in (
+            ([((0,), 1.0), ((1,), 2.0)], "gauss-legendre"),  # 1 + 2 z3, the arc rule
+            ([((1, 0), 1.0), ((0, 1), 1.0)], "self-reciprocal" if p == 1 else "gauss-legendre"),  # z3 + z4
+        ):
+            s = make_symbol(2 + len(other[0][0]), [(a + b, c * d) for a, c in self.PAIR for b, d in other])
+            est = hp_norm(s, p, QuadratureSpec(method="monte-carlo", seed=5, samples=200_000))
+            assert est.metadata.startswith("factored into 2 [philox seed=5 samples=200000; 3 standard errors")
+            assert est.metadata.count("philox seed=") == 1 and f"] [{second}" in est.metadata
+            assert est.method == "monte-carlo"  # coarser than exact and arc
+            grid = hp_norm(s, p, QuadratureSpec(points_per_dimension=64))
+            assert abs(est.value - grid.value) <= est.error_bound + grid.error_bound
+
+    def test_every_factor_is_sampled_at_the_sup(self):
+        pair_product = make_symbol(3, [(a + b, c * d) for a, c in self.PAIR for b, d in (((0,), 1.0), ((1,), 2.0))])
+        rank1_product = make_symbol(3, [
+            ((i, j, 2 * k), a * b * c) for i, a in ((0, 1.0), (1, 1.0)) for j, b in ((0, 1.0), (1, -2.0))
+            for k, c in ((0, 1.0), (1, 0.5j))
+        ])  # (1 + z1)(1 - 2 z2)(1 + 0.5i z3^2)
+        for s, factors in ((pair_product, 2), (rank1_product, 3)):
+            est = hp_norm(s, math.inf, QuadratureSpec(method="monte-carlo", seed=9, samples=20_000))
+            assert est.metadata.startswith(f"factored into {factors} [sample max (lower estimate); philox seed=9")
+            assert est.metadata.count("philox seed=9 samples=20000") == factors
+            assert est.method == "monte-carlo" and est.error_bound == math.inf
+            assert 8.5 < est.value <= 9.0 * (1 + 1e-15)  # the sup is 3 * 3 = 2 * 3 * 1.5 = 9
+
+    def test_unsplit_rank_two_symbol_keeps_its_samples(self):
+        # value and bound pinned from the whole-symbol sampler; the relative
+        # tolerance only leaves room for libm rounding across platforms
+        s = make_symbol(3, [((0, 0, 0), 1.0), ((2, 0, 1), 0.5 - 1j), ((0, 1, 2), 2.0), ((2, 1, 3), 0.25j)])
+        assert len(split_factors(s)[0]) == 1
+        draws = "philox seed=7 samples=20000"
+        sem = f"{draws}; 3 standard errors, first-order in the 1/p power"
+        for p, value, bound, note in (
+            (1, 2.3362147301377787, 0.01957733278488905, sem),
+            (3.5, 2.699770738441119, 0.016237596844470466, sem),
+            (math.inf, 3.9229689780217885, math.inf, f"sample max (lower estimate); {draws}"),
+        ):
+            est = hp_norm(s, p, QuadratureSpec(method="monte-carlo", seed=7, samples=20_000))
+            assert est.value == pytest.approx(value, rel=1e-13, abs=0)
+            assert est.error_bound == pytest.approx(bound, rel=1e-13, abs=0)
+            assert est.method == "monte-carlo" and est.metadata == f"{note}; d=3 reduced to r=2, p={p}"
+
+
 def mc_complex_phases(s, spec, p):
     """hp_norm's Monte Carlo value and bound, with one exponential per term: exp(1j * theta @ alphas.T).
 
@@ -1100,9 +1162,10 @@ class TestMonteCarloPhases:
     def assert_agrees(s, p, seed, samples):
         spec = QuadratureSpec(method="monte-carlo", seed=seed, samples=samples)
         value, bound = mc_complex_phases(s, spec, p)
-        est = hp_norm(s, p, spec)
-        assert est.value == pytest.approx(value, rel=1e-12, abs=0)
-        assert est.error_bound == (math.inf if p == math.inf else pytest.approx(bound, rel=1e-9))
+        # the sampler itself: hp_norm would take a product's rank-1 factors to their rules
+        est_value, est_bound = _mc_stat(_reduce(s), spec, p)
+        assert est_value == pytest.approx(value, rel=1e-12, abs=0)
+        assert est_bound == (math.inf if p == math.inf else pytest.approx(bound, rel=1e-9))
 
     def test_real_phases_agree_with_complex_phases(self):
         rng = np.random.default_rng(151)
